@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NotFundamental, NotInvertible
+from .errors import DomainError, NotFundamental, NotInvertible
 
 _TWO_PI = 2.0 * math.pi
 
@@ -230,11 +230,32 @@ def fundamental_discriminants(lo: int, hi: int) -> list[int]:
     return [D for D in range(lo, hi + 1) if is_fundamental_negative(D)]
 
 
+_MAX_TABLE_MODULUS = 1 << 31  # keeps every product below c^2 < 2^62 in int64
+
+
 @lru_cache(maxsize=4096)
 def _units_and_inverses(c: int) -> tuple[np.ndarray, np.ndarray]:
-    units = [v for v in range(1, c) if math.gcd(v, c) == 1]
-    invs = [pow(v, -1, c) for v in units]
-    return np.asarray(units, dtype=np.int64), np.asarray(invs, dtype=np.int64)
+    """The units v mod c in increasing order and their inverses, as int64
+    arrays (the one unit/inverse table every Kloosterman kernel reads).
+
+    The inverses are v^(phi(c)-1) mod c, by vectorized square-and-multiply
+    (phi(c) is the number of units).
+    """
+    if c >= _MAX_TABLE_MODULUS:
+        raise DomainError(f"modulus {c} too large for a unit table")
+    v = np.arange(1, c, dtype=np.int64)
+    units = v[np.gcd(v, c) == 1]
+    invs = np.ones_like(units)
+    power = units.copy()
+    e = units.size - 1
+    while e > 0:  # e = -1 when c = 1 (no units)
+        if e & 1:
+            invs = invs * power % c
+        power = power * power % c
+        e >>= 1
+    units.flags.writeable = False  # cached: every caller shares these arrays
+    invs.flags.writeable = False
+    return units, invs
 
 
 def kloosterman_direct(m: int, n: int, c: int) -> float:

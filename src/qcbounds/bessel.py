@@ -38,11 +38,13 @@ def _series_depth(xmax: float) -> int:
 def _j1_series(x: np.ndarray) -> np.ndarray:
     """sum_k (-1)^k (x/2)^(2k+1) / (k! (k+1)!), truncated adaptively."""
     half = 0.5 * x
-    z = -(half * half)
-    term = half.copy()
-    acc = term.copy()
+    z = half * half
+    np.negative(z, out=z)
+    acc = half.copy()
+    term = half  # half is not read again, so term reuses its buffer
     for k in range(1, _series_depth(float(x.max(initial=0.0))) + 1):
-        term = term * z / (k * (k + 1))
+        term *= z
+        term /= k * (k + 1)
         acc += term
     return acc
 
@@ -73,10 +75,13 @@ def bessel_j1(x):
     ever need x >= 0).
     """
     arr = np.asarray(x, dtype=np.float64)
-    if np.any(arr < 0.0):
+    if arr.min(initial=0.0) < 0.0:
         raise DomainError("bessel_j1 expects nonnegative input")
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
+    if arr.max(initial=0.0) < _CROSSOVER:
+        out = _j1_series(arr)  # all small: no mask, no scatter
+        return float(out[0]) if scalar else out
     out = np.empty_like(arr)
     small = arr < _CROSSOVER
     if small.any():

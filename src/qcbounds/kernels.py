@@ -3,8 +3,12 @@
 The trace-formula series need S(m, n; c) for n = 1..n_max with c ranging
 over many multiples of the level.  Three tools keep that cheap:
 
-* full-period row tables S(m, . ; c) for small c, computed with one FFT
-  of length c (S(m,n;c) = sum_u e(m*ubar/c) e(n*u/c), a DFT in n);
+* full-period row tables S(m, . ; c), one per modulus: for a unit m,
+  substituting v -> v*mbar in the sum gives S(m, n; c) = S(1, m*n; c), so
+  every unit row is a permutation of the base row S(1, . ; c).  The base
+  row is one FFT of length c over the cached unit/inverse table
+  (S(1,n;c) = sum_u e(ubar/c) e(n*u/c), a DFT in n) and is kept once per
+  modulus; rows for non-units m are rare and built directly;
 
 * the coprime factorization S(m,n;qr) = S(m, rbar^2 n; q) * S(m, qbar^2 n; r),
   which reduces any modulus t*N to a prime-power part and a small part;
@@ -20,32 +24,48 @@ All kernels are verified against direct enumeration in the test suite.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
+from .arith import _units_and_inverses
+
 _TWO_PI = 2.0 * math.pi
 
-_row_cache: dict[tuple[int, int], np.ndarray] = {}
 _sqrt_cache: dict[tuple[int, int, int], tuple[int, np.ndarray, np.ndarray]] = {}
 _qr_cache: dict[int, np.ndarray] = {}
 
 
+def _fft_row(m: int, c: int) -> np.ndarray:
+    """S(m, n; c) for n = 0..c-1 (c >= 2) by one FFT over the units mod c."""
+    units, invs = _units_and_inverses(c)
+    g = np.zeros(c, dtype=np.complex128)
+    g[units] = np.exp(2j * math.pi * ((m * invs) % c) / c)
+    return np.real(np.fft.ifft(g) * c)
+
+
+@lru_cache(maxsize=4096)
+def _base_row(c: int) -> np.ndarray:
+    """The read-only base row S(1, . ; c), cached once per modulus."""
+    row = _fft_row(1, c)
+    row.flags.writeable = False
+    return row
+
+
 def kloosterman_row(m: int, c: int) -> np.ndarray:
-    """S(m, n; c) for n = 0..c-1, as a float array (one FFT of length c)."""
+    """S(m, n; c) for n = 0..c-1, as a fresh float array.
+
+    A unit m reads the cached base row at m*n mod c; a non-unit m (such
+    as m = 0, the Ramanujan sum) gets its own FFT, which is not cached.
+    """
     if c < 1:
         raise ValueError("modulus must be >= 1")
     if c == 1:
         return np.ones(1)
-    key = (m % c, c)
-    row = _row_cache.get(key)
-    if row is None:
-        g = np.zeros(c, dtype=np.complex128)
-        for u in range(1, c):
-            if math.gcd(u, c) == 1:
-                g[u] = np.exp(2j * math.pi * ((m * pow(u, -1, c)) % c) / c)
-        row = np.real(np.fft.ifft(g) * c)
-        _row_cache[key] = row
-    return row
+    m %= c
+    if math.gcd(m, c) != 1:
+        return _fft_row(m, c)
+    return _base_row(c)[(m * np.arange(c, dtype=np.int64)) % c]
 
 
 def _sqrt_mod_prime(n: int, p: int) -> int:
@@ -215,8 +235,3 @@ def series_kloosterman(m: int, p: int, N: int, t: int, n: np.ndarray) -> np.ndar
     part_cp = kloosterman_row(m % cp, cp)[idx]
     return part_q * part_cp
 
-
-def clear_caches() -> None:
-    _row_cache.clear()
-    _sqrt_cache.clear()
-    _qr_cache.clear()

@@ -103,18 +103,24 @@ def unit_g0(tau: UpperHalfPoint, p: int) -> complex:
     return unit_g(UpperHalfPoint.from_complex(-1.0 / tau.z), p)
 
 
-def log_abs_unit_g(tau: UpperHalfPoint, p: int) -> float:
-    """log|g(tau)|, computed in log space so high imaginary parts never
-    overflow: (1-p) log|q| + 24 sum_{(n,p)=1} log|1-q^n|."""
+def _log_abs_coprime_product(tau: UpperHalfPoint, p: int) -> float:
+    """sum_{(n,p)=1} log|1-q^n|, each term as 0.5 log1p(-2 Re q^n + |q^n|^2)
+    so that it keeps its digits when |q^n| is far below the rounding of 1."""
     q = tau.q
-    log_abs_q = -2.0 * math.pi * tau.im
     acc = 0.0
     qn = 1.0 + 0.0j
     for n in range(1, _product_terms(abs(q)) + 1):
         qn *= q
         if n % p != 0:
-            acc += math.log(abs(1.0 - qn))
-    return (1 - p) * log_abs_q + 24.0 * acc
+            acc += 0.5 * math.log1p(-2.0 * qn.real + abs(qn) ** 2)
+    return acc
+
+
+def log_abs_unit_g(tau: UpperHalfPoint, p: int) -> float:
+    """log|g(tau)|, computed in log space so high imaginary parts never
+    overflow: (1-p) log|q| + 24 sum_{(n,p)=1} log|1-q^n|."""
+    log_abs_q = -2.0 * math.pi * tau.im
+    return (1 - p) * log_abs_q + 24.0 * _log_abs_coprime_product(tau, p)
 
 
 def _sigma3_list(count: int) -> list[int]:
@@ -235,7 +241,9 @@ def g_deviation(tau: UpperHalfPoint, p: int) -> UnitDeviation:
     |log|g0| - ((p-1)/p) log|q|| <= 4 pi^2 p / log|q^-1| + 12 log p
     on the translated fundamental domain."""
     log_abs_q = -2.0 * math.pi * tau.im
-    near_inf = abs(log_abs_unit_g(tau, p) + (p - 1) * log_abs_q)
+    # log|g| + (p-1) log|q| is exactly 24 sum log|1-q^n|; taking it directly
+    # avoids cancelling two logs of size ~(p-1) 2 pi Im(tau).
+    near_inf = abs(24.0 * _log_abs_coprime_product(tau, p))
     w_tau = UpperHalfPoint.from_complex(-1.0 / tau.z)
     near_zero = abs(log_abs_unit_g(w_tau, p) - (p - 1) / p * log_abs_q)
     return UnitDeviation(near_inf, near_zero)

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import bounds, compgroup, isogeny, runge, trace
 from .arith import (
+    _units_and_inverses,
     fundamental_discriminants,
     gauss_sum,
     is_prime,
@@ -28,6 +29,7 @@ from .arith import (
 )
 from .bessel import bessel_j1
 from .bounds import twisted_dft_all
+from .errors import DomainError
 from .runge import UpperHalfPoint
 
 DEFAULT_SEED = 12345
@@ -59,8 +61,7 @@ def _kloosterman_table(c: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Real and imaginary accumulations of S(m,n;c) for 1 <= m,n <= k."""
     if c == 1:
         return np.ones((k, k)), np.zeros((k, k))
-    units = np.array([v for v in range(1, c) if math.gcd(v, c) == 1], dtype=np.int64)
-    invs = np.array([pow(int(v), -1, c) for v in units], dtype=np.int64)
+    units, invs = _units_and_inverses(c)
     ms = np.arange(1, k + 1, dtype=np.int64)
     a = np.mod(np.outer(ms, units), c)
     b = np.mod(np.outer(ms, invs), c)
@@ -498,10 +499,12 @@ def run_suite(name: str, max_c: int | None = None, seed: int = DEFAULT_SEED,
         names = [name]
     else:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
+    if max_c is not None and max_c < 1:
+        raise DomainError(f"max_c must be >= 1 (got {max_c})")
     out = []
     for n in names:
         if n == "weil":
-            out.append(weil_suite(max_c or 400, threads=threads))
+            out.append(weil_suite(400 if max_c is None else max_c, threads=threads))
         elif n in ("runge", "compgroup"):
             out.append(SUITES[n](seed=seed))
         else:

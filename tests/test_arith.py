@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcbounds as q
-from qcbounds.arith import kloosterman_direct_complex
-from qcbounds.errors import NotFundamental, NotInvertible
+from qcbounds.arith import _units_and_inverses, kloosterman_direct_complex
+from qcbounds.errors import DomainError, NotFundamental, NotInvertible
 
 
 def legendre_euler(a: int, p: int) -> int:
@@ -107,6 +107,15 @@ class TestKloosterman:
         # S(0,0;c) = phi(c)
         for c in (1, 5, 12, 100):
             assert q.kloosterman_direct(0, 0, c) == pytest.approx(q.euler_phi(c), abs=1e-9)
+
+    def test_unit_table_matches_loop(self):
+        for c in list(range(1, 701)) + [4096, 7**4, 9973, 2 * 3 * 5 * 7 * 11 * 13]:
+            units = [v for v in range(1, c) if math.gcd(v, c) == 1]
+            got_units, got_invs = _units_and_inverses(c)
+            assert got_units.tolist() == units
+            assert got_invs.tolist() == [pow(v, -1, c) for v in units]
+        with pytest.raises(DomainError):
+            _units_and_inverses(1 << 31)
 
     @given(st.integers(0, 40), st.integers(0, 40), st.integers(1, 200))
     @settings(max_examples=150, deadline=None)

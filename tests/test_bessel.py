@@ -52,6 +52,27 @@ def test_array_and_scalar_agree():
         assert arr[i] == bessel_j1(float(x))
 
 
+def test_all_small_array_path():
+    # every argument below the crossover: the mask-free series path must
+    # give the scalar values bit for bit and leave its input alone
+    xs = np.random.default_rng(5).uniform(0.0, 11.999, 500)
+    before = xs.copy()
+    arr = bessel_j1(xs)
+    assert np.array_equal(xs, before)
+    assert all(arr[i] == bessel_j1(float(x)) for i, x in enumerate(xs))
+
+
+def test_shapes_kept():
+    assert bessel_j1(np.array([])).shape == (0,)
+    grid = np.linspace(0.0, 11.0, 12).reshape(3, 4)
+    small = bessel_j1(grid)
+    assert small.shape == (3, 4)
+    assert np.array_equal(small.ravel(), bessel_j1(grid.ravel()))
+    mixed = bessel_j1(grid * 3.0)
+    assert mixed.shape == (3, 4)
+    assert np.array_equal(mixed.ravel(), bessel_j1(grid.ravel() * 3.0))
+
+
 def test_half_x_inequality():
     rng = np.random.default_rng(4)
     xs = rng.uniform(0.0, 1000.0, 100_000)

@@ -26,6 +26,10 @@ class TestExitCodes:
         assert main(["certify", "--disc", "9", "--prime", "73", "--quiet"]) == 2
         assert main(["character", "9", "2", "--quiet"]) == 2
 
+    def test_modulus_too_large_exits_two(self):
+        assert main(["kloosterman", "1", "1", str(1 << 31), "--quiet"]) == 2
+        assert main(["kloosterman", "1", "1", str(1 << 31), "--fast", "--quiet"]) == 2
+
     def test_usage_error_exits_two(self):
         proc = run_cli("certify", "--disc", "15")  # missing --prime
         assert proc.returncode == 2
@@ -107,3 +111,8 @@ class TestVerifyCommand:
 
     def test_weil_reduced_grid(self, capsys):
         assert main(["verify", "--suite", "weil", "--max-c", "60", "--quiet"]) == 0
+
+    def test_max_c_below_one_rejected(self, capsys):
+        assert main(["verify", "--suite", "weil", "--max-c", "0", "--quiet"]) == 2
+        assert "max_c" in capsys.readouterr().err
+        assert main(["verify", "--suite", "trig", "--max-c", "-3", "--quiet"]) == 2

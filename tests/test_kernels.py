@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qcbounds import kernels
 from qcbounds.arith import kloosterman_direct
 from qcbounds.kernels import kloosterman_row, series_kloosterman
 
@@ -26,6 +27,36 @@ def test_row_matches_direct(m, c):
     row = kloosterman_row(m, c)
     for n in range(c):
         assert row[n] == pytest.approx(kloosterman_direct(m, n, c), abs=1e-9)
+
+
+def test_every_residue_matches_direct():
+    # units read the base row at m*n; m = 0 and other non-units get
+    # their own FFT; m outside [0, c) reduces mod c first
+    for c in range(1, 61):
+        for m in range(c):
+            row = kloosterman_row(m, c)
+            direct = [kloosterman_direct(m, n, c) for n in range(c)]
+            assert np.allclose(row, direct, rtol=0.0, atol=1e-9), (m, c)
+            for shifted in (m - c, m - 5 * c, m + c, m + 7 * c):
+                assert np.array_equal(kloosterman_row(shifted, c), row), (shifted, c)
+
+
+def test_one_cache_entry_per_modulus():
+    c = 97 * 4
+    kernels._base_row.cache_clear()
+    units = [k for k in range(1, c) if math.gcd(k, c) == 1]
+    for k in units:
+        kloosterman_row(k, c)
+    kloosterman_row(0, c)
+    kloosterman_row(97, c)
+    assert kernels._base_row.cache_info().currsize == 1
+
+
+def test_rows_are_fresh_arrays():
+    row = kloosterman_row(1, 35)
+    expected = row.copy()
+    row[:] = 0.0
+    assert np.array_equal(kloosterman_row(1, 35), expected)
 
 
 @pytest.mark.parametrize("m,p,N,t", SERIES_CASES)

@@ -9,6 +9,7 @@ import pytest
 import qcbounds as q
 from qcbounds.errors import DomainError, NonConvergence
 from qcbounds.runge import UpperHalfPoint, log_abs_unit_g
+from qcbounds.verify import runge_suite
 
 
 def pt(re, im):
@@ -211,6 +212,19 @@ class TestDeviations:
                 assert dev.near_zero_dev <= (
                     4 * math.pi**2 * p / (2 * math.pi * r.im) + 12 * math.log(p)
                 )
+
+    def test_near_infinity_high_in_the_cusp(self):
+        # |q| ~ 2.3e-14 is below the rounding of log|g| ~ 31; the deviation
+        # 24 sum log|1-q^n| ~ -24 q must keep its digits anyway.
+        tau = pt(0.0, 5.0)
+        abs_q = math.exp(-2 * math.pi * 5.0)
+        for p in (2, 3, 11):
+            assert q.g_deviation(tau, p).near_inf_dev == pytest.approx(24 * abs_q, rel=1e-9)
+
+    @pytest.mark.parametrize("seed", [7, 10])
+    def test_runge_suite_seeds(self, seed):
+        res = runge_suite(seed=seed)
+        assert res.passed, res.failures[:5]
 
 
 class TestRungeBound:

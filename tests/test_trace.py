@@ -149,6 +149,13 @@ class TestNewPlusPairing:
         res = q.new_plus_pairing(73, CHI3, rel_tol=1e-4, t_max=72, d_max=300)
         assert res.value > 0
 
+    def test_frozen_anchor_271_15(self):
+        # Frozen from the engine that built one row per (m, c); rows read
+        # from the per-modulus base row differ from those by rounding only.
+        res = q.new_plus_pairing(271, CHI15, t_max=64, d_max=300)
+        assert res.error_bound == 5.3286327878170345
+        assert res.value == pytest.approx(12.519165051681355, rel=1e-12)
+
     def test_guards(self):
         with pytest.raises(NotPrime):
             q.new_plus_pairing(72, CHI3)
