@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 import time
 from fractions import Fraction
@@ -24,9 +23,8 @@ from .arith import (
     kloosterman_fast,
     make_character,
 )
+from .errors import NonConvergence
 from .runge import UpperHalfPoint
-
-_THREADS_ENV = "QCBOUNDS_THREADS"
 
 
 def _fmt_float(x: float) -> str:
@@ -214,9 +212,7 @@ def _cmd_rho_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    threads = args.threads or int(os.environ.get(_THREADS_ENV, "1"))
-    results = verify.run_suite(args.suite, max_c=args.max_c, seed=args.seed,
-                               threads=threads)
+    results = verify.run_suite(args.suite, max_c=args.max_c, seed=args.seed)
     summary = []
     all_passed = True
     for r in results:
@@ -240,9 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--quiet", action="store_true", help="suppress chatter")
-    common.add_argument("--threads", type=int, default=0,
-                        help=f"worker threads for verification sweeps "
-                             f"(default 1; env {_THREADS_ENV})")
     common.add_argument("--out", metavar="PATH",
                         help="also write the JSON record to PATH")
 
@@ -342,7 +335,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, NonConvergence) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

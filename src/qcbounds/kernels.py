@@ -13,10 +13,14 @@ over many multiples of the level.  Three tools keep that cheap:
 * the coprime factorization S(m,n;qr) = S(m, rbar^2 n; q) * S(m, qbar^2 n; r),
   which reduces any modulus t*N to a prime-power part and a small part;
 
-* the classical closed form for S(A, n; p^a), p odd and a >= 2: the sum
-  vanishes unless p does not divide n and A*n is a square mod p, and
-  otherwise equals 2 p^(a/2) cos(4 pi A w / p^a) (a even, w^2 = Abar*n)
-  with a Legendre-symbol/sine variant for odd a.
+* the classical closed form for S(1, y; p^a), p odd and a >= 2: the sum
+  vanishes unless y is a unit square mod p^a, and otherwise equals
+  2 p^(a/2) cos(4 pi w / p^a) with w^2 = y (a even), with a
+  Legendre-symbol/sine variant for odd a.  At a = 2, the only power the
+  levels p^2 meet unless p | t, one vectorised pass over the units w
+  writes the whole row S(1, . ; p^2) (row[w^2] = 2p cos(4 pi w/p^2)), so
+  a series reads it like any other row; a >= 3 takes one modular square
+  root per term.
 
 All kernels are verified against direct enumeration in the test suite.
 """
@@ -32,8 +36,9 @@ from .arith import _units_and_inverses
 
 _TWO_PI = 2.0 * math.pi
 
-_sqrt_cache: dict[tuple[int, int, int], tuple[int, np.ndarray, np.ndarray]] = {}
-_qr_cache: dict[int, np.ndarray] = {}
+# Largest p^2 whose closed-form row is built (32 MiB of floats, p <= 2048);
+# larger squares fall back to one modular square root per term.
+_P2_ROW_MAX = 1 << 22
 
 
 def _fft_row(m: int, c: int) -> np.ndarray:
@@ -111,57 +116,52 @@ def _sqrt_mod_prime_power(n: int, p: int, a: int) -> int:
     return s
 
 
+@lru_cache(maxsize=8)
 def _qr_table(p: int) -> np.ndarray:
-    """Legendre symbol (x|p) for x = 0..p-1 as an int8 table."""
-    tbl = _qr_cache.get(p)
-    if tbl is None:
-        tbl = np.full(p, -1, dtype=np.int8)
-        tbl[0] = 0
-        tbl[(np.arange(1, p, dtype=np.int64) ** 2) % p] = 1
-        _qr_cache[p] = tbl
+    """Legendre symbol (x|p) for x = 0..p-1 as a read-only int8 table."""
+    tbl = np.full(p, -1, dtype=np.int8)
+    tbl[0] = 0
+    tbl[(np.arange(1, p, dtype=np.int64) ** 2) % p] = 1
+    tbl.flags.writeable = False
     return tbl
 
 
-def _sqrt_table(m: int, p: int, a: int, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """For n = 1..n_max: mask of n with (mbar*n | p) = 1 and a square root
-    s_n of mbar*n mod p^a there (0 elsewhere).
+@lru_cache(maxsize=1)
+def _p2_row(p: int) -> np.ndarray:
+    """The read-only row S(1, y; p^2) for y = 0..p^2-1, p odd.
 
-    One table per (m, p, a) is kept and only ever grown, so repeated
-    series evaluations with slightly different cutoffs slice the same
-    arrays instead of re-running the modular square roots.
+    S(1, w^2; p^2) = 2p cos(4 pi w/p^2) for a unit w and the sum vanishes
+    off the unit squares.  w and -w share a square, so w runs over the
+    units below p^2/2 and writes each unit square once.  One row is kept:
+    a batch moves on from a prime and does not come back to it, and every
+    row held would cost p^2 floats.
     """
-    key = (m, p, a)
-    hit = _sqrt_cache.get(key)
-    if hit is not None and hit[0] >= n_max:
-        return hit[1][:n_max], hit[2][:n_max]
+    q = p * p
+    w = np.arange(1, (q + 1) // 2, dtype=np.int64)
+    w = w[w % p != 0]
+    row = np.zeros(q, dtype=np.float64)
+    row[(w * w) % q] = 2.0 * p * np.cos(((2 * w) % q) * (_TWO_PI / q))
+    row.flags.writeable = False
+    return row
+
+
+def _salie(p: int, a: int, y: np.ndarray) -> np.ndarray:
+    """S(1, y; p^a) for p odd, a >= 2 and an int64 array y of residues
+    mod p^a, with one Hensel-lifted square root w of y per nonzero term:
+    2 p^(a/2) cos(4 pi w/p^a) for even a, sine/Legendre variant for odd a."""
     q = p**a
-    mbar = pow(m, -1, q)
     qr = _qr_table(p)
-    n = np.arange(1, n_max + 1, dtype=np.int64)
-    vals = (mbar * n) % q
-    mask = (n % p != 0) & (qr[vals % p] == 1)
-    s = np.zeros(n_max, dtype=np.int64)
-    start = 0
-    if hit is not None:  # extend the existing table instead of restarting
-        start = hit[0]
-        s[:start] = hit[2]
-    for i in np.nonzero(mask[start:])[0] + start:
-        s[i] = _sqrt_mod_prime_power(int(vals[i]), p, a)
-    _sqrt_cache[key] = (n_max, mask, s)
-    return mask, s
-
-
-def _salie(p: int, a: int, aw: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """2 p^(a/2) cos(4 pi aw / p^a) on the mask (even a), sine variant for
-    odd a; aw holds (A*w) mod p^a with w the chosen square root."""
-    q = p**a
-    out = np.zeros(aw.shape, dtype=np.float64)
+    mask = (y % p != 0) & (qr[y % p] == 1)
+    w = np.zeros(y.shape, dtype=np.int64)
+    for i in np.nonzero(mask)[0]:
+        w[i] = _sqrt_mod_prime_power(int(y[i]), p, a)
+    out = np.zeros(y.shape, dtype=np.float64)
     amp = 2.0 * p ** (a / 2.0)
-    ang = ((2 * aw) % q) * (_TWO_PI / q)
+    ang = ((2 * w) % q) * (_TWO_PI / q)
     if a % 2 == 0:
         out[mask] = amp * np.cos(ang[mask])
         return out
-    sign = _qr_table(p)[aw % p].astype(np.float64)
+    sign = qr[w % p].astype(np.float64)
     if p % 4 == 1:
         out[mask] = amp * sign[mask] * np.cos(ang[mask])
     else:
@@ -169,37 +169,31 @@ def _salie(p: int, a: int, aw: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pp_values(m: int, p: int, a: int, y: np.ndarray) -> np.ndarray:
-    """S(m, y; p^a) for an int64 array y (uncached slow path; only used
-    when p divides the small cofactor, i.e. tiny test levels)."""
+def _pp_values(m: int, p: int, a: int, k: int, n: np.ndarray) -> np.ndarray:
+    """S(m, k*n; p^a) for a unit k mod p^a and an int64 array n >= 0."""
     q = p**a
-    y = y % q
-    if a == 1:
-        return kloosterman_row(m % p, p)[y % p]
-    if m % p != 0:
-        qr = _qr_table(p)
-        mbar = pow(m, -1, q)
-        vals = (mbar * y) % q
-        mask = (y % p != 0) & (qr[vals % p] == 1)
-        aw = np.zeros(y.shape, dtype=np.int64)
-        for i in np.nonzero(mask)[0]:
-            w = _sqrt_mod_prime_power(int(vals[i]), p, a)
-            aw[i] = (m * w) % q
-        return _salie(p, a, aw, mask)
-    # p | m: S(p m1, y; p^a) = 0 unless p | y, then p * S(m1, y/p; p^(a-1)).
-    out = np.zeros(y.shape, dtype=np.float64)
-    div = y % p == 0
-    if div.any():
-        out[div] = p * _pp_values(m // p, p, a - 1, y[div] // p)
-    return out
+    if a == 1 or p == 2:  # the closed forms need an odd prime square
+        return kloosterman_row(m, q)[(k * n) % q]
+    if m % p == 0:
+        # S(p m1, k n; p^a) = 0 unless p | n, then p * S(m1, k n/p; p^(a-1)).
+        out = np.zeros(n.shape, dtype=np.float64)
+        div = n % p == 0
+        if div.any():
+            out[div] = p * _pp_values(m // p, p, a - 1, k, n[div] // p)
+        return out
+    k = m * k % q  # S(m, y; q) = S(1, m*y; q) for a unit m
+    if a == 2 and q <= _P2_ROW_MAX:
+        return _p2_row(p)[(k * n) % q]
+    return _salie(p, a, (k * n) % q)
 
 
 def series_kloosterman(m: int, p: int, N: int, t: int, n: np.ndarray) -> np.ndarray:
     """S(m, n; t*N) for the 1-based index array n, where N = p or p^2.
 
     Splits t*N = p^a * c' and evaluates both factors through the twisted
-    multiplicativity identity; the p-power factor goes through the closed
-    form whenever a >= 2 and through a cached row table at a = 1.
+    multiplicativity identity.  The p-power factor reads the row mod p at
+    a = 1 and the closed-form p^2 row at a = 2; only a >= 3, which needs
+    p | t, or p | m at a >= 2 goes term by term.
     """
     c = t * N
     a = 0
@@ -214,18 +208,8 @@ def series_kloosterman(m: int, p: int, N: int, t: int, n: np.ndarray) -> np.ndar
     if a == 0:
         part_q = np.ones(n.shape, dtype=np.float64)
     else:
-        cpbar = pow(cp, -1, q) if cp > 1 else 1
-        if a == 1:
-            idx = ((cpbar * cpbar % q) * n) % q
-            part_q = kloosterman_row(m % p, p)[idx]
-        elif m % p != 0:
-            mask, s = _sqrt_table(m, p, a, int(n.max()))
-            mask = mask[n - 1]
-            aw = (m * ((cpbar * s[n - 1]) % q)) % q
-            part_q = _salie(p, a, aw, mask)
-        else:
-            y = ((cpbar * cpbar % q) * n) % q
-            part_q = _pp_values(m, p, a, y)
+        cpbar = pow(cp, -1, q)
+        part_q = _pp_values(m, p, a, cpbar * cpbar % q, n)
 
     # small cofactor: S(m, qbar^2 * n; c').
     if cp == 1:
@@ -234,4 +218,3 @@ def series_kloosterman(m: int, p: int, N: int, t: int, n: np.ndarray) -> np.ndar
     idx = ((qbar * qbar % cp) * n) % cp
     part_cp = kloosterman_row(m % cp, cp)[idx]
     return part_q * part_cp
-

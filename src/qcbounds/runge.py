@@ -33,6 +33,8 @@ class UpperHalfPoint:
     def __post_init__(self) -> None:
         if not self.im > 0:
             raise DomainError("point must lie in the upper half-plane")
+        if not math.isfinite(self.re):
+            raise DomainError("the real part must be finite")
 
     @property
     def z(self) -> complex:
@@ -146,8 +148,14 @@ def eisenstein_e4(tau: UpperHalfPoint) -> complex:
 
 
 def j_invariant(tau: UpperHalfPoint) -> complex:
-    """j = E4^3 / Delta; j(i) = 1728, j(exp(i pi/3)) = 0."""
-    return eisenstein_e4(tau) ** 3 / delta(tau)
+    """j = E4^3 / Delta; j(i) = 1728, j(exp(i pi/3)) = 0.
+
+    Raises DomainError where Delta(tau) underflows to 0, which happens
+    for Im tau near 0 or very large."""
+    disc = delta(tau)
+    if disc == 0:
+        raise DomainError(f"Delta(tau) underflows to 0 at tau = {tau.z}")
+    return eisenstein_e4(tau) ** 3 / disc
 
 
 Matrix = tuple[tuple[int, int], tuple[int, int]]

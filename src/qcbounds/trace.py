@@ -40,7 +40,6 @@ from .arith import QuadraticCharacter, divisor_count, is_prime
 from .bessel import bessel_j1
 from .bounds import tail_bounds
 from .errors import DividesDiscriminant, LevelMismatch, NotPrime, UnsupportedCase
-from .isogeny import nonsplit_threshold  # noqa: F401  (re-export: same toolbox)
 from .kernels import kloosterman_row, series_kloosterman
 
 _TWO_PI = 2.0 * math.pi
@@ -161,7 +160,9 @@ def series_SB(
     m: int, chi: QuadraticCharacter, N: int, d: int, n_max: int
 ) -> SeriesValue:
     """Partial sum of S_B(d); the second Kloosterman argument is
-    m * (N^-1 mod d), never an explicit power N^(phi(d)-1)."""
+    m * (N^-1 mod d), never an explicit power N^(phi(d)-1).  S(n, m*Nbar; d)
+    depends on n mod d only, so the weighted J1 terms are folded by
+    residue and dotted once with the row (see _sb_sum)."""
     if math.gcd(d, N) != 1:
         raise LevelMismatch(f"d = {d} must be coprime to the level {N}")
     if n_max < 1:
@@ -170,19 +171,27 @@ def series_SB(
     x = _TWO_PI / (chi.D * math.sqrt(N))
     n = np.arange(1, n_max + 1, dtype=np.int64)
     weights = _series_weights(chi, x, n)
-    kloo = _sb_row(m, N, d, n)
     bess = bessel_j1(
         4.0 * math.pi * np.sqrt(m * n.astype(np.float64)) / (d * math.sqrt(N))
     )
-    value = float(np.sum(weights * kloo * bess))
+    value = _sb_sum(m, N, d, weights * bess)
     return SeriesValue(value, _n_tail(_sb_prefactor(m, d, N), x, n_max))
 
 
-def _sb_row(m: int, N: int, d: int, n: np.ndarray) -> np.ndarray:
-    if d == 1:
-        return np.ones(n.shape)
-    K = m * pow(N, -1, d) % d
-    return kloosterman_row(K, d)[n % d]
+def _sb_sum(m: int, N: int, d: int, v: np.ndarray) -> float:
+    """sum_{n <= len(v)} v[n-1] S(n, m*Nbar; d).
+
+    The Kloosterman factor is periodic in n with period d, so v is summed
+    per residue with one reshape (plus the partial last period) and the d
+    sums are dotted once with the row.  folded[j] holds n = j + 1 mod d,
+    which meets row[j + 1], and the last residue wraps round to row[0].
+    """
+    k = v.size
+    full = k - k % d
+    folded = v[:full].reshape(-1, d).sum(axis=0)
+    folded[: k - full] += v[full:]
+    row = kloosterman_row(m * pow(N, -1, d) % d, d)
+    return float(np.dot(folded[:-1], row[1:]) + folded[-1] * row[0])
 
 
 def A_numeric(
@@ -230,7 +239,12 @@ def B_numeric(
     d_max: int = DEFAULT_D_TERMS,
 ) -> NumericResult:
     """B(m,chi,N) = sum_{(d,N)=1} S_B(d)/d with tail control through the
-    Weil-induced |S_B(d)| <= D sqrt(m) tau(d)/sqrt(d)."""
+    Weil-induced |S_B(d)| <= D sqrt(m) tau(d)/sqrt(d).
+
+    Each S_B(d) folds its weighted J1 terms by residue mod d and takes
+    one dot product with the row S(., m*Nbar; d) (_sb_sum), so no
+    per-term Kloosterman gather is made; cutoffs and tails, and so the
+    error bound, do not depend on that order of summation."""
     params = PairingParams(m, N, chi)
     x = params.x
     D = chi.D
@@ -248,10 +262,8 @@ def B_numeric(
     err = 0.0
     d_tail = math.inf
     for d, k in cutoffs.items():
-        n = n_master[:k]
-        kloo = _sb_row(m, N, d, n)
         bess = bessel_j1(4.0 * math.pi * math.sqrt(m) / (d * sqrt_N) * sqrt_master[:k])
-        acc += float(np.sum(w_master[:k] * kloo * bess)) / d
+        acc += _sb_sum(m, N, d, w_master[:k] * bess) / d
         err += _n_tail(_sb_prefactor(m, d, N), x, k) / d
         d_tail = D * math.sqrt(m) * tail_bounds(d + 1).tau_tail
         if d_tail <= rel_tol * abs(acc) + 1e-15:

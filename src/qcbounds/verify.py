@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -101,20 +100,14 @@ def _valuation(c: int, p: int) -> int:
     return a
 
 
-def weil_suite(max_c: int = 400, max_mn: int = 12, threads: int = 1) -> SuiteResult:
+def weil_suite(max_c: int = 400, max_mn: int = 12) -> SuiteResult:
     """Realness, symmetry, periodicity, all four Weil refinement cases,
     the fast/direct oracle equivalence, and Gauss-sum moduli."""
     t0 = time.time()
     res = SuiteResult("weil")
-    cs = range(1, max_c + 1)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            all_fails = pool.map(lambda c: _weil_one_modulus(c, max_mn, 1e-6), cs)
-    else:
-        all_fails = (_weil_one_modulus(c, max_mn, 1e-6) for c in cs)
-    for fails in all_fails:
+    for c in range(1, max_c + 1):
         res.checks += max_mn * max_mn + 2
-        res.failures.extend(fails)
+        res.failures.extend(_weil_one_modulus(c, max_mn, 1e-6))
     for c in range(1, max_c + 1):
         for m in range(1, max_mn + 1):
             for n in range(1, max_mn + 1):
@@ -490,8 +483,8 @@ SUITES = {
 }
 
 
-def run_suite(name: str, max_c: int | None = None, seed: int = DEFAULT_SEED,
-              threads: int = 1) -> list[SuiteResult]:
+def run_suite(name: str, max_c: int | None = None,
+              seed: int = DEFAULT_SEED) -> list[SuiteResult]:
     """Run one named suite, or all of them."""
     if name == "all":
         names = list(SUITES)
@@ -504,7 +497,7 @@ def run_suite(name: str, max_c: int | None = None, seed: int = DEFAULT_SEED,
     out = []
     for n in names:
         if n == "weil":
-            out.append(weil_suite(400 if max_c is None else max_c, threads=threads))
+            out.append(weil_suite(400 if max_c is None else max_c))
         elif n in ("runge", "compgroup"):
             out.append(SUITES[n](seed=seed))
         else:

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from qcbounds import runge
 from qcbounds.cli import main
 
 CLI = [sys.executable, "-m", "qcbounds.cli"]
@@ -29,6 +30,24 @@ class TestExitCodes:
     def test_modulus_too_large_exits_two(self):
         assert main(["kloosterman", "1", "1", str(1 << 31), "--quiet"]) == 2
         assert main(["kloosterman", "1", "1", str(1 << 31), "--fast", "--quiet"]) == 2
+
+    def test_j_invariant_underflow_exits_two(self, capsys):
+        # Delta(tau) underflows to 0 this close to the real line
+        assert main(["j-invariant", "--re", "0", "--im", "0.001", "--quiet"]) == 2
+        assert "Delta" in capsys.readouterr().err
+
+    def test_non_convergence_exits_two(self, monkeypatch, capsys):
+        monkeypatch.setattr(runge, "_MAX_REDUCTION_STEPS", 1)
+        assert main(["reduce-tau", "--re", "0.3", "--im", "0.01", "--quiet"]) == 2
+        assert "converge" in capsys.readouterr().err
+
+    def test_infinite_real_part_exits_two(self):
+        assert main(["reduce-tau", "--re", "inf", "--im", "1", "--quiet"]) == 2
+
+    def test_threads_option_removed(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "trig", "--threads", "2", "--quiet"])
+        assert exc.value.code == 2
 
     def test_usage_error_exits_two(self):
         proc = run_cli("certify", "--disc", "15")  # missing --prime

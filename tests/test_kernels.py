@@ -11,14 +11,16 @@ from qcbounds.kernels import kloosterman_row, series_kloosterman
 
 ROW_CASES = [(1, 12), (3, 35), (0, 8), (2, 49), (5, 121), (4, 1), (9, 27), (7, 100)]
 
-# (m, p, N, t): exercises a = 1, Salie even/odd powers, p | t recursions
-# and the CRT twist against the small cofactor.
+# (m, p, N, t): exercises a = 1, the p^2 row, Salie even/odd powers, p | t
+# recursions and the CRT twist against the small cofactor.
 SERIES_CASES = [
     (1, 7, 49, 1), (1, 7, 49, 2), (1, 7, 49, 6), (1, 7, 49, 7), (1, 7, 49, 14),
     (1, 7, 49, 49), (1, 7, 7, 1), (1, 7, 7, 4), (1, 7, 7, 7), (1, 7, 7, 21),
     (7, 7, 7, 1), (7, 7, 7, 2), (7, 7, 7, 7), (7, 7, 7, 14), (7, 7, 7, 49),
     (1, 11, 121, 3), (11, 11, 11, 11), (1, 5, 25, 10), (1, 3, 9, 6),
     (5, 5, 5, 15), (1, 13, 169, 5), (13, 13, 13, 26), (1, 17, 17, 12),
+    (1, 31, 961, 1), (1, 31, 961, 6), (1, 37, 1369, 12), (1, 41, 1681, 35),
+    (1, 2, 4, 1), (1, 2, 4, 6), (2, 2, 2, 2),
 ]
 
 
@@ -67,3 +69,35 @@ def test_series_rows_match_direct(m, p, N, t):
     tol = 1e-8 * max(1.0, math.sqrt(c))
     for i, nn in enumerate(n):
         assert abs(row[i] - kloosterman_direct(m, int(nn), c)) < tol
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_p2_row_matches_direct(p):
+    # every unit m and every residue y mod p^2, through the row lookup
+    # S(m, y; p^2) = S(1, m*y; p^2) that series_kloosterman makes
+    q = p * p
+    y = np.arange(q, dtype=np.int64)
+    for m in range(1, q):
+        if m % p == 0:
+            continue
+        got = kernels._pp_values(m, p, 2, 1, y)
+        direct = [kloosterman_direct(m, int(v), q) for v in y]
+        assert np.allclose(got, direct, rtol=0.0, atol=1e-9), (m, p)
+
+
+@pytest.mark.parametrize("m,p,N,t", [(1, 31, 961, 6), (1, 13, 169, 5), (3, 7, 49, 2)])
+def test_p2_row_agrees_with_per_term_salie(monkeypatch, m, p, N, t):
+    n = np.arange(1, 3 * N, dtype=np.int64)
+    row = series_kloosterman(m, p, N, t, n)
+    monkeypatch.setattr(kernels, "_P2_ROW_MAX", 0)
+    per_term = series_kloosterman(m, p, N, t, n)
+    assert np.allclose(row, per_term, rtol=0.0, atol=1e-9 * p)
+
+
+def test_p2_row_cache_keeps_one_prime():
+    kernels._p2_row.cache_clear()
+    n = np.arange(1, 200, dtype=np.int64)
+    series_kloosterman(1, 31, 961, 2, n)
+    series_kloosterman(1, 37, 1369, 2, n)
+    info = kernels._p2_row.cache_info()
+    assert (info.currsize, info.misses) == (1, 2)

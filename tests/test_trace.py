@@ -2,15 +2,18 @@
 
 import math
 
+import numpy as np
 import pytest
 
 import qcbounds as q
+from qcbounds import trace
 from qcbounds.errors import (
     DividesDiscriminant,
     LevelMismatch,
     NotPrime,
     UnsupportedCase,
 )
+from qcbounds.kernels import kloosterman_row
 
 CHI3 = q.make_character(3)
 CHI4 = q.make_character(4)
@@ -39,8 +42,6 @@ class TestSeriesSA:
 class TestSeriesSB:
     def test_trivial_modulus(self):
         # d = 1: the Kloosterman factor is identically 1
-        import numpy as np
-
         from qcbounds.bessel import bessel_j1
 
         sv = q.series_SB(1, CHI3, 49, 1, 500)
@@ -66,6 +67,18 @@ class TestSeriesSB:
 
     def test_tail_small(self):
         assert q.series_SB(1, CHI3, 49, 5, 2000).tail_bound < 1e-10
+
+    @pytest.mark.parametrize("m,N,d,k", [
+        (1, 49, 1, 300), (1, 49, 12, 300), (7, 7, 10, 95), (1, 9, 37, 37),
+        (1, 121, 500, 300), (13, 13, 641, 640),
+    ])
+    def test_folded_sum_matches_per_term_gather(self, m, N, d, k):
+        # d = 1, a partial last period, d = k and d above the cutoff k
+        v = np.random.default_rng(d).standard_normal(k)
+        n = np.arange(1, k + 1)
+        terms = v * kloosterman_row(m * pow(N, -1, d) % d, d)[n % d]
+        got = trace._sb_sum(m, N, d, v)
+        assert abs(got - terms.sum()) <= 1e-13 * np.abs(terms).sum()
 
 
 class TestNumericSeries:
