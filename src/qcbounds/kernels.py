@@ -19,8 +19,9 @@ over many multiples of the level.  Three tools keep that cheap:
   Legendre-symbol/sine variant for odd a.  At a = 2, the only power the
   levels p^2 meet unless p | t, one vectorised pass over the units w
   writes the whole row S(1, . ; p^2) (row[w^2] = 2p cos(4 pi w/p^2)), so
-  a series reads it like any other row; a >= 3 takes one modular square
-  root per term.
+  a series reads it like any other row.  a >= 3, and p^2 too large for a
+  row, evaluate the closed form per term, vectorised: a square root of
+  each term is read from a table mod p and Hensel-lifted to p^a.
 
 All kernels are verified against direct enumeration in the test suite.
 """
@@ -36,9 +37,13 @@ from .arith import _units_and_inverses
 
 _TWO_PI = 2.0 * math.pi
 
-# Largest p^2 whose closed-form row is built (32 MiB of floats, p <= 2048);
-# larger squares fall back to one modular square root per term.
-_P2_ROW_MAX = 1 << 22
+# Largest p^2 whose closed-form row is built; larger squares take the
+# per-term closed form.  Timed on one certificate (D = 23, p = 347..2099,
+# 2-CPU VM), the row took 30-46% less time at every p, but its p^2 floats
+# and build temporaries raised peak RSS by about 14 p^2 bytes: +3% at
+# p = 347, +11% at 701, +20% at 1009, +75% at 2099.  2^19 (p <= 719)
+# keeps that rise under the 15% peak-RSS bound of the benchmark.
+_P2_ROW_MAX = 1 << 19
 
 
 def _fft_row(m: int, c: int) -> np.ndarray:
@@ -73,57 +78,20 @@ def kloosterman_row(m: int, c: int) -> np.ndarray:
     return _base_row(c)[(m * np.arange(c, dtype=np.int64)) % c]
 
 
-def _sqrt_mod_prime(n: int, p: int) -> int:
-    """Tonelli-Shanks; assumes n is a nonzero quadratic residue mod p."""
-    n %= p
-    if p % 4 == 3:
-        return pow(n, (p + 1) // 4, p)
-    # p = 1 mod 4: full Tonelli-Shanks.
-    q = p - 1
-    s = 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m_ = s
-    c = pow(z, q, p)
-    t = pow(n, q, p)
-    r = pow(n, (q + 1) // 2, p)
-    while t != 1:
-        t2 = t
-        i = 0
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m_ - i - 1), p)
-        m_ = i
-        c = b * b % p
-        t = t * c % p
-        r = r * b % p
-    return r
-
-
-def _sqrt_mod_prime_power(n: int, p: int, a: int) -> int:
-    """Hensel lift of a square root of n from mod p to mod p^a (p odd, p ∤ n)."""
-    s = _sqrt_mod_prime(n, p)
-    e = 1
-    while e < a:
-        e = min(2 * e, a)
-        q = p**e
-        s = (s - (s * s - n) * pow(2 * s, -1, q)) % q
-    return s
-
-
 @lru_cache(maxsize=8)
-def _qr_table(p: int) -> np.ndarray:
-    """Legendre symbol (x|p) for x = 0..p-1 as a read-only int8 table."""
-    tbl = np.full(p, -1, dtype=np.int8)
-    tbl[0] = 0
-    tbl[(np.arange(1, p, dtype=np.int64) ** 2) % p] = 1
-    tbl.flags.writeable = False
-    return tbl
+def _sqrt_table(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only int64 tables for an odd prime p, indexed by x = 0..p-1:
+    a square root of x where x is a nonzero square mod p (0 elsewhere),
+    and the inverse of 2x mod p (0 at x = 0)."""
+    r = np.arange(1, (p + 1) // 2, dtype=np.int64)
+    root = np.zeros(p, dtype=np.int64)
+    root[(r * r) % p] = r
+    units, invs = _units_and_inverses(p)
+    inv2 = np.zeros(p, dtype=np.int64)
+    inv2[units] = invs * ((p + 1) // 2) % p
+    root.flags.writeable = False
+    inv2.flags.writeable = False
+    return root, inv2
 
 
 @lru_cache(maxsize=1)
@@ -132,9 +100,12 @@ def _p2_row(p: int) -> np.ndarray:
 
     S(1, w^2; p^2) = 2p cos(4 pi w/p^2) for a unit w and the sum vanishes
     off the unit squares.  w and -w share a square, so w runs over the
-    units below p^2/2 and writes each unit square once.  One row is kept:
-    a batch moves on from a prime and does not come back to it, and every
-    row held would cost p^2 floats.
+    units below p^2/2 and writes each unit square once.  _fft_row(1, p^2)
+    gives the same row, but it caches a p^2 unit table per prime: on the
+    numeric-certify benchmark it raised peak RSS by 46%, at equal wall
+    time within the spread (10 pairs).  One row is kept:
+    a certificate meets one prime, and every row held costs p^2 floats
+    while a rebuild takes milliseconds.
     """
     q = p * p
     w = np.arange(1, (q + 1) // 2, dtype=np.int64)
@@ -147,26 +118,29 @@ def _p2_row(p: int) -> np.ndarray:
 
 def _salie(p: int, a: int, y: np.ndarray) -> np.ndarray:
     """S(1, y; p^a) for p odd, a >= 2 and an int64 array y of residues
-    mod p^a, with one Hensel-lifted square root w of y per nonzero term:
-    2 p^(a/2) cos(4 pi w/p^a) for even a, sine/Legendre variant for odd a."""
+    mod p^a (w*w below stays under p^(2a-2), in int64 for p^a < 2^31).
+
+    The sum vanishes unless y is a unit square.  A root w of y is read
+    from the table mod p and lifted one p-adic digit per Hensel step;
+    then S = 2 p^(a/2) cos(4 pi w/p^a) for even a, with the
+    Legendre-symbol/sine variant for odd a.
+    """
     q = p**a
-    qr = _qr_table(p)
-    mask = (y % p != 0) & (qr[y % p] == 1)
-    w = np.zeros(y.shape, dtype=np.int64)
-    for i in np.nonzero(mask)[0]:
-        w[i] = _sqrt_mod_prime_power(int(y[i]), p, a)
-    out = np.zeros(y.shape, dtype=np.float64)
+    root, inv2 = _sqrt_table(p)
+    w = root[y % p]
+    mask = w != 0
+    pe = 1
+    for _ in range(a - 1):  # w^2 = y mod p*pe  ->  w^2 = y mod p^2*pe
+        pe *= p
+        w += pe * ((y - w * w) // pe % p * inv2[w % p] % p)
     amp = 2.0 * p ** (a / 2.0)
     ang = ((2 * w) % q) * (_TWO_PI / q)
     if a % 2 == 0:
-        out[mask] = amp * np.cos(ang[mask])
-        return out
-    sign = qr[w % p].astype(np.float64)
+        return np.where(mask, amp * np.cos(ang), 0.0)
+    sign = np.where(root[w % p] != 0, amp, -amp)
     if p % 4 == 1:
-        out[mask] = amp * sign[mask] * np.cos(ang[mask])
-    else:
-        out[mask] = -amp * sign[mask] * np.sin(ang[mask])
-    return out
+        return np.where(mask, sign * np.cos(ang), 0.0)
+    return np.where(mask, -sign * np.sin(ang), 0.0)
 
 
 def _pp_values(m: int, p: int, a: int, k: int, n: np.ndarray) -> np.ndarray:
@@ -192,8 +166,10 @@ def series_kloosterman(m: int, p: int, N: int, t: int, n: np.ndarray) -> np.ndar
 
     Splits t*N = p^a * c' and evaluates both factors through the twisted
     multiplicativity identity.  The p-power factor reads the row mod p at
-    a = 1 and the closed-form p^2 row at a = 2; only a >= 3, which needs
-    p | t, or p | m at a >= 2 goes term by term.
+    a = 1 and the closed-form p^2 row at a = 2 (p^2 <= _P2_ROW_MAX); a >= 3,
+    which needs p | t, and a larger p^2 take the vectorised closed form
+    with one lifted square root per term (_salie).  p | m at a >= 2
+    reduces to S(m/p, . ; p^(a-1)) on the n divisible by p (_pp_values).
     """
     c = t * N
     a = 0

@@ -85,6 +85,16 @@ def test_p2_row_matches_direct(p):
         assert np.allclose(got, direct, rtol=0.0, atol=1e-9), (m, p)
 
 
+@pytest.mark.parametrize("p,a", [(3, 2), (3, 3), (5, 2), (5, 3), (7, 3), (11, 2), (13, 3), (3, 5)])
+def test_salie_matches_direct(p, a):
+    # the vectorised closed form with Hensel-lifted roots, every residue y
+    # mod p^a, both the cosine (p = 1 mod 4) and sine (p = 3 mod 4) forms
+    q = p**a
+    y = np.arange(q, dtype=np.int64)
+    direct = [kloosterman_direct(1, int(v), q) for v in y]
+    assert np.allclose(kernels._salie(p, a, y), direct, rtol=0.0, atol=1e-9)
+
+
 @pytest.mark.parametrize("m,p,N,t", [(1, 31, 961, 6), (1, 13, 169, 5), (3, 7, 49, 2)])
 def test_p2_row_agrees_with_per_term_salie(monkeypatch, m, p, N, t):
     n = np.arange(1, 3 * N, dtype=np.int64)
