@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import QuadraticCharacter, divisor_count, kloosterman_direct
+from .arith import QuadraticCharacter, divisor_count
 from .errors import InvalidHint
 from .kernels import kloosterman_row
 
@@ -154,8 +154,3 @@ def tail_bounds(lam: int) -> TailBounds:
         raise ValueError("lambda must be >= 1")
     ll = math.log(lam)
     return TailBounds(ll + 1.0, ll * ll / 2.0, (2.0 * ll + 7.0) / math.sqrt(lam))
-
-
-def kloosterman_within_weil(m: int, n: int, c: int, tol: float = 1e-6) -> bool:
-    """Convenience check |S(m,n;c)| <= generic Weil bound + tol."""
-    return abs(kloosterman_direct(m, n, c)) <= weil_bound(m, n, c).bound_value + tol

@@ -23,7 +23,7 @@ from .arith import (
     kloosterman_fast,
     make_character,
 )
-from .errors import NonConvergence
+from .errors import NonConvergence, PostconditionFailed
 from .runge import UpperHalfPoint
 
 
@@ -335,7 +335,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, NonConvergence) as exc:
+    except (ValueError, NonConvergence, PostconditionFailed) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .arith import is_prime
-from .errors import UnsupportedPrime, UnsupportedRamification
+from .errors import PostconditionFailed, UnsupportedPrime, UnsupportedRamification
 
 
 def _check_prime(p: int) -> None:
@@ -48,7 +48,7 @@ def supersingular_counts(p: int) -> SupersingularCounts:
     R = 1 if p % 3 == 2 else 0
     s_prime = Fraction(p - 1, 12) - Fraction(I, 2) - Fraction(R, 3)
     if s_prime.denominator != 1 or s_prime < 0:
-        raise ArithmeticError(f"mass formula failed at p = {p}")
+        raise PostconditionFailed(f"mass formula failed at p = {p}")
     return SupersingularCounts(p, int(s_prime) + I + R, int(s_prime), I, R)
 
 
@@ -312,7 +312,7 @@ def component_group(p: int, e: int) -> ComponentGroup:
     At = [[M[i][j] for i in range(len(M))] for j in range(g)]
     diag, left, _right = smith_normal_form(At)
     if len(diag) < g or any(d == 0 for d in diag):
-        raise ArithmeticError("component group came out infinite")
+        raise PostconditionFailed("component group came out infinite")
     keep = [i for i in range(g) if diag[i] > 1]
     factors = [diag[i] for i in keep]
     images = {
@@ -323,26 +323,26 @@ def component_group(p: int, e: int) -> ComponentGroup:
     counts = supersingular_counts(p)
     n = eisenstein_n(p)
     if factors != _closed_form_factors(p, e):
-        raise ArithmeticError(
+        raise PostconditionFailed(
             f"cokernel {factors} does not match Z/{n * e} x (Z/{e})^{counts.S - 2}"
         )
     z = images["Zbar"]
     if group.element_order(z) != n:
-        raise ArithmeticError("image of Zbar does not have order n")
+        raise PostconditionFailed("image of Zbar does not have order n")
     z_span = group.cyclic_subgroup(z)
     total = group.zero()
     chain_mult = {"Cbar": e, "Ebar": 2 * e, "Gbar": 3 * e}
     for name in names:
         if group.scale(e, images[name]) not in z_span:
-            raise ArithmeticError(f"e * {name} escapes <Zbar>")
+            raise PostconditionFailed(f"e * {name} escapes <Zbar>")
         if name != "Zbar":
             total = group.add(total, images[name])
             # chain relations: e Cbar_s = 2e Ebar = 3e Gbar = Zbar exactly
             mult = chain_mult[name[:4] if name.startswith("Cbar") else name]
             if group.scale(mult, images[name]) != z:
-                raise ArithmeticError(f"chain relation fails for {name}")
+                raise PostconditionFailed(f"chain relation fails for {name}")
     if total != group.zero():
-        raise ArithmeticError("sum of component classes over S is nonzero")
+        raise PostconditionFailed("sum of component classes over S is nonzero")
     return group
 
 
@@ -407,7 +407,7 @@ def rho_value_set(p: int, e: int) -> RhoValueSet:
         # Certify b*x = a*Zbar in the computed coordinates.
         a, b = val.numerator, val.denominator
         if group.scale(b, x) != group.scale(a, z):
-            raise ArithmeticError(
+            raise PostconditionFailed(
                 f"candidate {mult}*{gen} does not satisfy {b}*x = {a}*Zbar "
                 f"at (p, e) = ({p}, {e}); table cell disagrees with the group"
             )

@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
-Everything derives from ValueError so that sloppy call sites which only
-catch the builtin still behave sensibly.
+Errors in the input derive from ValueError so that sloppy call sites
+which only catch the builtin still behave sensibly.  NonConvergence and
+PostconditionFailed report a computation that failed on valid input.
 """
 
 
@@ -43,6 +44,10 @@ class NonConvergence(RuntimeError):
 
 class UnsupportedPrime(ValueError):
     """Component-group machinery needs p = 11 or p > 13."""
+
+
+class PostconditionFailed(ArithmeticError):
+    """A computed result failed one of its own consistency checks."""
 
 
 class UnsupportedRamification(ValueError):

@@ -33,8 +33,8 @@ class UpperHalfPoint:
     def __post_init__(self) -> None:
         if not self.im > 0:
             raise DomainError("point must lie in the upper half-plane")
-        if not math.isfinite(self.re):
-            raise DomainError("the real part must be finite")
+        if not (math.isfinite(self.re) and math.isfinite(self.im)):
+            raise DomainError("the real and imaginary parts must be finite")
 
     @property
     def z(self) -> complex:
@@ -80,12 +80,6 @@ def delta(tau: UpperHalfPoint) -> complex:
         qn *= q
         prod *= (1.0 - qn) ** 24
     return q * prod
-
-
-def unit_divisor(p: int) -> dict[str, int]:
-    """Divisor of the unit on X0(p), supported at the cusps:
-    (p-1)([c_0] - [c_inf]).  Bookkeeping only; nothing computes it."""
-    return {CUSP_ZERO: p - 1, CUSP_INFINITY: -(p - 1)}
 
 
 def unit_g(tau: UpperHalfPoint, p: int) -> complex:

@@ -14,7 +14,11 @@ c of N and B sums S_B(d)/d over d coprime to N, with
                  J1(4 pi sqrt(mn)/(d sqrt(N))) e^(-nx).
 
 Only the three level shapes that feed the weighted new-plus pairing are
-supported: (m, N) = (1, p^2), (1, p) and (p, p).
+supported: (m, N) = (1, p^2), (1, p) and (p, p).  A and B share one
+accumulator over their moduli (_modulus_series), and every S_A and S_B
+takes its weighted J1 factor from _weighted_j1: with beta = 4 pi sqrt(m)/c
+(or /(d sqrt(N))), J1(beta sqrt(n)) is sqrt(n) times a polynomial in n
+(bessel.j1_horner) below the J1 crossover.
 
 Two modes coexist.  The closed-form certificate evaluates the explicit
 lower bound
@@ -31,13 +35,14 @@ and the tau-tail estimate.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .arith import QuadraticCharacter, divisor_count, is_prime
-from .bessel import bessel_j1
+from .bessel import _CROSSOVER, _series_depth, bessel_j1, j1_horner
 from .bounds import tail_bounds
 from .errors import DividesDiscriminant, LevelMismatch, NotPrime, UnsupportedCase
 from .kernels import kloosterman_row, series_kloosterman
@@ -131,10 +136,51 @@ def _n_tail(prefactor: float, x: float, n_max: int) -> float:
     return prefactor * math.exp(-(n_max + 1) * x) / (1.0 - math.exp(-x))
 
 
-def _series_weights(chi: QuadraticCharacter, x: float, n: np.ndarray) -> np.ndarray:
-    """chi(n)/sqrt(n) e^(-nx), the n-weight shared by every S_A and S_B."""
+class _NGrid(NamedTuple):
+    """n = 1..n_max as int64 and float64, and w_n sqrt(n) = chi(n) e^(-nx)
+    for the weight w_n = chi(n)/sqrt(n) e^(-nx) of every S_A and S_B."""
+
+    n: np.ndarray
+    nf: np.ndarray
+    w_sqrt: np.ndarray
+
+
+def _n_grid(chi: QuadraticCharacter, x: float, n_max: int) -> _NGrid:
+    n = np.arange(1, n_max + 1, dtype=np.int64)
     nf = n.astype(np.float64)
-    return chi.values(n).astype(np.float64) / np.sqrt(nf) * np.exp(-nf * x)
+    w_sqrt = np.exp(-nf * x)
+    w_sqrt *= chi.values(n)
+    return _NGrid(n, nf, w_sqrt)
+
+
+def _weighted_j1(grid: _NGrid, beta: float, k: int) -> np.ndarray:
+    """w_n J1(beta sqrt(n)) for n = 1..k, the J1 factor of one modulus.
+
+    Below the crossover J1(beta sqrt(n)) = sqrt(n) j1_horner(n, beta), a
+    polynomial in n, so w_n sqrt(n) scales it in one pass.  A modulus whose
+    largest argument reaches the crossover goes to bessel_j1 whole."""
+    xmax = beta * math.sqrt(k)
+    if xmax < _CROSSOVER:
+        out = j1_horner(grid.nf[:k], beta, _series_depth(xmax))
+    else:
+        root = np.sqrt(grid.nf[:k])
+        out = bessel_j1(beta * root)
+        out /= root
+    out *= grid.w_sqrt[:k]
+    return out
+
+
+def _sa_partial(m: int, p: int, N: int, c: int, grid: _NGrid, k: int) -> float:
+    """S_A(c) summed over n <= k."""
+    v = _weighted_j1(grid, 4.0 * math.pi * math.sqrt(m) / c, k)
+    v *= series_kloosterman(m, p, N, c // N, grid.n[:k])
+    return float(v.sum())
+
+
+def _sb_partial(m: int, N: int, d: int, grid: _NGrid, k: int) -> float:
+    """S_B(d) summed over n <= k."""
+    beta = 4.0 * math.pi * math.sqrt(m) / (d * math.sqrt(N))
+    return _sb_sum(m, N, d, _weighted_j1(grid, beta, k))
 
 
 def series_SA(
@@ -148,11 +194,7 @@ def series_SA(
         raise ValueError("n_max must be >= 1")
     p = _check_case(m, N)
     x = _TWO_PI / (chi.D * math.sqrt(N))
-    n = np.arange(1, n_max + 1, dtype=np.int64)
-    weights = _series_weights(chi, x, n)
-    kloo = series_kloosterman(m, p, N, c // N, n)
-    bess = bessel_j1(4.0 * math.pi * np.sqrt(m * n.astype(np.float64)) / c)
-    value = float(np.sum(weights * kloo * bess))
+    value = _sa_partial(m, p, N, c, _n_grid(chi, x, n_max), n_max)
     return SeriesValue(value, _n_tail(_sa_prefactor(m, c), x, n_max))
 
 
@@ -169,12 +211,7 @@ def series_SB(
         raise ValueError("n_max must be >= 1")
     _check_case(m, N)
     x = _TWO_PI / (chi.D * math.sqrt(N))
-    n = np.arange(1, n_max + 1, dtype=np.int64)
-    weights = _series_weights(chi, x, n)
-    bess = bessel_j1(
-        4.0 * math.pi * np.sqrt(m * n.astype(np.float64)) / (d * math.sqrt(N))
-    )
-    value = _sb_sum(m, N, d, weights * bess)
+    value = _sb_partial(m, N, d, _n_grid(chi, x, n_max), n_max)
     return SeriesValue(value, _n_tail(_sb_prefactor(m, d, N), x, n_max))
 
 
@@ -194,6 +231,31 @@ def _sb_sum(m: int, N: int, d: int, v: np.ndarray) -> float:
     return float(np.dot(folded[:-1], row[1:]) + folded[-1] * row[0])
 
 
+def _modulus_series(
+    chi: QuadraticCharacter, x: float, moduli: Sequence[int], prefactors: list[float],
+    partial: Callable[[_NGrid, int, int], float], tail_after: Callable[[int], float],
+    rel_tol: float,
+) -> NumericResult:
+    """sum_q S(q)/q over the moduli in order: the one accumulator of A and B.
+
+    S(q) = partial(grid, q, k) is summed over n <= k, the cutoff where the
+    n-tail of prefactor q drops below 1e-15; all S(q) share one n-grid.
+    The sum stops once tail_after(q), the Weil-induced tail of the moduli
+    after q, is below rel_tol * |value|.  The error bound adds the n-tails
+    (each prefactor computed once) and that last tail."""
+    cutoffs = [_n_cutoff(f, x) for f in prefactors]
+    grid = _n_grid(chi, x, max(cutoffs))
+    acc = err = 0.0
+    tail = math.inf
+    for q, f, k in zip(moduli, prefactors, cutoffs):
+        acc += partial(grid, q, k) / q
+        err += _n_tail(f, x, k) / q
+        tail = tail_after(q)
+        if tail <= rel_tol * abs(acc) + 1e-15:
+            break
+    return NumericResult(acc, err + tail)
+
+
 def A_numeric(
     m: int,
     chi: QuadraticCharacter,
@@ -207,28 +269,12 @@ def A_numeric(
     """
     params = PairingParams(m, N, chi)
     p = _level_prime(N)
-    x = params.x
-    D = chi.D
-    cutoffs = [_n_cutoff(_sa_prefactor(m, t * N), x) for t in range(1, t_max + 1)]
-    n_master = np.arange(1, max(cutoffs) + 1, dtype=np.int64)
-    w_master = _series_weights(chi, x, n_master)
-    sqrt_master = np.sqrt(n_master.astype(np.float64))
-
-    acc = 0.0
-    err = 0.0
-    c_tail = math.inf
-    for t in range(1, t_max + 1):
-        c = t * N
-        k = cutoffs[t - 1]
-        n = n_master[:k]
-        kloo = series_kloosterman(m, p, N, t, n)
-        bess = bessel_j1(4.0 * math.pi * math.sqrt(m) / c * sqrt_master[:k])
-        acc += float(np.sum(w_master[:k] * kloo * bess)) / c
-        err += _n_tail(_sa_prefactor(m, c), x, k) / c
-        c_tail = 2.0 * D / N * tail_bounds(t + 1).tau_tail
-        if c_tail <= rel_tol * abs(acc) + 1e-15:
-            break
-    return NumericResult(acc, err + c_tail)
+    moduli = range(N, (t_max + 1) * N, N)
+    return _modulus_series(
+        chi, params.x, moduli, [_sa_prefactor(m, c) for c in moduli],
+        lambda grid, c, k: _sa_partial(m, p, N, c, grid, k),
+        lambda c: 2.0 * chi.D / N * tail_bounds(c // N + 1).tau_tail, rel_tol,
+    )
 
 
 def B_numeric(
@@ -239,36 +285,15 @@ def B_numeric(
     d_max: int = DEFAULT_D_TERMS,
 ) -> NumericResult:
     """B(m,chi,N) = sum_{(d,N)=1} S_B(d)/d with tail control through the
-    Weil-induced |S_B(d)| <= D sqrt(m) tau(d)/sqrt(d).
-
-    Each S_B(d) folds its weighted J1 terms by residue mod d and takes
-    one dot product with the row S(., m*Nbar; d) (_sb_sum), so no
-    per-term Kloosterman gather is made; cutoffs and tails, and so the
-    error bound, do not depend on that order of summation."""
+    Weil-induced |S_B(d)| <= D sqrt(m) tau(d)/sqrt(d); each S_B(d) is
+    folded by residue mod d and dotted once with its row (_sb_sum)."""
     params = PairingParams(m, N, chi)
-    x = params.x
-    D = chi.D
-    sqrt_N = math.sqrt(N)
-    cutoffs = {
-        d: _n_cutoff(_sb_prefactor(m, d, N), x)
-        for d in range(1, d_max + 1)
-        if math.gcd(d, N) == 1
-    }
-    n_master = np.arange(1, max(cutoffs.values()) + 1, dtype=np.int64)
-    w_master = _series_weights(chi, x, n_master)
-    sqrt_master = np.sqrt(n_master.astype(np.float64))
-
-    acc = 0.0
-    err = 0.0
-    d_tail = math.inf
-    for d, k in cutoffs.items():
-        bess = bessel_j1(4.0 * math.pi * math.sqrt(m) / (d * sqrt_N) * sqrt_master[:k])
-        acc += _sb_sum(m, N, d, w_master[:k] * bess) / d
-        err += _n_tail(_sb_prefactor(m, d, N), x, k) / d
-        d_tail = D * math.sqrt(m) * tail_bounds(d + 1).tau_tail
-        if d_tail <= rel_tol * abs(acc) + 1e-15:
-            break
-    return NumericResult(acc, err + d_tail)
+    moduli = [d for d in range(1, d_max + 1) if math.gcd(d, N) == 1]
+    return _modulus_series(
+        chi, params.x, moduli, [_sb_prefactor(m, d, N) for d in moduli],
+        lambda grid, d, k: _sb_partial(m, N, d, grid, k),
+        lambda d: chi.D * math.sqrt(m) * tail_bounds(d + 1).tau_tail, rel_tol,
+    )
 
 
 def A_bound(m: int, chi: QuadraticCharacter, N: int) -> float:

@@ -28,7 +28,7 @@ from .arith import (
 )
 from .bessel import bessel_j1
 from .bounds import twisted_dft_all
-from .errors import DomainError
+from .errors import DomainError, PostconditionFailed
 from .runge import UpperHalfPoint
 
 DEFAULT_SEED = 12345
@@ -301,7 +301,7 @@ def compgroup_suite(seed: int = DEFAULT_SEED) -> SuiteResult:
             try:
                 compgroup.component_group(p, e)  # raises if any check fails
                 res.check(True, "")
-            except ArithmeticError as exc:
+            except PostconditionFailed as exc:
                 res.check(False, f"component_group({p},{e}): {exc}")
 
     F = Fraction

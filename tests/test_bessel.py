@@ -1,12 +1,16 @@
-"""J1 against an independent quadrature oracle."""
+"""J1 against an independent quadrature oracle and mpmath."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from qcbounds import bessel_j1
+from qcbounds.bessel import _CROSSOVER, _SERIES_TERMS, j1_horner
 from qcbounds.errors import DomainError
+
+EPS = 2.0**-53
 
 
 def j1_quadrature(x: float, pts: int = 16384) -> float:
@@ -84,3 +88,36 @@ def test_negative_rejected():
         bessel_j1(-0.5)
     with pytest.raises(DomainError):
         bessel_j1(np.array([1.0, -2.0]))
+
+
+def _reach(depth: int) -> float:
+    """Largest x whose first series term beyond `depth` is below 1e-19,
+    capped at the crossover."""
+    omitted = 1e-19 * math.factorial(depth + 1) * math.factorial(depth + 2)
+    return min(_CROSSOVER, 2.0 * omitted ** (1.0 / (2 * depth + 3)))
+
+
+@pytest.mark.parametrize("depth", range(_SERIES_TERMS + 1))
+def test_horner_against_mpmath(depth):
+    # beta = 1 with u = x^2 as bessel_j1 calls it, and u = n as the series do
+    top = _reach(depth)
+    cases = [
+        (1.0, np.linspace(0.0, top, 9) ** 2),
+        (top / math.sqrt(5000.0), np.array([1.0, 2.0, 77.0, 1234.0, 4999.0, 5000.0])),
+    ]
+    with mpmath.workdps(50):
+        for beta, u in cases:
+            got = np.sqrt(u) * j1_horner(u, beta, depth)
+            for ui, g in zip(u, got):
+                x = mpmath.mpf(beta) * mpmath.sqrt(mpmath.mpf(ui))
+                # truncation below 1e-19, rounding below (2 depth + 3) eps
+                # times the sum of |terms|, which is I1(x)
+                tol = 2e-19 + (2 * depth + 3) * EPS * float(mpmath.besseli(1, x))
+                assert abs(g - float(mpmath.besselj(1, x))) <= tol, (beta, ui)
+
+
+def test_both_sides_of_crossover_against_mpmath():
+    with mpmath.workdps(50):
+        for x in np.linspace(11.5, 12.5, 41):
+            err = abs(bessel_j1(float(x)) - float(mpmath.besselj(1, float(x))))
+            assert err <= (1e-12 if x < _CROSSOVER else 1e-9), x

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from qcbounds import runge
+from qcbounds import compgroup, runge
 from qcbounds.cli import main
 
 CLI = [sys.executable, "-m", "qcbounds.cli"]
@@ -43,6 +43,17 @@ class TestExitCodes:
 
     def test_infinite_real_part_exits_two(self):
         assert main(["reduce-tau", "--re", "inf", "--im", "1", "--quiet"]) == 2
+
+    def test_infinite_imaginary_part_exits_two(self, capsys):
+        # inverting the subnormal point overflows its imaginary part to inf
+        assert main(["reduce-tau", "--re", "0", "--im", "1e-310", "--json"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "finite" in out.err
+
+    def test_postcondition_failure_exits_two(self, monkeypatch, capsys):
+        monkeypatch.setattr(compgroup, "_closed_form_factors", lambda p, e: [])
+        assert main(["component-group", "--prime", "11", "--ram", "2", "--quiet"]) == 2
+        assert "does not match" in capsys.readouterr().err
 
     def test_threads_option_removed(self):
         with pytest.raises(SystemExit) as exc:

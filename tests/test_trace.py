@@ -18,6 +18,7 @@ from qcbounds.kernels import kloosterman_row
 CHI3 = q.make_character(3)
 CHI4 = q.make_character(4)
 CHI15 = q.make_character(15)
+CHI23 = q.make_character(23)
 
 
 class TestSeriesSA:
@@ -79,6 +80,22 @@ class TestSeriesSB:
         terms = v * kloosterman_row(m * pow(N, -1, d) % d, d)[n % d]
         got = trace._sb_sum(m, N, d, v)
         assert abs(got - terms.sum()) <= 1e-13 * np.abs(terms).sum()
+
+
+class TestWeightedJ1:
+    @pytest.mark.parametrize("k,xmax", [
+        (1, 3.0), (3000, 0.01), (3000, 1.0), (50000, 5.0), (1200, 11.99),
+        (1200, 12.5), (700, 40.0),
+    ])
+    def test_matches_weight_times_bessel_j1(self, k, xmax):
+        # Horner in n below the crossover, bessel_j1 from 12 on
+        x = 2 * math.pi / (23 * math.sqrt(349))
+        beta = xmax / math.sqrt(k)
+        got = trace._weighted_j1(trace._n_grid(CHI23, x, k), beta, k)
+        n = np.arange(1, k + 1)
+        w = CHI23.values(n) / np.sqrt(n) * np.exp(-n * x)
+        terms = w * q.bessel_j1(beta * np.sqrt(n.astype(float)))
+        assert np.abs(got - terms).sum() <= 1e-15 * np.abs(terms).sum()
 
 
 class TestNumericSeries:
@@ -168,6 +185,15 @@ class TestNewPlusPairing:
         res = q.new_plus_pairing(271, CHI15, t_max=64, d_max=300)
         assert res.error_bound == 5.3286327878170345
         assert res.value == pytest.approx(12.519165051681355, rel=1e-12)
+
+    def test_frozen_certificate_31_431(self):
+        # The largest n-grid of the numeric-certify domain (D = 15..31 near
+        # the threshold); frozen from the engine that summed J1's series in
+        # beta sqrt(n) forward.  The error bound depends on cutoffs only.
+        cert = q.certify_numeric(431, q.make_character(31))
+        assert cert.components["error_bound"] == 4.544043085213125
+        assert cert.components["value"] == pytest.approx(12.539310509256302, rel=1e-12)
+        assert cert.lower_bound == pytest.approx(0.6362431659390382, rel=1e-12)
 
     def test_guards(self):
         with pytest.raises(NotPrime):
