@@ -8,6 +8,7 @@ form.
 """
 
 from .arith import (
+    KloostermanParams,
     MultiplicativeValues,
     QuadraticCharacter,
     divisor_count,
@@ -70,6 +71,7 @@ from .runge import (
     log_abs_product_bounds,
     reduce_to_fundamental_domain,
     runge_j_bound,
+    unit_divisor,
     unit_g,
     unit_g0,
 )

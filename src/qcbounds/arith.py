@@ -180,6 +180,25 @@ def is_fundamental_negative(D: int) -> bool:
 
 
 @dataclass(frozen=True)
+class KloostermanParams:
+    """Arguments of S(m, n; c); the modulus must be positive."""
+
+    m: int
+    n: int
+    c: int
+
+    def __post_init__(self) -> None:
+        if self.c < 1:
+            raise ValueError("modulus must be >= 1")
+        if self.m < 0 or self.n < 0:
+            raise ValueError("m and n must be nonnegative")
+
+    def evaluate(self, fast: bool = False) -> float:
+        fn = kloosterman_fast if fast else kloosterman_direct
+        return fn(self.m, self.n, self.c)
+
+
+@dataclass(frozen=True)
 class QuadraticCharacter:
     """Odd quadratic Dirichlet character of conductor D, with -D fundamental.
 
@@ -253,6 +272,17 @@ def kloosterman_direct(m: int, n: int, c: int) -> float:
     units, invs = _units_and_inverses(c)
     angles = np.mod(m * units + n * invs, c) * (_TWO_PI / c)
     return float(np.cos(angles).sum())
+
+
+def kloosterman_direct_complex(m: int, n: int, c: int) -> complex:
+    """Full complex accumulation of S(m,n;c); used to test realness."""
+    if c < 1:
+        raise ValueError("modulus must be >= 1")
+    if c == 1:
+        return 1.0 + 0.0j
+    units, invs = _units_and_inverses(c)
+    angles = np.mod(m * units + n * invs, c) * (_TWO_PI / c)
+    return complex(np.cos(angles).sum(), np.sin(angles).sum())
 
 
 def _kloosterman_prime_power(m: int, n: int, q: int) -> float:

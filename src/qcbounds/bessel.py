@@ -1,12 +1,13 @@
 """Bessel function J1 of the first kind.
 
-The power series below the crossover is a polynomial in u = (x/beta)^2
-(j1_horner; the trace-formula series take u = n), the Hankel asymptotic
-expansion with amplitude/phase correction one in 1/x^2 above it; both go
-through one Horner evaluator.  Absolute error is below 1e-9
-on [0, 1e3] (the series is exact to roundoff for x <= 12, the optimally
-truncated asymptotic tail at x = 12 is ~1e-10 and shrinks fast).  The
-inequality |J1(x)| <= x/2 holds for the returned values everywhere.
+Power series below the crossover, Hankel asymptotic expansion with
+amplitude/phase correction above it.  Both are polynomials evaluated by
+one Horner routine: the series in u = x^2, truncated at the depth its
+largest argument needs, and the Hankel P and Q in 1/x^2.  Absolute error
+is below 1e-9 on [0, 1e3] (the series is exact to roundoff for x <= 12,
+the optimally truncated asymptotic tail at x = 12 is ~1e-10 and shrinks
+fast).  The inequality |J1(x)| <= x/2 holds for the returned values
+everywhere.
 """
 
 from __future__ import annotations
@@ -40,9 +41,10 @@ def _series_depth(xmax: float) -> int:
     return _SERIES_TERMS
 
 
-# bessel_j1 gives every argument below the crossover the same depth, so an
-# element's value never depends on the other elements of its array.
-_CROSSOVER_DEPTH = _series_depth(_CROSSOVER)
+# J1(x) = x sum_j _SERIES[j] (x^2)^j, _SERIES[j] = (-1/4)^j / (2 j! (j+1)!).
+_SERIES = [0.5]
+for _j in range(1, _SERIES_TERMS + 1):
+    _SERIES.append(_SERIES[-1] * -0.25 / (_j * (_j + 1)))
 
 
 def _horner(coef: list[float], u: np.ndarray) -> np.ndarray:
@@ -55,18 +57,11 @@ def _horner(coef: list[float], u: np.ndarray) -> np.ndarray:
     return acc
 
 
-def j1_horner(u: np.ndarray, beta: float, depth: int) -> np.ndarray:
-    """(beta/2) sum_{j <= depth} (-beta^2 u/4)^j / (j! (j+1)!), so that
-    J1(beta sqrt(u)) = sqrt(u) j1_horner(u, beta, depth) for u >= 0.
-
-    At depth _series_depth(beta sqrt(max u)) the omitted terms are below
-    1e-19.
-    """
-    coef = [0.5 * beta]
-    step = -0.25 * beta * beta
-    for j in range(1, depth + 1):
-        coef.append(coef[-1] * step / (j * (j + 1)))
-    return _horner(coef, u)
+def _j1_series(x: np.ndarray, xmax: float) -> np.ndarray:
+    """The power series at the depth _series_depth(xmax), xmax >= max(x)."""
+    out = _horner(_SERIES[: _series_depth(xmax) + 1], x * x)
+    out *= x
+    return out
 
 
 def _j1_asymptotic(x: np.ndarray) -> np.ndarray:
@@ -90,11 +85,15 @@ def bessel_j1(x):
         raise DomainError("bessel_j1 expects nonnegative input")
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
+    xmax = float(arr.max(initial=0.0))
+    if xmax < _CROSSOVER:
+        out = _j1_series(arr, xmax)  # all small: no mask, no scatter
+        return float(out[0]) if scalar else out
     out = np.empty_like(arr)
     small = arr < _CROSSOVER
     if small.any():
         xs = arr[small]
-        out[small] = xs * j1_horner(xs * xs, 1.0, _CROSSOVER_DEPTH)
+        out[small] = _j1_series(xs, float(xs.max()))
     large = ~small
     if large.any():
         out[large] = _j1_asymptotic(arr[large])

@@ -82,6 +82,12 @@ def delta(tau: UpperHalfPoint) -> complex:
     return q * prod
 
 
+def unit_divisor(p: int) -> dict[str, int]:
+    """Divisor of the unit on X0(p), supported at the cusps:
+    (p-1)([c_0] - [c_inf]).  Bookkeeping only; nothing computes it."""
+    return {CUSP_ZERO: p - 1, CUSP_INFINITY: -(p - 1)}
+
+
 def unit_g(tau: UpperHalfPoint, p: int) -> complex:
     """g(tau) = q^(1-p) prod_{(n,p)=1} (1-q^n)^24."""
     q = tau.q

@@ -16,9 +16,9 @@ c of N and B sums S_B(d)/d over d coprime to N, with
 Only the three level shapes that feed the weighted new-plus pairing are
 supported: (m, N) = (1, p^2), (1, p) and (p, p).  A and B share one
 accumulator over their moduli (_modulus_series), and every S_A and S_B
-takes its weighted J1 factor from _weighted_j1: with beta = 4 pi sqrt(m)/c
-(or /(d sqrt(N))), J1(beta sqrt(n)) is sqrt(n) times a polynomial in n
-(bessel.j1_horner) below the J1 crossover.
+takes its weighted J1 factor w_n J1(beta sqrt(n)), w_n = chi(n)/sqrt(n)
+e^(-nx) and beta = 4 pi sqrt(m)/c (or /(d sqrt(N))), from _weighted_j1:
+one bessel_j1 call per modulus on a shared n-grid.
 
 Two modes coexist.  The closed-form certificate evaluates the explicit
 lower bound
@@ -42,7 +42,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .arith import QuadraticCharacter, divisor_count, is_prime
-from .bessel import _CROSSOVER, _series_depth, bessel_j1, j1_horner
+from .bessel import bessel_j1
 from .bounds import tail_bounds
 from .errors import DividesDiscriminant, LevelMismatch, NotPrime, UnsupportedCase
 from .kernels import kloosterman_row, series_kloosterman
@@ -137,37 +137,27 @@ def _n_tail(prefactor: float, x: float, n_max: int) -> float:
 
 
 class _NGrid(NamedTuple):
-    """n = 1..n_max as int64 and float64, and w_n sqrt(n) = chi(n) e^(-nx)
-    for the weight w_n = chi(n)/sqrt(n) e^(-nx) of every S_A and S_B."""
+    """n = 1..n_max, sqrt(n), the weight w_n = chi(n)/sqrt(n) e^(-nx) of
+    every S_A and S_B, and room for one modulus's J1 arguments."""
 
     n: np.ndarray
-    nf: np.ndarray
-    w_sqrt: np.ndarray
+    root: np.ndarray
+    w: np.ndarray
+    x: np.ndarray
 
 
 def _n_grid(chi: QuadraticCharacter, x: float, n_max: int) -> _NGrid:
     n = np.arange(1, n_max + 1, dtype=np.int64)
     nf = n.astype(np.float64)
-    w_sqrt = np.exp(-nf * x)
-    w_sqrt *= chi.values(n)
-    return _NGrid(n, nf, w_sqrt)
+    root = np.sqrt(nf)
+    return _NGrid(n, root, chi.values(n) / root * np.exp(-nf * x), np.empty(n_max))
 
 
 def _weighted_j1(grid: _NGrid, beta: float, k: int) -> np.ndarray:
-    """w_n J1(beta sqrt(n)) for n = 1..k, the J1 factor of one modulus.
-
-    Below the crossover J1(beta sqrt(n)) = sqrt(n) j1_horner(n, beta), a
-    polynomial in n, so w_n sqrt(n) scales it in one pass.  A modulus whose
-    largest argument reaches the crossover goes to bessel_j1 whole."""
-    xmax = beta * math.sqrt(k)
-    if xmax < _CROSSOVER:
-        out = j1_horner(grid.nf[:k], beta, _series_depth(xmax))
-    else:
-        root = np.sqrt(grid.nf[:k])
-        out = bessel_j1(beta * root)
-        out /= root
-    out *= grid.w_sqrt[:k]
-    return out
+    """w_n J1(beta sqrt(n)) for n = 1..k, the J1 factor of one modulus."""
+    v = bessel_j1(np.multiply(grid.root[:k], beta, out=grid.x[:k]))
+    v *= grid.w[:k]
+    return v
 
 
 def _sa_partial(m: int, p: int, N: int, c: int, grid: _NGrid, k: int) -> float:

@@ -9,17 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcbounds as q
-from qcbounds.arith import _units_and_inverses
+from qcbounds.arith import _units_and_inverses, kloosterman_direct_complex
 from qcbounds.errors import DomainError, NotFundamental, NotInvertible
-
-
-def kloosterman_direct_complex(m: int, n: int, c: int) -> complex:
-    """Full complex accumulation of S(m,n;c), to test realness."""
-    if c == 1:
-        return 1.0 + 0.0j
-    units, invs = _units_and_inverses(c)
-    angles = np.mod(m * units + n * invs, c) * (2 * math.pi / c)
-    return complex(np.cos(angles).sum(), np.sin(angles).sum())
 
 
 def legendre_euler(a: int, p: int) -> int:
@@ -201,3 +192,15 @@ class TestPrimes:
         assert q.next_prime(266) == 269
         assert q.next_prime(269) == 271
         assert q.next_prime(1) == 2
+
+
+class TestKloostermanParams:
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            q.KloostermanParams(1, 1, 0)
+        with pytest.raises(ValueError):
+            q.KloostermanParams(-1, 1, 5)
+
+    def test_evaluate_routes(self):
+        params = q.KloostermanParams(1, 1, 6)
+        assert params.evaluate() == pytest.approx(params.evaluate(fast=True), abs=1e-9)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qcbounds import bessel_j1
-from qcbounds.bessel import _CROSSOVER, _SERIES_TERMS, j1_horner
+from qcbounds.bessel import _CROSSOVER, _SERIES, _SERIES_TERMS, _horner
 from qcbounds.errors import DomainError
 
 EPS = 2.0**-53
@@ -98,22 +98,17 @@ def _reach(depth: int) -> float:
 
 
 @pytest.mark.parametrize("depth", range(_SERIES_TERMS + 1))
-def test_horner_against_mpmath(depth):
-    # beta = 1 with u = x^2 as bessel_j1 calls it, and u = n as the series do
-    top = _reach(depth)
-    cases = [
-        (1.0, np.linspace(0.0, top, 9) ** 2),
-        (top / math.sqrt(5000.0), np.array([1.0, 2.0, 77.0, 1234.0, 4999.0, 5000.0])),
-    ]
+def test_horner_series_against_mpmath(depth):
+    # the power series as bessel_j1 evaluates it: Horner in u = x^2
+    xs = np.linspace(0.0, _reach(depth), 9)
+    got = xs * _horner(_SERIES[: depth + 1], xs * xs)
     with mpmath.workdps(50):
-        for beta, u in cases:
-            got = np.sqrt(u) * j1_horner(u, beta, depth)
-            for ui, g in zip(u, got):
-                x = mpmath.mpf(beta) * mpmath.sqrt(mpmath.mpf(ui))
-                # truncation below 1e-19, rounding below (2 depth + 3) eps
-                # times the sum of |terms|, which is I1(x)
-                tol = 2e-19 + (2 * depth + 3) * EPS * float(mpmath.besseli(1, x))
-                assert abs(g - float(mpmath.besselj(1, x))) <= tol, (beta, ui)
+        for x, g in zip(xs, got):
+            x = mpmath.mpf(float(x))
+            # truncation below 1e-19, rounding below (2 depth + 3) eps
+            # times the sum of |terms|, which is I1(x)
+            tol = 2e-19 + (2 * depth + 3) * EPS * float(mpmath.besseli(1, x))
+            assert abs(g - float(mpmath.besselj(1, x))) <= tol, x
 
 
 def test_both_sides_of_crossover_against_mpmath():

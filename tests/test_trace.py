@@ -88,7 +88,7 @@ class TestWeightedJ1:
         (1200, 12.5), (700, 40.0),
     ])
     def test_matches_weight_times_bessel_j1(self, k, xmax):
-        # Horner in n below the crossover, bessel_j1 from 12 on
+        # bessel_j1's series below the crossover, its Hankel branch from 12 on
         x = 2 * math.pi / (23 * math.sqrt(349))
         beta = xmax / math.sqrt(k)
         got = trace._weighted_j1(trace._n_grid(CHI23, x, k), beta, k)
@@ -96,6 +96,16 @@ class TestWeightedJ1:
         w = CHI23.values(n) / np.sqrt(n) * np.exp(-n * x)
         terms = w * q.bessel_j1(beta * np.sqrt(n.astype(float)))
         assert np.abs(got - terms).sum() <= 1e-15 * np.abs(terms).sum()
+
+    def test_one_bessel_j1_call_per_modulus(self, monkeypatch):
+        # bench/tracer.py counts a series' terms by its bessel_j1 calls
+        calls = []
+        monkeypatch.setattr(trace, "bessel_j1", lambda x: calls.append(x.size) or q.bessel_j1(x))
+        q.A_numeric(1, CHI3, 49, rel_tol=0.0, t_max=5)
+        assert len(calls) == 5
+        calls.clear()
+        q.B_numeric(1, CHI3, 49, rel_tol=0.0, d_max=10)
+        assert len(calls) == 9  # d = 1..10 without 7
 
 
 class TestNumericSeries:
@@ -188,12 +198,11 @@ class TestNewPlusPairing:
 
     def test_frozen_certificate_31_431(self):
         # The largest n-grid of the numeric-certify domain (D = 15..31 near
-        # the threshold); frozen from the engine that summed J1's series in
-        # beta sqrt(n) forward.  The error bound depends on cutoffs only.
+        # the threshold).  The error bound depends on cutoffs only.
         cert = q.certify_numeric(431, q.make_character(31))
         assert cert.components["error_bound"] == 4.544043085213125
-        assert cert.components["value"] == pytest.approx(12.539310509256302, rel=1e-12)
-        assert cert.lower_bound == pytest.approx(0.6362431659390382, rel=1e-12)
+        assert cert.components["value"] == 12.539310509256302
+        assert cert.lower_bound == 0.6362431659390382
 
     def test_guards(self):
         with pytest.raises(NotPrime):
