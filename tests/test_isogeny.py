@@ -2,10 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 
 import qcbounds as q
-from qcbounds.errors import NotFundamental
+from qcbounds.errors import DomainError, NotFundamental
+from qcbounds.isogeny import HEIGHT_FLOOR, SERRE_CONSTANT
 
 
 class TestFaltingsFromJ:
@@ -112,7 +114,43 @@ class TestMainThresholds:
         assert q.nonsplit_threshold(15) == pytest.approx(266.471, abs=1e-2)
 
 
+def sieve_contradiction_search(case, d_limit):
+    """The sweep over every 2 <= d <= d_limit that the closed form replaces."""
+    spf = np.zeros(d_limit + 1, dtype=np.int64)
+    for i in range(2, d_limit + 1):
+        if spf[i] == 0:
+            spf[i::i][spf[i::i] == 0] = i
+    d = np.arange(2, d_limit + 1, dtype=np.float64)
+    d0 = spf[2 : d_limit + 1].astype(np.float64)
+    h_f = (2.0 * math.pi * np.sqrt(d0) + 6.0 * np.log(d0) + 8.0) / 12.0 + 3.0
+    m = np.maximum(h_f, HEIGHT_FLOOR)
+    if case == "borel":
+        allowed = SERRE_CONSTANT * 4.0 * (m + 4.0 * math.log(2.0)) ** 2 / d
+    else:
+        allowed = np.sqrt(4.0 * SERRE_CONSTANT * 4.0 * (m + 4.0 * math.log(4.0)) ** 2 / d)
+    i = int(np.argmax(allowed))
+    return float(allowed[i]), int(d[i])
+
+
 class TestContradictionSearch:
+    @pytest.mark.parametrize("case", ["borel", "cartan"])
+    @pytest.mark.parametrize("d_limit", [10**3, 10**5])
+    def test_matches_sieve(self, case, d_limit):
+        assert tuple(q.contradiction_search(case, d_limit)) == sieve_contradiction_search(
+            case, d_limit
+        )
+
+    def test_default_values(self):
+        assert tuple(q.contradiction_search("borel")) == (19513893740620.703, 2)
+        assert tuple(q.contradiction_search("cartan")) == (8859705.406201791, 2)
+
+    def test_rejects_limit_past_height_floor(self):
+        q.contradiction_search("borel", 3_458_970)
+        with pytest.raises(DomainError):
+            q.contradiction_search("borel", 3_458_971)
+        with pytest.raises(DomainError):
+            q.contradiction_search("cartan", 1)
+
     def test_borel_dominated(self):
         sweep = q.contradiction_search("borel", d_limit=10**5)
         assert 1.9e13 < sweep.max_allowed_p <= 2e13

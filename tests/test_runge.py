@@ -235,8 +235,3 @@ class TestRungeBound:
     def test_monotone(self):
         vals = [q.runge_j_bound(p) for p in (2, 3, 5, 7, 11, 13, 101)]
         assert vals == sorted(vals)
-
-
-def test_unit_divisor_metadata():
-    assert q.unit_divisor(7) == {"c_zero": 6, "c_infinity": -6}
-    assert sum(q.unit_divisor(11).values()) == 0
