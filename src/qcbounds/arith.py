@@ -277,12 +277,6 @@ def kloosterman_direct_complex(m: int, n: int, c: int) -> complex:
     return complex(np.cos(angles).sum(), np.sin(angles).sum())
 
 
-def _kloosterman_prime_power(m: int, n: int, q: int) -> float:
-    """Direct enumeration of S(m,n;q) for q a prime power (helper for the
-    factored evaluation)."""
-    return kloosterman_direct(m % q, n % q, q)
-
-
 def kloosterman_fast(m: int, n: int, c: int) -> float:
     """S(m,n;c) via the Chinese-remainder factorization of the sum.
 
@@ -299,7 +293,7 @@ def kloosterman_fast(m: int, n: int, c: int) -> float:
         q = p**a
         r = c // q
         rbar = pow(r, -1, q)
-        out *= _kloosterman_prime_power(rbar * m % q, rbar * n % q, q)
+        out *= kloosterman_direct(rbar * m % q, rbar * n % q, q)
     return out
 
 

@@ -83,7 +83,11 @@ def delta(tau: UpperHalfPoint) -> complex:
 
 
 def unit_g(tau: UpperHalfPoint, p: int) -> complex:
-    """g(tau) = q^(1-p) prod_{(n,p)=1} (1-q^n)^24."""
+    """g(tau) = q^(1-p) prod_{(n,p)=1} (1-q^n)^24.
+
+    Raises DomainError, with log|g| (see log_abs_unit_g) in the message,
+    where g(tau) is not a finite nonzero double: it underflows near the
+    real line and overflows for large Im tau."""
     q = tau.q
     prod = 1.0 + 0.0j
     qn = 1.0 + 0.0j
@@ -91,7 +95,16 @@ def unit_g(tau: UpperHalfPoint, p: int) -> complex:
         qn *= q
         if n % p != 0:
             prod *= (1.0 - qn) ** 24
-    return q ** (1 - p) * prod
+    try:
+        g = q ** (1 - p) * prod
+    except (ZeroDivisionError, OverflowError):  # q^(1-p) out of range
+        g = 0j
+    if g == 0 or not cmath.isfinite(g):
+        raise DomainError(
+            f"g(tau) is not a finite nonzero double at tau = {tau.z} "
+            f"(log|g| = {log_abs_unit_g(tau, p)!r})"
+        )
+    return g
 
 
 def unit_g0(tau: UpperHalfPoint, p: int) -> complex:
@@ -155,11 +168,6 @@ def j_invariant(tau: UpperHalfPoint) -> complex:
 Matrix = tuple[tuple[int, int], tuple[int, int]]
 
 _IDENTITY: Matrix = ((1, 0), (0, 1))
-
-
-def _apply(mat: Matrix, z: complex) -> complex:
-    (a, b), (c, d) = mat
-    return (a * z + b) / (c * z + d)
 
 
 def _mul(m1: Matrix, m2: Matrix) -> Matrix:

@@ -238,70 +238,61 @@ def _sb_sum(m: int, N: int, d: int, v: np.ndarray) -> float:
 
 def _modulus_series(
     chi: QuadraticCharacter, x: float, moduli: Sequence[int], prefactors: list[float],
-    partial: Callable[[_NGrid, int, int], float], tail_after: Callable[[int], float],
-    rel_tol: float,
+    partial: Callable[[_NGrid, int, int], float], tail: float,
 ) -> NumericResult:
-    """sum_q S(q)/q over the moduli in order: the one accumulator of A and B.
+    """sum_q S(q)/q over every modulus: the one accumulator of A and B.
 
     S(q) = partial(grid, q, k) is summed over n <= k, the cutoff where the
     n-tail of prefactor q drops below 1e-15; all S(q) share one n-grid.
-    The sum stops once tail_after(q), the Weil-induced tail of the moduli
-    after q, is below rel_tol * |value|.  The error bound adds the n-tails
-    (each prefactor computed once) and that last tail."""
+    The error bound adds the n-tails (each prefactor computed once) and
+    `tail`, the Weil-induced tail of the moduli after the last."""
     cutoffs = [_n_cutoff(f, x) for f in prefactors]
     grid = _n_grid(chi, x, max(cutoffs))
     acc = err = 0.0
-    tail = math.inf
     for q, f, k in zip(moduli, prefactors, cutoffs):
         acc += partial(grid, q, k) / q
         err += _n_tail(f, x, k) / q
-        tail = tail_after(q)
-        if tail <= rel_tol * abs(acc) + 1e-15:
-            break
     return NumericResult(acc, err + tail)
 
 
 def A_numeric(
-    m: int,
-    chi: QuadraticCharacter,
-    N: int,
-    rel_tol: float = 1e-6,
-    t_max: int = DEFAULT_C_TERMS,
+    m: int, chi: QuadraticCharacter, N: int, *, t_max: int = DEFAULT_C_TERMS
 ) -> NumericResult:
-    """A(m,chi,N) = sum_{N|c} S_A(c)/c, summed until the Weil-induced
-    c-tail (2D/N) (2 log t + 7)/sqrt(t) drops below rel_tol * |value|
-    (or t_max terms); the error bound aggregates n-tails and the c-tail.
+    """A(m,chi,N) = sum_{N|c} S_A(c)/c over the t_max moduli c = N..t_max N;
+    the error bound aggregates the n-tails and the Weil-induced c-tail
+    (2D/N) (2 log(t_max+1) + 7)/sqrt(t_max+1) of the moduli beyond.
     """
     from .bounds import tail_bounds
 
+    if t_max < 1:
+        raise ValueError("t_max must be >= 1")
     params = PairingParams(m, N, chi)
     p = _level_prime(N)
     moduli = range(N, (t_max + 1) * N, N)
     return _modulus_series(
         chi, params.x, moduli, [_sa_prefactor(m, c) for c in moduli],
         lambda grid, c, k: _sa_partial(m, p, N, c, grid, k),
-        lambda c: 2.0 * chi.D / N * tail_bounds(c // N + 1).tau_tail, rel_tol,
+        2.0 * chi.D / N * tail_bounds(t_max + 1).tau_tail,
     )
 
 
 def B_numeric(
-    m: int,
-    chi: QuadraticCharacter,
-    N: int,
-    rel_tol: float = 1e-6,
-    d_max: int = DEFAULT_D_TERMS,
+    m: int, chi: QuadraticCharacter, N: int, *, d_max: int = DEFAULT_D_TERMS
 ) -> NumericResult:
-    """B(m,chi,N) = sum_{(d,N)=1} S_B(d)/d with tail control through the
-    Weil-induced |S_B(d)| <= D sqrt(m) tau(d)/sqrt(d); each S_B(d) is
-    folded by residue mod d and dotted once with its row (_sb_sum)."""
+    """B(m,chi,N) = sum_{(d,N)=1} S_B(d)/d over d <= d_max, with the tail
+    beyond the last d bounded through the Weil-induced
+    |S_B(d)| <= D sqrt(m) tau(d)/sqrt(d); each S_B(d) is folded by residue
+    mod d and dotted once with its row (_sb_sum)."""
     from .bounds import tail_bounds
 
+    if d_max < 1:
+        raise ValueError("d_max must be >= 1")
     params = PairingParams(m, N, chi)
     moduli = [d for d in range(1, d_max + 1) if math.gcd(d, N) == 1]
     return _modulus_series(
         chi, params.x, moduli, [_sb_prefactor(m, d, N) for d in moduli],
         lambda grid, d, k: _sb_partial(m, N, d, grid, k),
-        lambda d: chi.D * math.sqrt(m) * tail_bounds(d + 1).tau_tail, rel_tol,
+        chi.D * math.sqrt(m) * tail_bounds(moduli[-1] + 1).tau_tail,
     )
 
 
@@ -333,14 +324,14 @@ def pairing_numeric(
     m: int,
     N: int,
     chi: QuadraticCharacter,
-    rel_tol: float = 1e-6,
+    *,
     t_max: int = DEFAULT_C_TERMS,
     d_max: int = DEFAULT_D_TERMS,
 ) -> NumericResult:
     """Assemble (a_m, L_chi)_N from the A and B series."""
     params = PairingParams(m, N, chi)
-    a = A_numeric(m, chi, N, rel_tol, t_max)
-    b = B_numeric(m, chi, N, rel_tol, d_max)
+    a = A_numeric(m, chi, N, t_max=t_max)
+    b = B_numeric(m, chi, N, d_max=d_max)
     lead = 4.0 * math.pi * chi(m) * math.exp(-m * params.x)
     scale = _EIGHT_PI_SQ * math.sqrt(m)
     value = lead - scale * (a.value + params.epsilon / math.sqrt(N) * b.value)
@@ -360,7 +351,7 @@ def _check_certify_args(p: int, chi: QuadraticCharacter) -> None:
 def new_plus_pairing(
     p: int,
     chi: QuadraticCharacter,
-    rel_tol: float = 1e-6,
+    *,
     t_max: int = DEFAULT_C_TERMS,
     d_max: int = DEFAULT_D_TERMS,
 ) -> NumericResult:
@@ -368,9 +359,9 @@ def new_plus_pairing(
     - p/(p^2-1) (a_1,L_chi)_p + chi(p)/(p^2-1) (a_p,L_chi)_p."""
     _check_certify_args(p, chi)
     w = p * p - 1
-    p1 = pairing_numeric(1, p * p, chi, rel_tol, t_max, d_max)
-    p2 = pairing_numeric(1, p, chi, rel_tol, t_max, d_max)
-    p3 = pairing_numeric(p, p, chi, rel_tol, t_max, d_max)
+    p1 = pairing_numeric(1, p * p, chi, t_max=t_max, d_max=d_max)
+    p2 = pairing_numeric(1, p, chi, t_max=t_max, d_max=d_max)
+    p3 = pairing_numeric(p, p, chi, t_max=t_max, d_max=d_max)
     value = p1.value - p / w * p2.value + chi(p) / w * p3.value
     error = p1.error_bound + p / w * p2.error_bound + p3.error_bound / w
     return NumericResult(value, error)
@@ -490,13 +481,13 @@ def certify_weil_mix(p: int, chi: QuadraticCharacter) -> Certificate:
 def certify_numeric(
     p: int,
     chi: QuadraticCharacter,
-    rel_tol: float = 1e-6,
+    *,
     t_max: int = DEFAULT_C_TERMS,
     d_max: int = DEFAULT_D_TERMS,
 ) -> Certificate:
     """Advisory certificate from the numeric series: value minus its
     truncation error bound, divided by 4 pi."""
-    res = new_plus_pairing(p, chi, rel_tol, t_max, d_max)
+    res = new_plus_pairing(p, chi, t_max=t_max, d_max=d_max)
     lower = (res.value - res.error_bound) / (4.0 * math.pi)
     verdict = CERTIFIED_POSITIVE if lower > _CERT_MARGIN else INDETERMINATE
     components = {"value": res.value, "error_bound": res.error_bound}

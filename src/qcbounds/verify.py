@@ -433,7 +433,6 @@ def certify_grid_suite(d_lo: int = 15, d_hi: int = 403) -> SuiteResult:
 def envelope_suite(
     primes: tuple[int, ...] = (7, 11, 13, 73),
     discs: tuple[int, ...] = (3, 4, 15),
-    rel_tol: float = 1e-4,
     t_max: int = 64,
     d_max: int = 200,
 ) -> SuiteResult:
@@ -448,12 +447,12 @@ def envelope_suite(
                 continue
             chi = make_character(D)
             for m, N in ((1, p * p), (1, p), (p, p)):
-                a = trace.A_numeric(m, chi, N, rel_tol, t_max)
+                a = trace.A_numeric(m, chi, N, t_max=t_max)
                 res.check(
                     abs(a.value) <= trace.A_bound(m, chi, N) + a.error_bound,
                     f"A envelope fails at m={m}, N={N}, D={D}",
                 )
-                b = trace.B_numeric(m, chi, N, rel_tol, d_max)
+                b = trace.B_numeric(m, chi, N, d_max=d_max)
                 res.check(
                     abs(b.value) <= trace.B_bound(m, chi, N) + b.error_bound,
                     f"B envelope fails at m={m}, N={N}, D={D}",
@@ -463,7 +462,7 @@ def envelope_suite(
     chi15 = make_character(15)
     cert = trace.certify_nonvanishing(269, chi15)
     res.check(cert.certified, "certificate at (D, p) = (15, 269) not positive")
-    num = trace.new_plus_pairing(269, chi15, rel_tol=1e-6, t_max=96, d_max=300)
+    num = trace.new_plus_pairing(269, chi15, t_max=96, d_max=300)
     res.check(
         abs(num.value) > 4.0 * math.pi * cert.lower_bound - num.error_bound,
         "numeric series contradicts the certificate at (15, 269)",

@@ -36,6 +36,15 @@ class TestExitCodes:
         assert main(["j-invariant", "--re", "0", "--im", "0.001", "--quiet"]) == 2
         assert "Delta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "re_, im", [("0", "1e-3"), ("0.1", "19"), ("0.1", "30"), ("0.1", "200")]
+    )
+    def test_unit_g_out_of_range_exits_two(self, re_, im, capsys):
+        # g(tau) underflows to 0 near the real line and overflows high up
+        # (q^(1-p) overflows at Im tau = 19, q^(p-1) underflows to 0 above)
+        assert main(["unit-g", "--re", re_, "--im", im, "--prime", "7", "--quiet"]) == 2
+        assert "log|g|" in capsys.readouterr().err
+
     def test_non_convergence_exits_two(self, monkeypatch, capsys):
         monkeypatch.setattr(runge, "_MAX_REDUCTION_STEPS", 1)
         assert main(["reduce-tau", "--re", "0.3", "--im", "0.01", "--quiet"]) == 2
@@ -58,6 +67,15 @@ class TestExitCodes:
     def test_threads_option_removed(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "trig", "--threads", "2", "--quiet"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--disc", "15", "--prime", "271"],
+        ["pairing", "--m", "1", "--level", "49", "--disc", "3"],
+    ])
+    def test_rel_tol_option_removed(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--rel-tol", "1e-6", "--quiet"])
         assert exc.value.code == 2
 
     def test_usage_error_exits_two(self):
@@ -114,6 +132,22 @@ class TestJsonOutput:
         assert record["certified"] is True
         assert record["mode"] == "closed-form"
         assert record["result"]["verdict"] == "certified-positive"
+
+    def test_certify_bytes(self, capsys):
+        # the inputs keep echoing the removed rel_tol at its old default
+        assert main(["certify", "--disc", "15", "--prime", "271", "--json"]) == 0
+        assert capsys.readouterr().out == (
+            '{"command": "certify", "inputs": {"disc": 15, "prime": 271, '
+            '"mode": "closed-form", "rel_tol": 9.9999999999999995e-07}, '
+            '"result": {"verdict": "certified-positive", '
+            '"lower_bound": 0.079801451791805644, "components": '
+            '{"A(1,p^2)": 0.0028594381884778255, "A(1,p)": 0.77490774907749083, '
+            '"A(p,p)": 0.77490774907749083, "B(1,p^2)": 17.94402907798305, '
+            '"B(1,p)": 103.69249961451716, "B(p,p)": 1706.9939786300067, '
+            '"first_term": 0.94999999999999996, "abel_main": 0.82221874744208867, '
+            '"tau_term": 0.047979800764285339}}, "certified": true, '
+            '"mode": "closed-form", "elapsed_ms": 0}\n'
+        )
 
     def test_component_group(self, capsys):
         assert main(["component-group", "--prime", "11", "--ram", "2", "--json"]) == 0

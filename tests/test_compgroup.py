@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qcbounds as q
@@ -68,6 +68,10 @@ class TestSmithNormalForm:
         st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=120, deadline=None)
+    # entries of left ran to 10^6 bits on these under quotient elimination
+    @example(rows=5, cols=5, seed=60)
+    @example(rows=5, cols=5, seed=75)
+    @example(rows=5, cols=5, seed=77)
     def test_defining_properties(self, rows, cols, seed):
         import numpy as np
 

@@ -78,7 +78,7 @@ def test_series_sb_matches_brute_force(m, D, N, d):
 
 def test_A_numeric_matches_brute_partial():
     chi = q.make_character(3)
-    res = q.A_numeric(1, chi, 49, rel_tol=0.0, t_max=8)
+    res = q.A_numeric(1, chi, 49, t_max=8)
     brute = sum(brute_sa(1, chi, 49, 49 * t, 400) / (49 * t) for t in range(1, 9))
     # same truncation point in t; n-tails beyond 400 are < 1e-30 here
     assert res.value == pytest.approx(brute, abs=1e-10)
@@ -86,7 +86,7 @@ def test_A_numeric_matches_brute_partial():
 
 def test_B_numeric_matches_brute_partial():
     chi = q.make_character(3)
-    res = q.B_numeric(1, chi, 49, rel_tol=0.0, d_max=10)
+    res = q.B_numeric(1, chi, 49, d_max=10)
     brute = sum(
         brute_sb(1, chi, 49, d, 400) / d for d in range(1, 11) if math.gcd(d, 49) == 1
     )
@@ -96,9 +96,9 @@ def test_B_numeric_matches_brute_partial():
 def test_pairing_assembly():
     chi = q.make_character(3)
     m, N = 1, 49
-    a = q.A_numeric(m, chi, N, rel_tol=0.0, t_max=16)
-    b = q.B_numeric(m, chi, N, rel_tol=0.0, d_max=60)
-    res = q.pairing_numeric(m, N, chi, rel_tol=0.0, t_max=16, d_max=60)
+    a = q.A_numeric(m, chi, N, t_max=16)
+    b = q.B_numeric(m, chi, N, d_max=60)
+    res = q.pairing_numeric(m, N, chi, t_max=16, d_max=60)
     x = 2 * math.pi / (3 * 7)
     eps = chi(N)
     expect = 4 * math.pi * chi(m) * math.exp(-m * x) - 8 * math.pi**2 * (
@@ -116,7 +116,7 @@ def test_genus_zero_levels_pair_to_zero(D, m, N):
     # (between 1.1 and 5.7 on these inputs) down to noise; this pins every
     # sign and twist in the assembly at once.
     chi = q.make_character(D)
-    res = q.pairing_numeric(m, N, chi, rel_tol=0.0, t_max=160, d_max=600)
+    res = q.pairing_numeric(m, N, chi, t_max=160, d_max=600)
     assert abs(res.value) < 0.2
     if m == 1:
         # the leading term alone is 1.1..5.7 here; the series must eat it

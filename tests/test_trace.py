@@ -1,5 +1,6 @@
 """Trace-formula series, closed-form bounds and nonvanishing certificates."""
 
+import inspect
 import math
 
 import numpy as np
@@ -102,40 +103,54 @@ class TestWeightedJ1:
         calls = []
         j1 = bessel.bessel_j1
         monkeypatch.setattr(bessel, "bessel_j1", lambda x: calls.append(x.size) or j1(x))
-        q.A_numeric(1, CHI3, 49, rel_tol=0.0, t_max=5)
+        q.A_numeric(1, CHI3, 49, t_max=5)
         assert len(calls) == 5
         calls.clear()
-        q.B_numeric(1, CHI3, 49, rel_tol=0.0, d_max=10)
+        q.B_numeric(1, CHI3, 49, d_max=10)
         assert len(calls) == 9  # d = 1..10 without 7
 
 
 class TestNumericSeries:
     def test_A_within_closed_bound(self):
-        a = q.A_numeric(1, CHI3, 49, rel_tol=1e-5)
+        a = q.A_numeric(1, CHI3, 49)
         assert abs(a.value) <= q.A_bound(1, CHI3, 49) + a.error_bound
         assert abs(a.value) <= 14 * 3 / 49 + a.error_bound
 
     def test_A_level_7(self):
-        a = q.A_numeric(1, CHI3, 7, rel_tol=1e-4)
+        a = q.A_numeric(1, CHI3, 7)
         assert abs(a.value) <= 14 * 3 / 7 + a.error_bound
 
     def test_B_within_closed_bound(self):
-        b = q.B_numeric(1, CHI3, 49, rel_tol=1e-4, d_max=300)
+        b = q.B_numeric(1, CHI3, 49, d_max=300)
         assert abs(b.value) <= 7 * 3 + b.error_bound
-        b2 = q.B_numeric(7, CHI3, 7, rel_tol=1e-4, d_max=300)
+        b2 = q.B_numeric(7, CHI3, 7, d_max=300)
         assert abs(b2.value) <= 7 * 3 * math.sqrt(7) + b2.error_bound
 
     def test_self_consistency_under_cutoff_doubling(self):
-        a1 = q.A_numeric(1, CHI3, 49, rel_tol=0.0, t_max=40)
-        a2 = q.A_numeric(1, CHI3, 49, rel_tol=0.0, t_max=80)
+        a1 = q.A_numeric(1, CHI3, 49, t_max=40)
+        a2 = q.A_numeric(1, CHI3, 49, t_max=80)
         assert abs(a2.value - a1.value) <= a1.error_bound
 
-    def test_error_shrinks_with_rel_tol(self):
-        # a loose rel_tol stops the c-sum early; tightening it pushes the
-        # cutoff out and shrinks the reported truncation error
-        loose = q.A_numeric(1, CHI3, 49, rel_tol=30.0, t_max=64)
-        tight = q.A_numeric(1, CHI3, 49, rel_tol=0.0, t_max=64)
-        assert tight.error_bound < loose.error_bound
+    def test_error_shrinks_with_t_max(self):
+        # more moduli push the c-tail out and shrink the reported truncation error
+        short = q.A_numeric(1, CHI3, 49, t_max=1)
+        long = q.A_numeric(1, CHI3, 49, t_max=64)
+        assert long.error_bound < short.error_bound
+
+    def test_caps_are_keyword_only(self):
+        # bench/tracer.py binds the caps by name; keyword-only keeps a stray
+        # positional argument from becoming a cap
+        for fn, cap in ((q.A_numeric, "t_max"), (q.B_numeric, "d_max")):
+            param = inspect.signature(fn).parameters[cap]
+            assert param.kind is inspect.Parameter.KEYWORD_ONLY
+        with pytest.raises(TypeError):
+            q.A_numeric(1, CHI3, 49, 1e-6)
+
+    def test_caps_below_one_rejected(self):
+        with pytest.raises(ValueError, match="t_max"):
+            q.A_numeric(1, CHI3, 49, t_max=0)
+        with pytest.raises(ValueError, match="d_max"):
+            q.B_numeric(1, CHI3, 49, d_max=0)
 
     def test_unsupported_case(self):
         with pytest.raises(UnsupportedCase):
@@ -171,7 +186,7 @@ class TestClosedFormBounds:
 class TestPairing:
     def test_triangle_inequality_envelope(self):
         for (m, N) in [(1, 49), (1, 7), (7, 7)]:
-            res = q.pairing_numeric(m, N, CHI3, rel_tol=1e-4, t_max=64, d_max=200)
+            res = q.pairing_numeric(m, N, CHI3, t_max=64, d_max=200)
             x = 2 * math.pi / (3 * math.sqrt(N))
             lead = 4 * math.pi * CHI3(m) * math.exp(-m * x)
             envelope = (
@@ -187,7 +202,7 @@ class TestPairing:
 
 class TestNewPlusPairing:
     def test_advisory_positive_73_3(self):
-        res = q.new_plus_pairing(73, CHI3, rel_tol=1e-4, t_max=72, d_max=300)
+        res = q.new_plus_pairing(73, CHI3, t_max=72, d_max=300)
         assert res.value > 0
 
     def test_frozen_anchor_271_15(self):
@@ -258,11 +273,11 @@ class TestCertificates:
 
     def test_certificate_soundness_against_numeric(self):
         cert = q.certify_nonvanishing(271, CHI15)
-        res = q.new_plus_pairing(271, CHI15, rel_tol=1e-6, t_max=96, d_max=300)
+        res = q.new_plus_pairing(271, CHI15, t_max=96, d_max=300)
         assert abs(res.value) > 4 * math.pi * cert.lower_bound - res.error_bound
 
     def test_numeric_mode(self):
-        cert = q.certify_numeric(73, CHI3, rel_tol=1e-4, t_max=72, d_max=300)
+        cert = q.certify_numeric(73, CHI3, t_max=72, d_max=300)
         assert cert.mode == "numeric-advisory"
         assert cert.components["value"] > 0
 
