@@ -8,7 +8,8 @@ over many multiples of the level.  Three tools keep that cheap:
   every unit row is a permutation of the base row S(1, . ; c).  The base
   row is one FFT of length c over the cached unit/inverse table
   (S(1,n;c) = sum_u e(ubar/c) e(n*u/c), a DFT in n) and is kept once per
-  modulus; rows for non-units m are rare and built directly;
+  modulus; rows for non-units m are rare and built directly, which also
+  serves the p-power factor when p | m;
 
 * the coprime factorization S(m,n;qr) = S(m, rbar^2 n; q) * S(m, qbar^2 n; r),
   which reduces any modulus t*N to a prime-power part and a small part;
@@ -144,17 +145,16 @@ def _salie(p: int, a: int, y: np.ndarray) -> np.ndarray:
 
 
 def _pp_values(m: int, p: int, a: int, k: int, n: np.ndarray) -> np.ndarray:
-    """S(m, k*n; p^a) for a unit k mod p^a and an int64 array n >= 0."""
+    """S(m, k*n; p^a) for a unit k mod p^a and an int64 array n >= 0.
+
+    A unit m at odd p and a >= 2 takes the closed forms; every other case
+    (a = 1, p = 2, p | m) reads the full row S(m, . ; p^a).
+    """
     q = p**a
-    if a == 1 or p == 2:  # the closed forms need an odd prime square
+    # p | m at a >= 2 occurs only in the (p, p) shape with p | t, so
+    # q <= t*p and its row is one small FFT.
+    if a == 1 or p == 2 or m % p == 0:
         return kloosterman_row(m, q)[(k * n) % q]
-    if m % p == 0:
-        # S(p m1, k n; p^a) = 0 unless p | n, then p * S(m1, k n/p; p^(a-1)).
-        out = np.zeros(n.shape, dtype=np.float64)
-        div = n % p == 0
-        if div.any():
-            out[div] = p * _pp_values(m // p, p, a - 1, k, n[div] // p)
-        return out
     k = m * k % q  # S(m, y; q) = S(1, m*y; q) for a unit m
     if a == 2 and q <= _P2_ROW_MAX:
         return _p2_row(p)[(k * n) % q]
@@ -168,8 +168,8 @@ def series_kloosterman(m: int, p: int, N: int, t: int, n: np.ndarray) -> np.ndar
     multiplicativity identity.  The p-power factor reads the row mod p at
     a = 1 and the closed-form p^2 row at a = 2 (p^2 <= _P2_ROW_MAX); a >= 3,
     which needs p | t, and a larger p^2 take the vectorised closed form
-    with one lifted square root per term (_salie).  p | m at a >= 2
-    reduces to S(m/p, . ; p^(a-1)) on the n divisible by p (_pp_values).
+    with one lifted square root per term (_salie).  p | m at a >= 2, which
+    also needs p | t, reads the row S(m, . ; p^a) like a = 1.
     """
     c = t * N
     a = 0

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import qcbounds as q
+from qcbounds import verify
 from qcbounds.bounds import (
     WEIL_BOTH,
     WEIL_COPRIME,
@@ -47,6 +48,17 @@ class TestWeilBound:
                     for p in (3, 5, 7):
                         if c % p == 0:
                             assert v <= q.weil_bound(m, n, c, p).bound_value + 1e-6
+
+    def test_suite_compares_fast_with_its_table(self, monkeypatch):
+        # a wrong fast evaluator is caught against the suite's own table,
+        # once per (m, n, c), and is the only failure
+        monkeypatch.setattr(verify, "kloosterman_fast", lambda m, n, c: 1e3)
+        res = verify.weil_suite(max_c=4, max_mn=2)
+        assert res.failures == [
+            f"fast != direct at ({m},{n},{c})"
+            for c in range(1, 5) for m in (1, 2) for n in (1, 2)
+        ]
+        assert res.checks == 4 * (2 * 4 + 2) + len(q.fundamental_discriminants(3, 500))
 
 
 class TestTrigSum:

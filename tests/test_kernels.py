@@ -11,8 +11,9 @@ from qcbounds.kernels import kloosterman_row, series_kloosterman
 
 ROW_CASES = [(1, 12), (3, 35), (0, 8), (2, 49), (5, 121), (4, 1), (9, 27), (7, 100)]
 
-# (m, p, N, t): exercises a = 1, the p^2 row, Salie even/odd powers, p | t
-# recursions and the CRT twist against the small cofactor.
+# (m, p, N, t): exercises a = 1, the p^2 row, Salie even/odd powers, the
+# higher powers p | t brings (p | m among them, read from a row) and the
+# CRT twist against the small cofactor.
 SERIES_CASES = [
     (1, 7, 49, 1), (1, 7, 49, 2), (1, 7, 49, 6), (1, 7, 49, 7), (1, 7, 49, 14),
     (1, 7, 49, 49), (1, 7, 7, 1), (1, 7, 7, 4), (1, 7, 7, 7), (1, 7, 7, 21),
@@ -83,6 +84,18 @@ def test_p2_row_matches_direct(p):
         got = kernels._pp_values(m, p, 2, 1, y)
         direct = [kloosterman_direct(m, int(v), q) for v in y]
         assert np.allclose(got, direct, rtol=0.0, atol=1e-9), (m, p)
+
+
+@pytest.mark.parametrize("p,a", [(7, 2), (7, 3), (11, 2)])
+def test_p_divides_m_matches_direct(p, a):
+    # the (p, p) shape at p | t: m = p*u for units u, for u = p and for
+    # m = 0 mod p^a, at every residue y mod p^a
+    q = p**a
+    y = np.arange(q, dtype=np.int64)
+    for u in (1, 3, p, q):
+        got = kernels._pp_values(p * u, p, a, 1, y)
+        direct = [kloosterman_direct(p * u, int(v), q) for v in y]
+        assert np.allclose(got, direct, rtol=0.0, atol=1e-9), (u, p, a)
 
 
 @pytest.mark.parametrize("p,a", [(3, 2), (3, 3), (5, 2), (5, 3), (7, 3), (11, 2), (13, 3), (3, 5)])
