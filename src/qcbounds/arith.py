@@ -246,39 +246,48 @@ def _units_and_inverses(c: int) -> tuple[np.ndarray, np.ndarray]:
     return units, invs
 
 
-def kloosterman_direct(m: int, n: int, c: int) -> float:
+def _kloosterman_angles(m: int | np.ndarray, n: int | np.ndarray, c: int) -> np.ndarray:
+    """The angles 2*pi*(m*v + n*vbar)/c over the units v mod c, on a last
+    axis after the broadcast shape of m and n.  m and n are reduced mod c
+    before any int64 product.  The one unit mod 1 is 0, so S(m,n;1) = 1."""
+    if c < 1:
+        raise ValueError("modulus must be >= 1")
+    import numpy as np
+
+    units, invs = _units_and_inverses(c) if c > 1 else (np.zeros(1, np.int64),) * 2
+    m = np.asarray(m % c, dtype=np.int64)[..., None]
+    n = np.asarray(n % c, dtype=np.int64)[..., None]
+    return np.mod(m * units + n * invs, c) * (_TWO_PI / c)
+
+
+def kloosterman_direct(m: int | np.ndarray, n: int | np.ndarray, c: int) -> float | np.ndarray:
     """S(m,n;c) by direct enumeration over the units mod c.
 
-    The sum is real (v -> -v conjugates the terms); the imaginary part of
-    the accumulation is discarded.  S(m,n;1) = 1 by the empty-modulus
-    convention: the trivial group contributes the single term 1.
+    m and n are integers or integer arrays: arrays give their broadcast
+    shape, integers a float.  The sum is real (v -> -v conjugates the
+    terms); the imaginary part of the accumulation is discarded.
     """
-    if c < 1:
-        raise ValueError("modulus must be >= 1")
-    if c == 1:
-        return 1.0
     import numpy as np
 
-    units, invs = _units_and_inverses(c)
-    angles = np.mod(m * units + n * invs, c) * (_TWO_PI / c)
-    return float(np.cos(angles).sum())
+    s = np.cos(_kloosterman_angles(m, n, c)).sum(axis=-1)
+    return float(s) if s.ndim == 0 else s
 
 
-def kloosterman_direct_complex(m: int, n: int, c: int) -> complex:
-    """Full complex accumulation of S(m,n;c); used to test realness."""
-    if c < 1:
-        raise ValueError("modulus must be >= 1")
-    if c == 1:
-        return 1.0 + 0.0j
+def kloosterman_direct_complex(
+    m: int | np.ndarray, n: int | np.ndarray, c: int
+) -> complex | np.ndarray:
+    """Full complex accumulation of S(m,n;c), shaped like kloosterman_direct;
+    used to test realness."""
     import numpy as np
 
-    units, invs = _units_and_inverses(c)
-    angles = np.mod(m * units + n * invs, c) * (_TWO_PI / c)
-    return complex(np.cos(angles).sum(), np.sin(angles).sum())
+    angles = _kloosterman_angles(m, n, c)
+    re, im = np.cos(angles).sum(axis=-1), np.sin(angles).sum(axis=-1)
+    return complex(re, im) if re.ndim == 0 else re + 1j * im
 
 
-def kloosterman_fast(m: int, n: int, c: int) -> float:
-    """S(m,n;c) via the Chinese-remainder factorization of the sum.
+def kloosterman_fast(m: int | np.ndarray, n: int | np.ndarray, c: int) -> float | np.ndarray:
+    """S(m,n;c) via the Chinese-remainder factorization of the sum, shaped
+    like kloosterman_direct.
 
     For coprime q*r = c one has S(m,n;qr) = S(rbar*m, rbar*n; q) *
     S(qbar*m, qbar*n; r) with rbar the inverse of r mod q and vice versa.
@@ -286,14 +295,13 @@ def kloosterman_fast(m: int, n: int, c: int) -> float:
     """
     if c < 1:
         raise ValueError("modulus must be >= 1")
-    if c == 1:
-        return 1.0
+    if c == 1:  # plain integers skip importing numpy
+        return 1.0 if isinstance(m, int) and isinstance(n, int) else kloosterman_direct(m, n, 1)
     out = 1.0
     for p, a in factorize(c):
         q = p**a
-        r = c // q
-        rbar = pow(r, -1, q)
-        out *= kloosterman_direct(rbar * m % q, rbar * n % q, q)
+        rbar = pow(c // q, -1, q)
+        out *= kloosterman_direct(rbar * (m % q), rbar * (n % q), q)
     return out
 
 

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import QuadraticCharacter, divisor_count
+from .arith import QuadraticCharacter, divisor_count, is_prime
 from .errors import InvalidHint
 from .kernels import kloosterman_row
 
@@ -45,36 +45,41 @@ def weil_bound(m: int, n: int, c: int, p_hint: int | None = None) -> WeilCase:
     if c < 1:
         raise ValueError("modulus must be >= 1")
     g = math.sqrt(math.gcd(m, math.gcd(n, c)))
-    generic = g * divisor_count(c) * math.sqrt(c)
+    tau = divisor_count(c)
+    generic = g * tau * math.sqrt(c)
     if p_hint is None:
         return WeilCase(WEIL_GENERIC, generic)
-    if p_hint % 2 == 0 or c % p_hint != 0:
+    if p_hint % 2 == 0 or c % p_hint != 0 or not is_prime(p_hint):
         raise InvalidHint(f"hint {p_hint} must be an odd prime dividing {c}")
-    cp = c
+    cp, alpha = c, 0
     while cp % p_hint == 0:
         cp //= p_hint
+        alpha += 1
+    # tau(c) = (alpha + 1) tau(c'), and tau(c/p) = alpha tau(c')
+    tau_cp = tau // (alpha + 1)
     if m % p_hint != 0 and n % p_hint != 0:
         tag = WEIL_COPRIME
-        refined = 2.0 * divisor_count(cp) * g * math.sqrt(c)
+        refined = 2.0 * tau_cp * g * math.sqrt(c)
     elif m % p_hint == 0 and n % p_hint == 0:
         tag = WEIL_BOTH
-        refined = divisor_count(c // p_hint) * g * math.sqrt(c)
+        refined = alpha * tau_cp * g * math.sqrt(c)
     else:
         tag = WEIL_ONE
-        refined = divisor_count(cp) * g * math.sqrt(cp)
+        refined = tau_cp * g * math.sqrt(cp)
     if refined <= generic:
         return WeilCase(tag, refined)
     return WeilCase(WEIL_GENERIC, generic)
 
 
-def trig_sum_direct(K: int, F: int) -> float:
-    """S_{K,F} = sum_{g=1}^{F-1} |sin(pi g K / F)| / sin(pi g / F)."""
+def trig_sum_direct(K: int | np.ndarray, F: int) -> float | np.ndarray:
+    """S_{K,F} = sum_{g=1}^{F-1} |sin(pi g K / F)| / sin(pi g / F), one sum
+    per element of an integer array K, or a float for an integer K."""
     if F < 1:
         raise ValueError("F must be >= 1")
-    if F == 1:
-        return 0.0
     g = np.arange(1, F, dtype=np.float64)
-    return float(np.sum(np.abs(np.sin(math.pi * K * g / F)) / np.sin(math.pi * g / F)))
+    K = np.asarray(K)[..., None]
+    s = np.sum(np.abs(np.sin(math.pi * K * g / F)) / np.sin(math.pi * g / F), axis=-1)
+    return float(s) if s.ndim == 0 else s
 
 
 def trig_sum_bound(F: int) -> float:

@@ -50,7 +50,7 @@ def test_criterion_2_certificate_numeric_agreement():
 
 
 def test_criterion_3_weil_suite():
-    with criterion(3, "Weil bounds on 1<=m,n<=12, c<=400 at 1e-6", 20):
+    with criterion(3, "Weil bounds on 1<=m,n<=12, c<=400 at 1e-6", 10):
         result = verify.weil_suite(max_c=400, max_mn=12)
         assert result.passed, result.failures[:5]
         assert result.checks == 116153

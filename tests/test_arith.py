@@ -136,6 +136,31 @@ class TestKloosterman:
             q.kloosterman_direct(m, n, c), abs=1e-9
         )
 
+    def test_arrays_match_scalars_bit_for_bit(self):
+        # every c <= 400 for the direct sum the other two are built from;
+        # c <= 100 for those two keeps the scalar loop near a second
+        ms = np.arange(13)
+        for c in range(1, 401):
+            fns = [q.kloosterman_direct]
+            if c <= 100:
+                fns += [q.kloosterman_fast, kloosterman_direct_complex]
+            for fn in fns:
+                table = fn(ms[:, None], ms, c)
+                assert table.shape == (13, 13)
+                scalars = [[fn(m, n, c) for n in range(13)] for m in range(13)]
+                assert table.tolist() == scalars, (fn.__name__, c)
+
+    @pytest.mark.parametrize("m", [2 * 10**18 + 1, 10**19 + 1, 10**30 + 1, -(10**30) - 1])
+    def test_huge_arguments_reduce_mod_c(self, m):
+        # m * v would overflow int64 (or not convert at all) before reduction
+        for c in (7, 12, 360):
+            for fn in (q.kloosterman_direct, q.kloosterman_fast):
+                assert fn(m, 1, c) == fn(m % c, 1, c)
+                assert fn(1, m, c) == fn(1, m % c, c)
+            assert kloosterman_direct_complex(m, m, c) == kloosterman_direct_complex(
+                m % c, m % c, c
+            )
+
 
 class TestGaussSum:
     def test_small_values(self):

@@ -1,5 +1,6 @@
 """Explicit inequalities: Weil cases, trig sums, twisted sums, tails."""
 
+import functools
 import math
 
 import numpy as np
@@ -15,6 +16,9 @@ from qcbounds.bounds import (
     twisted_dft_all,
 )
 from qcbounds.errors import InvalidHint
+
+
+tau = functools.cache(q.divisor_count)
 
 
 class TestWeilBound:
@@ -49,6 +53,39 @@ class TestWeilBound:
                         if c % p == 0:
                             assert v <= q.weil_bound(m, n, c, p).bound_value + 1e-6
 
+    @staticmethod
+    def weil_bound_oracle(m, n, c, p=None):
+        """The bound with tau of every modulus counted by factorizing it."""
+        g = math.sqrt(math.gcd(m, math.gcd(n, c)))
+        generic = g * tau(c) * math.sqrt(c)
+        if p is None:
+            return WEIL_GENERIC, generic
+        cp = c
+        while cp % p == 0:
+            cp //= p
+        if m % p and n % p:
+            tag, refined = WEIL_COPRIME, 2.0 * tau(cp) * g * math.sqrt(c)
+        elif m % p == 0 and n % p == 0:
+            tag, refined = WEIL_BOTH, tau(c // p) * g * math.sqrt(c)
+        else:
+            tag, refined = WEIL_ONE, tau(cp) * g * math.sqrt(cp)
+        return (tag, refined) if refined <= generic else (WEIL_GENERIC, generic)
+
+    def test_matches_factorizing_oracle(self):
+        for c in range(1, 401):
+            hints = [None] + [p for p in range(3, c + 1, 2) if c % p == 0 and q.is_prime(p)]
+            for m in range(13):
+                for n in range(13):
+                    for p in hints:
+                        w = q.weil_bound(m, n, c, p)
+                        assert (w.tag, w.bound_value) == self.weil_bound_oracle(m, n, c, p)
+
+    def test_composite_hint_rejected(self):
+        with pytest.raises(InvalidHint):
+            q.weil_bound(1, 1, 45, 9)
+        with pytest.raises(InvalidHint):
+            q.weil_bound(1, 1, 75, 15)
+
     def test_suite_compares_fast_with_its_table(self, monkeypatch):
         # a wrong fast evaluator is caught against the suite's own table,
         # once per (m, n, c), and is the only failure
@@ -59,6 +96,15 @@ class TestWeilBound:
             for c in range(1, 5) for m in (1, 2) for n in (1, 2)
         ]
         assert res.checks == 4 * (2 * 4 + 2) + len(q.fundamental_discriminants(3, 500))
+
+    def test_suite_checks_the_library_realness(self, monkeypatch):
+        # an imaginary part in the library's complex sum is caught once per modulus
+        exact = verify.kloosterman_direct_complex
+        monkeypatch.setattr(
+            verify, "kloosterman_direct_complex", lambda m, n, c: exact(m, n, c) + 1j
+        )
+        res = verify.weil_suite(max_c=4, max_mn=2)
+        assert res.failures == [f"c={c}: imaginary part 1.00e+00" for c in range(1, 5)]
 
 
 class TestTrigSum:
@@ -76,6 +122,16 @@ class TestTrigSum:
         assert q.trig_sum_bound(10) == pytest.approx(15.411297, abs=1e-5)
         assert q.trig_sum_bound(1) == pytest.approx(0.607927, abs=1e-5)
         assert q.trig_sum_bound(300) == pytest.approx(875.87492, abs=1e-4)
+
+    def test_suite_checks_the_library(self, monkeypatch):
+        monkeypatch.setattr(
+            verify.bounds, "trig_sum_direct",
+            lambda K, F: np.full(np.shape(K), q.trig_sum_bound(F) + 1.0),
+        )
+        res = verify.trig_suite(max_f=20)
+        assert res.failures == ["F=1"] + [
+            f"trig bound fails at F={F} by 1.00e+00" for F in range(2, 21)
+        ]
 
     def test_inequality_small_grid(self):
         for F in range(1, 80):

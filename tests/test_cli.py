@@ -149,6 +149,28 @@ class TestJsonOutput:
             '"mode": "closed-form", "elapsed_ms": 0}\n'
         )
 
+    @pytest.mark.parametrize("argv, fast, value", [
+        (["1", "1", "7"], "false", "2.0489173395223048"),
+        (["2", "1", "100", "--fast"], "true", "-1.1896771892660295e-31"),
+        (["3", "4", "360", "--fast"], "true", "1.5235714119456081e-31"),
+        (["3", "4", "360"], "false", "-2.5951463200613034e-15"),
+    ])
+    def test_kloosterman_bytes(self, capsys, argv, fast, value):
+        assert main(["kloosterman", *argv, "--json"]) == 0
+        m, n, c = argv[:3]
+        assert capsys.readouterr().out == (
+            f'{{"command": "kloosterman", "inputs": {{"m": {m}, "n": {n}, "c": {c}, '
+            f'"fast": {fast}}}, "result": {{"value": {value}}}, "elapsed_ms": 0}}\n'
+        )
+
+    @pytest.mark.parametrize("m", [2 * 10**18 + 1, 10**19 + 1, 10**30 + 1])
+    @pytest.mark.parametrize("fast", [[], ["--fast"]])
+    def test_kloosterman_huge_m_reads_m_mod_c(self, capsys, m, fast):
+        assert main(["kloosterman", str(m), "1", "7", *fast, "--json"]) == 0
+        value = json.loads(capsys.readouterr().out)["result"]["value"]
+        assert main(["kloosterman", str(m % 7), "1", "7", *fast, "--json"]) == 0
+        assert value == json.loads(capsys.readouterr().out)["result"]["value"]
+
     def test_component_group(self, capsys):
         assert main(["component-group", "--prime", "11", "--ram", "2", "--json"]) == 0
         record = json.loads(capsys.readouterr().out)
