@@ -12,6 +12,8 @@ everywhere.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DomainError
@@ -47,9 +49,10 @@ for _j in range(1, _SERIES_TERMS + 1):
     _SERIES.append(_SERIES[-1] * -0.25 / (_j * (_j + 1)))
 
 
-def _horner(coef: list[float], u: np.ndarray) -> np.ndarray:
-    """sum_j coef[j] u^j on one fresh array, two passes per degree."""
-    acc = u * coef[-1] if len(coef) > 1 else np.zeros(np.shape(u))
+def _horner(coef: list[float], u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """sum_j coef[j] u^j on one array (`out`, or a fresh one), two passes
+    per degree."""
+    acc = np.multiply(u, coef[-1] if len(coef) > 1 else 0.0, out=out)
     for c in reversed(coef[1:-1]):
         acc += c
         acc *= u
@@ -57,9 +60,10 @@ def _horner(coef: list[float], u: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _j1_series(x: np.ndarray, xmax: float) -> np.ndarray:
-    """The power series at the depth _series_depth(xmax), xmax >= max(x)."""
-    out = _horner(_SERIES[: _series_depth(xmax) + 1], x * x)
+def _j1_series(x: np.ndarray, xmax: float, out: np.ndarray | None = None) -> np.ndarray:
+    """The power series at the depth _series_depth(xmax), xmax >= max(x),
+    written into `out` (which must not overlap x) when given."""
+    out = _horner(_SERIES[: _series_depth(xmax) + 1], x * x, out)
     out *= x
     return out
 
@@ -74,27 +78,39 @@ def _j1_asymptotic(x: np.ndarray) -> np.ndarray:
     )
 
 
-def bessel_j1(x):
+def bessel_j1(x, out=None):
     """J1(x) for a nonnegative scalar or array.
 
-    Raises DomainError for negative input (J1 is odd; callers here only
-    ever need x >= 0).
+    Raises DomainError for negative or non-finite input (J1 is odd;
+    callers here only ever need finite x >= 0).  Given `out`, a float64
+    array of x's shape, the result is written into it and `out` itself is
+    returned, as a numpy ufunc does; the all-series path then needs no
+    array of its own beyond x^2.
     """
     arr = np.asarray(x, dtype=np.float64)
-    if arr.min(initial=0.0) < 0.0:
-        raise DomainError("bessel_j1 expects nonnegative input")
+    lo = float(arr.min(initial=0.0))
+    xmax = float(arr.max(initial=0.0))
+    if not (lo >= 0.0 and xmax < math.inf):  # nan fails both comparisons
+        raise DomainError(f"bessel_j1 expects finite nonnegative input, got [{lo}, {xmax}]")
+    if out is not None:
+        if out.shape != arr.shape:
+            raise ValueError(f"out has shape {out.shape}, x has {arr.shape}")
+        if np.may_share_memory(arr, out):
+            arr = arr.copy()
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    xmax = float(arr.max(initial=0.0))
+    dst = None if out is None else np.atleast_1d(out)  # a view: writes reach out
     if xmax < _CROSSOVER:
-        out = _j1_series(arr, xmax)  # all small: no mask, no scatter
-        return float(out[0]) if scalar else out
-    out = np.empty_like(arr)
-    small = arr < _CROSSOVER
-    if small.any():
-        xs = arr[small]
-        out[small] = _j1_series(xs, float(xs.max()))
-    large = ~small
-    if large.any():
-        out[large] = _j1_asymptotic(arr[large])
-    return float(out[0]) if scalar else out
+        res = _j1_series(arr, xmax, dst)  # all small: no mask, no scatter
+    else:
+        res = np.empty_like(arr) if dst is None else dst
+        small = arr < _CROSSOVER
+        if small.any():
+            xs = arr[small]
+            res[small] = _j1_series(xs, float(xs.max()))
+        large = ~small
+        if large.any():
+            res[large] = _j1_asymptotic(arr[large])
+    if out is not None:
+        return out
+    return float(res[0]) if scalar else res

@@ -191,6 +191,8 @@ def series_kloosterman(m: int, p: int, N: int, t: int, n: np.ndarray) -> np.ndar
     if cp == 1:
         return part_q
     qbar = pow(q % cp, -1, cp) if a > 0 else 1
-    idx = ((qbar * qbar % cp) * n) % cp
-    part_cp = kloosterman_row(m % cp, cp)[idx]
-    return part_q * part_cp
+    # In place (part_q is always a fresh array): one k-long temporary
+    # fewer per modulus keeps the freed heap under malloc's trim
+    # threshold, so the next modulus does not page-fault it back in.
+    part_q *= kloosterman_row(m % cp, cp)[((qbar * qbar % cp) * n) % cp]
+    return part_q

@@ -40,7 +40,7 @@ def test_criterion_1_nonvanishing_grid():
 
 
 def test_criterion_2_certificate_numeric_agreement():
-    with criterion(2, "numeric pairing exceeds 4*pi*lower_bound - error", 30):
+    with criterion(2, "numeric pairing exceeds 4*pi*lower_bound - error", 10):
         for D, p in [(15, 271), (19, 311), (20, 317)]:
             chi = q.make_character(D)
             res = q.new_plus_pairing(p, chi)
@@ -64,14 +64,14 @@ def test_criterion_4_trig_inequality():
 
 
 def test_criterion_5_twisted_sums():
-    with criterion(5, "twisted DFT bound/zero structure and partial sups", 60):
+    with criterion(5, "twisted DFT bound/zero structure and partial sups", 10):
         result = verify.twisted_suite(discs=(3, 4, 7, 8, 11, 15), max_c=60, max_m=5)
         assert result.passed, result.failures[:5]
         assert result.checks == 665740
 
 
 def test_criterion_6_tau_tail():
-    with criterion(6, "tau-tail bound for lambda <= 1000 against 1e6 cutoff", 30):
+    with criterion(6, "tau-tail bound for lambda <= 1000 against 1e6 cutoff", 10):
         result = verify.tails_suite(max_lambda=1000, cutoff=10**6)
         assert result.passed, result.failures[:5]
         assert result.checks == 2002

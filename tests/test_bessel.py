@@ -1,6 +1,7 @@
 """J1 against an independent quadrature oracle and mpmath."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -88,6 +89,45 @@ def test_negative_rejected():
         bessel_j1(-0.5)
     with pytest.raises(DomainError):
         bessel_j1(np.array([1.0, -2.0]))
+
+
+@pytest.mark.parametrize("x", [
+    math.nan, math.inf, np.array([1.0, math.nan, 3.0]), np.array([20.0, math.inf]),
+])
+def test_non_finite_rejected(x):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning on the way
+        with pytest.raises(DomainError):
+            bessel_j1(x)
+
+
+@pytest.mark.parametrize("xs", [
+    np.linspace(0.0, 11.9, 300),  # series only
+    np.linspace(0.0, 40.0, 300),  # series and Hankel
+    np.linspace(12.0, 900.0, 50),  # Hankel only
+    np.array([]),
+    np.linspace(0.0, 30.0, 12).reshape(3, 4),
+])
+def test_out_is_filled_and_returned(xs):
+    out = np.full(xs.shape, np.nan)
+    before = xs.copy()
+    got = bessel_j1(xs, out=out)
+    assert got is out
+    assert np.array_equal(out, bessel_j1(xs))
+    assert np.array_equal(xs, before)
+
+
+def test_out_may_alias_its_input():
+    for top in (11.0, 30.0):
+        xs = np.linspace(0.0, top, 101)
+        expected = bessel_j1(xs)
+        assert bessel_j1(xs, out=xs) is xs
+        assert np.array_equal(xs, expected)
+
+
+def test_out_of_another_shape_rejected():
+    with pytest.raises(ValueError):
+        bessel_j1(np.ones(3), out=np.empty(4))
 
 
 def _reach(depth: int) -> float:

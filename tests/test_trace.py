@@ -14,7 +14,8 @@ from qcbounds.errors import (
     NotPrime,
     UnsupportedCase,
 )
-from qcbounds.kernels import kloosterman_row
+from qcbounds.bounds import tail_bounds
+from qcbounds.kernels import kloosterman_row, series_kloosterman
 
 CHI3 = q.make_character(3)
 CHI4 = q.make_character(4)
@@ -92,7 +93,7 @@ class TestWeightedJ1:
         # bessel_j1's series below the crossover, its Hankel branch from 12 on
         x = 2 * math.pi / (23 * math.sqrt(349))
         beta = xmax / math.sqrt(k)
-        got = trace._weighted_j1(trace._n_grid(CHI23, x, k), beta, k)
+        got = trace._weighted_j1(trace._n_grid(CHI23, x, k, coprime=False), beta, k)
         n = np.arange(1, k + 1)
         w = CHI23.values(n) / np.sqrt(n) * np.exp(-n * x)
         terms = w * q.bessel_j1(beta * np.sqrt(n.astype(float)))
@@ -102,12 +103,81 @@ class TestWeightedJ1:
         # bench/tracer.py counts a series' terms by its bessel_j1 calls
         calls = []
         j1 = bessel.bessel_j1
-        monkeypatch.setattr(bessel, "bessel_j1", lambda x: calls.append(x.size) or j1(x))
+        monkeypatch.setattr(
+            bessel, "bessel_j1", lambda x, out=None: calls.append(x.size) or j1(x, out=out)
+        )
         q.A_numeric(1, CHI3, 49, t_max=5)
         assert len(calls) == 5
         calls.clear()
         q.B_numeric(1, CHI3, 49, d_max=10)
         assert len(calls) == 9  # d = 1..10 without 7
+
+    def test_result_is_a_view_of_the_grid_buffer(self):
+        # each modulus writes its J1 values into the grid, not a fresh array
+        grid = trace._n_grid(CHI23, 0.01, 3000, coprime=False)
+        for beta in (0.05, 1.0):  # all-series, then series and Hankel
+            v = trace._weighted_j1(grid, beta, 2500)
+            assert np.shares_memory(v, grid.j1)
+
+
+def full_grid_A(m, chi, N, t_max):
+    """A(m, chi, N) term by term over every n <= k of each modulus: the
+    value, the sum of |terms| and the error bound."""
+    p = trace._level_prime(N)
+    x = 2 * math.pi / (chi.D * math.sqrt(N))
+    value = size = err = 0.0
+    cutoffs = []
+    for c in range(N, (t_max + 1) * N, N):
+        f = trace._sa_prefactor(m, c)
+        k = trace._n_cutoff(f, x)
+        cutoffs.append(k)
+        n = np.arange(1, k + 1)
+        w = chi.values(n) / np.sqrt(n) * np.exp(-n * x)
+        j1 = q.bessel_j1(4 * math.pi * math.sqrt(m) / c * np.sqrt(n.astype(float)))
+        terms = w * j1 * series_kloosterman(m, p, N, c // N, n) / c
+        value += terms.sum()
+        size += np.abs(terms).sum()
+        err += trace._n_tail(f, x, k) / c
+    err += 2.0 * chi.D / N * tail_bounds(t_max + 1).tau_tail
+    return value, size, err, cutoffs
+
+
+class TestCoprimeGrid:
+    # (D, m, N, t_max), each with a cutoff k that is a multiple of D
+    CASES = [(15, 1, 49, 8), (15, 7, 7, 3), (24, 1, 121, 8), (24, 7, 7, 6)]
+
+    @pytest.mark.parametrize("D", [15, 24, 23])
+    def test_A_grid_is_the_n_coprime_to_D(self, monkeypatch, D):
+        calls = []
+        n_grid = trace._n_grid
+        monkeypatch.setattr(
+            trace, "_n_grid", lambda *a: calls.append((a, n_grid(*a))) or calls[-1][1]
+        )
+        q.A_numeric(1, q.make_character(D), 49, t_max=4)
+        [((_, _, n_max, _), grid)] = calls
+        assert grid.n.tolist() == [n for n in range(1, n_max + 1) if math.gcd(n, D) == 1]
+        assert grid.root.size == grid.w.size == grid.j1.size == grid.n.size
+        assert np.all(grid.w != 0)
+
+    @pytest.mark.parametrize("D,m,N,t_max", CASES)
+    def test_A_matches_full_grid(self, monkeypatch, D, m, N, t_max):
+        chi = q.make_character(D)
+        value, size, err, cutoffs = full_grid_A(m, chi, N, t_max)
+        assert any(k % D == 0 for k in cutoffs)
+        assert any(math.gcd(k, D) == 1 for k in cutoffs)
+        summed = []
+        sa_partial = trace._sa_partial
+        monkeypatch.setattr(
+            trace, "_sa_partial",
+            lambda *a: summed.append(a[-2].n[: a[-1]].tolist()) or sa_partial(*a),
+        )
+        a = q.A_numeric(m, chi, N, t_max=t_max)
+        # each modulus sums exactly the n <= k coprime to D
+        assert summed == [
+            [n for n in range(1, k + 1) if math.gcd(n, D) == 1] for k in cutoffs
+        ]
+        assert abs(a.value - value) <= 1e-15 * size
+        assert repr(a.error_bound) == repr(err)
 
 
 class TestNumericSeries:
