@@ -24,8 +24,9 @@ _EXPORTS = {
     ),
     "bessel": ("bessel_j1",),
     "bounds": (
-        "TailBounds", "WeilCase", "tail_bounds", "trig_sum_bound", "trig_sum_direct",
-        "twisted_dft", "twisted_partial_bound", "twisted_partial_sup", "weil_bound",
+        "DTail", "TailBounds", "WeilCase", "abel_sb_bound", "hybrid_d_cap", "hybrid_d_tail",
+        "tail_bounds", "trig_sum_bound", "trig_sum_direct", "twisted_dft",
+        "twisted_partial_bound", "twisted_partial_sup", "weil_bound",
     ),
     "compgroup": (
         "ComponentGroup", "RhoValueSet", "SupersingularCounts", "component_group",

@@ -3,13 +3,15 @@
 Both sides of every inequality are exposed: the Weil bounds on S(m,n;c)
 in all four refinement cases, the character-twisted Kloosterman DFT and
 its partial-sum (Polya-Vinogradov style) bound, the trigonometric sum
-S_{K,F} against (4F/pi^2)(log F + 1.5), and the three elementary tail
-estimates used to truncate the trace-formula series.
+S_{K,F} against (4F/pi^2)(log F + 1.5), the three elementary tail
+estimates used to truncate the trace-formula series, and the hybrid
+Abel/Weil tail of B's d-sum that rests on them.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -159,3 +161,106 @@ def tail_bounds(lam: int) -> TailBounds:
         raise ValueError("lambda must be >= 1")
     ll = math.log(lam)
     return TailBounds(ll + 1.0, ll * ll / 2.0, (2.0 * ll + 7.0) / math.sqrt(lam))
+
+
+# C >= 1/2 + V, where V = int_0^inf |J2(y)|/y dy is the total variation of
+# J1(y)/y: 0.9745 over the first 200 lobes between zeros of J2, plus at most
+# 0.0636 beyond them, bounded through the decreasing y (J2^2 + Y2^2)
+# (0.9862 + 0.0451 over 399 lobes).
+ABEL_C = 1.55
+
+
+def abel_sb_bound(D: int, m: int, N: int, d: int) -> float:
+    """(16 sqrt(Dm)/(pi sqrt(N))) C (log(Dd) + 1.5) >= |S_B(d)| for d != D.
+
+    Abel summation of chi(n) S(n, m Nbar; d) against
+    g(n) = e^(-nx) J1(beta sqrt(n))/sqrt(n), beta = 4 pi sqrt(m)/(d sqrt(N)):
+    the partial sums are at most twisted_partial_bound(d, D), and g has
+    total variation at most beta (1/2 + V) <= beta C.  At d = D the period
+    sum need not vanish and only the Weil bound holds."""
+    return _abel_scale(D, m, N) * (math.log(D * d) + 1.5)
+
+
+def _abel_scale(D: int, m: int, N: int) -> float:
+    return 16.0 * ABEL_C * math.sqrt(D * m) / (math.pi * math.sqrt(N))
+
+
+class DTail(NamedTuple):
+    """A bound on sum_{d > d_max} |S_B(d)|/d, split by the estimate used:
+    `abel` covers d_max < d <= d1 and `weil` everything beyond d1, plus
+    the d = D term when d_max < D <= d1."""
+
+    abel: float
+    weil: float
+    d1: int
+
+    @property
+    def total(self) -> float:
+        return self.abel + self.weil
+
+
+def hybrid_d_tail(D: int, m: int, N: int, d_max: int) -> DTail:
+    """B's d-tail past d_max: the per-d Abel bound on d_max < d <= d1,
+    summed through the integral of the decreasing (log(Dd) + 1.5)/d, the
+    Weil-induced D sqrt(m) (2 log(d1+1) + 7)/sqrt(d1+1) beyond d1, and the
+    Weil term sqrt(m) tau(D)/sqrt(D) of d = D if it falls in the Abel range.
+
+    d1 minimises the total, so the result is never above the pure Weil
+    tail (d1 = d_max).  No S_B(d) is evaluated."""
+    if d_max < 1:
+        raise ValueError("d_max must be >= 1")
+    k = _abel_scale(D, m, N)
+    weil_scale = D * math.sqrt(m)
+    log0 = math.log(D * d_max) + 1.5
+
+    def split(d1: int) -> DTail:
+        log1 = math.log(D * d1) + 1.5
+        weil = weil_scale * tail_bounds(d1 + 1).tau_tail
+        if d_max < D <= d1:
+            weil += divisor_count(D) * math.sqrt(m) / math.sqrt(D)
+        return DTail(k * (log1 * log1 - log0 * log0) / 2.0, weil, d1)
+
+    # The smooth part of the total falls, then rises (the Weil tail falls
+    # like log(d)/d^(3/2) while the Abel integrand is log(Dd)/d), so its
+    # minimum over d1 >= d_max is where it first stops falling.
+    def smooth(d1: int) -> float:
+        log1 = math.log(D * d1) + 1.5
+        return k * log1 * log1 / 2.0 + weil_scale * tail_bounds(d1 + 1).tau_tail
+
+    best = _first_rise(smooth, d_max)
+    candidates = [d_max, best]
+    if d_max < D:
+        # the d = D term splits the range: the best d1 below D, and above
+        candidates = [d_max, min(best, D - 1), max(best, D)]
+    return min((split(d1) for d1 in candidates), key=lambda t: t.total)
+
+
+def _first_rise(f: Callable[[int], float], lo: int) -> int:
+    """The smallest integer t >= lo with f(t + 1) >= f(t), for an f that
+    falls and then rises."""
+    hi = lo
+    while f(hi + 1) < f(hi):
+        lo, hi = hi + 1, 2 * hi + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if f(mid + 1) < f(mid):
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+def hybrid_d_cap(D: int, m: int, N: int, d_ref: int) -> int:
+    """The smallest d_max whose hybrid tail is no larger than the Weil
+    tail at d_ref, D sqrt(m) (2 log(d_ref+1) + 7)/sqrt(d_ref+1).
+
+    The hybrid tail does not grow with d_max, so a bisection finds it."""
+    target = D * math.sqrt(m) * tail_bounds(d_ref + 1).tau_tail
+    lo, hi = 1, d_ref
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if hybrid_d_tail(D, m, N, mid).total <= target:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo

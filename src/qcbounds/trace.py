@@ -31,8 +31,13 @@ lower bound
 
 with one-sided 1e-12 rounding inflation (a pragmatic surrogate for full
 interval arithmetic); the numeric series evaluation is advisory and
-carries explicit truncation error bounds from the Weil-induced majorants
-and the tau-tail estimate.  Only the numeric path loads numpy (with
+carries explicit truncation error bounds: Weil-induced majorants for the
+n-tails and A's c-tail, and for B's d-tail the hybrid of
+bounds.hybrid_d_tail (the paper's Abel transform per d up to a d1 chosen
+to minimise the total, the Weil tau-tail beyond).  By default B stops
+at the fewest moduli whose hybrid tail is no larger than the Weil tail
+at 800 (_resolve_d_max): a few dozen for (1, p^2), 800 for the level-p
+shapes.  Only the numeric path loads numpy (with
 bessel, kernels and bounds), inside the functions that use it, so a
 closed-form certificate starts without it.
 """
@@ -70,6 +75,8 @@ DEFAULT_D_TERMS = 800
 
 def _level_prime(N: int) -> int:
     """The prime p with N = p or N = p^2."""
+    if N < 2:
+        raise UnsupportedCase(f"level {N} is neither p nor p^2")
     if is_prime(N):
         return N
     r = math.isqrt(N)
@@ -93,11 +100,11 @@ class PairingParams:
     chi: QuadraticCharacter
 
     def __post_init__(self) -> None:
+        _check_case(self.m, self.N)
         if math.gcd(self.N * self.m, self.chi.D) != 1:
             raise DividesDiscriminant(
                 f"gcd({self.m}*{self.N}, {self.chi.D}) must be 1"
             )
-        _check_case(self.m, self.N)
 
     @property
     def epsilon(self) -> int:
@@ -304,11 +311,13 @@ def A_numeric(
 def B_numeric(
     m: int, chi: QuadraticCharacter, N: int, *, d_max: int = DEFAULT_D_TERMS
 ) -> NumericResult:
-    """B(m,chi,N) = sum_{(d,N)=1} S_B(d)/d over d <= d_max, with the tail
-    beyond the last d bounded through the Weil-induced
-    |S_B(d)| <= D sqrt(m) tau(d)/sqrt(d); each S_B(d) is folded by residue
-    mod d and dotted once with its row (_sb_sum)."""
-    from .bounds import tail_bounds
+    """B(m,chi,N) = sum_{(d,N)=1} S_B(d)/d over d <= d_max; each S_B(d) is
+    folded by residue mod d and dotted once with its row (_sb_sum).  The
+    moduli beyond d_max are bounded by bounds.hybrid_d_tail: the Abel
+    (Polya-Vinogradov) bound per d up to the d1 that minimises the total,
+    the Weil-induced |S_B(d)| <= D sqrt(m) tau(d)/sqrt(d) beyond d1 and
+    at d = D."""
+    from .bounds import hybrid_d_tail
 
     if d_max < 1:
         raise ValueError("d_max must be >= 1")
@@ -317,8 +326,18 @@ def B_numeric(
     return _modulus_series(
         chi, params.x, moduli, [_sb_prefactor(m, d, N) for d in moduli],
         lambda grid, d, k: _sb_partial(m, N, d, grid, k),
-        chi.D * math.sqrt(m) * tail_bounds(moduli[-1] + 1).tau_tail, coprime=False,
+        hybrid_d_tail(chi.D, m, N, d_max).total, coprime=False,
     )
+
+
+def _resolve_d_max(m: int, N: int, chi: QuadraticCharacter, d_max: int | None) -> int:
+    """d_max itself, or for None the fewest moduli of B(m,chi,N) whose
+    hybrid d-tail is no larger than the Weil tail at 800 moduli."""
+    if d_max is not None:
+        return d_max
+    from .bounds import hybrid_d_cap
+
+    return hybrid_d_cap(chi.D, m, N, DEFAULT_D_TERMS)
 
 
 def A_bound(m: int, chi: QuadraticCharacter, N: int) -> float:
@@ -351,12 +370,13 @@ def pairing_numeric(
     chi: QuadraticCharacter,
     *,
     t_max: int = DEFAULT_C_TERMS,
-    d_max: int = DEFAULT_D_TERMS,
+    d_max: int | None = None,
 ) -> NumericResult:
-    """Assemble (a_m, L_chi)_N from the A and B series."""
+    """Assemble (a_m, L_chi)_N from the A and B series; d_max=None takes
+    B's cap from _resolve_d_max."""
     params = PairingParams(m, N, chi)
     a = A_numeric(m, chi, N, t_max=t_max)
-    b = B_numeric(m, chi, N, d_max=d_max)
+    b = B_numeric(m, chi, N, d_max=_resolve_d_max(m, N, chi, d_max))
     lead = 4.0 * math.pi * chi(m) * math.exp(-m * params.x)
     scale = _EIGHT_PI_SQ * math.sqrt(m)
     value = lead - scale * (a.value + params.epsilon / math.sqrt(N) * b.value)
@@ -378,7 +398,7 @@ def new_plus_pairing(
     chi: QuadraticCharacter,
     *,
     t_max: int = DEFAULT_C_TERMS,
-    d_max: int = DEFAULT_D_TERMS,
+    d_max: int | None = None,
 ) -> NumericResult:
     """(a_1, L_chi)_{p^2}^{+,new} = (a_1,L_chi)_{p^2}
     - p/(p^2-1) (a_1,L_chi)_p + chi(p)/(p^2-1) (a_p,L_chi)_p."""
@@ -508,12 +528,23 @@ def certify_numeric(
     chi: QuadraticCharacter,
     *,
     t_max: int = DEFAULT_C_TERMS,
-    d_max: int = DEFAULT_D_TERMS,
+    d_max: int | None = None,
 ) -> Certificate:
     """Advisory certificate from the numeric series: value minus its
-    truncation error bound, divided by 4 pi."""
+    truncation error bound, divided by 4 pi.
+
+    Besides value and error_bound, the components name the d_max used for
+    each B shape and split B(1,p^2)'s d-tail into its Abel and Weil parts,
+    both in units of error_bound (8 pi^2/p times the tail)."""
+    from .bounds import hybrid_d_tail
+
     res = new_plus_pairing(p, chi, t_max=t_max, d_max=d_max)
     lower = (res.value - res.error_bound) / (4.0 * math.pi)
     verdict = CERTIFIED_POSITIVE if lower > _CERT_MARGIN else INDETERMINATE
-    components = {"value": res.value, "error_bound": res.error_bound}
+    components: dict[str, float] = {"value": res.value, "error_bound": res.error_bound}
+    for name, m, N in (("B(1,p^2)", 1, p * p), ("B(1,p)", 1, p), ("B(p,p)", p, p)):
+        components[f"{name} d_max"] = _resolve_d_max(m, N, chi, d_max)
+    tail = hybrid_d_tail(chi.D, 1, p * p, components["B(1,p^2) d_max"])
+    components["B(1,p^2) abel_tail"] = _EIGHT_PI_SQ * tail.abel / p
+    components["B(1,p^2) weil_tail"] = _EIGHT_PI_SQ * tail.weil / p
     return Certificate(verdict, lower, MODE_NUMERIC, components)

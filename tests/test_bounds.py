@@ -9,6 +9,7 @@ import pytest
 import qcbounds as q
 from qcbounds import verify
 from qcbounds.bounds import (
+    ABEL_C,
     WEIL_BOTH,
     WEIL_COPRIME,
     WEIL_GENERIC,
@@ -105,6 +106,18 @@ class TestWeilBound:
         )
         res = verify.weil_suite(max_c=4, max_mn=2)
         assert res.failures == [f"c={c}: imaginary part 1.00e+00" for c in range(1, 5)]
+
+    def test_suite_checks_periodicity_against_the_fft_row(self, monkeypatch):
+        # a wrong FFT row is caught at every (m, n) of each modulus c <= max_mn,
+        # and the check count does not depend on it
+        row = verify.kloosterman_row
+        monkeypatch.setattr(verify, "kloosterman_row", lambda m, c: row(m, c) + 0.5)
+        res = verify.weil_suite(max_c=4, max_mn=2)
+        assert res.failures == [
+            f"periodicity fails at ({m},{n},{c})"
+            for c in (1, 2) for m in (1, 2) for n in (1, 2)
+        ]
+        assert res.checks == 4 * (2 * 4 + 2) + len(q.fundamental_discriminants(3, 500))
 
 
 class TestTrigSum:
@@ -210,3 +223,117 @@ class TestTails:
         suffix = np.cumsum(terms[::-1])[::-1]
         for lam in (1, 2, 5, 10, 100, 500, 1000):
             assert suffix[lam - 1] <= q.tail_bounds(lam).tau_tail
+
+
+# The numeric-certify primes: the first admissible prime above 50 D^(1/4) log D.
+CERTIFY_PAIRS = ((15, 269), (19, 311), (20, 317), (23, 347), (24, 353), (31, 409))
+
+
+def _weil_tail(D, m, d_max):
+    return D * math.sqrt(m) * q.tail_bounds(d_max + 1).tau_tail
+
+
+class TestHybridDTail:
+    """The Abel/Weil d-tail of B and the two facts it rests on."""
+
+    def test_partial_sums_below_bound_at_the_SB_argument(self):
+        # chi(n) S(a, n; d) at a = m Nbar mod d, the sequence S_B(d) sums
+        rng = np.random.default_rng(2012)
+        for D, p in CERTIFY_PAIRS:
+            chi = q.make_character(D)
+            sampled = rng.choice(np.arange(61, 2001), size=6, replace=False).tolist()
+            for m, N in ((1, p * p), (1, p), (p, p)):
+                for d in list(range(1, 61)) + sampled + [2000]:
+                    if d == D or math.gcd(d, N) != 1:
+                        continue
+                    a = m * pow(N, -1, d) % d
+                    sup = q.twisted_partial_sup(a, d, chi)
+                    assert sup <= q.twisted_partial_bound(d, D), (D, p, m, d)
+
+    def test_abel_constant_against_mpmath(self):
+        # V = int_0^inf |J2(y)|/y dy, the total variation of J1(y)/y.  J2 keeps
+        # its sign between consecutive zeros and (J1(y)/y)' = -J2(y)/y, so each
+        # lobe integrates to |J1(a)/a - J1(b)/b|.  Past the last zero y0,
+        # |J2(y)| <= sqrt(J2^2 + Y2^2)(y) <= sqrt(y0 M0^2 / y), M0^2 the value
+        # at y0, because y (J2^2 + Y2^2) decreases (order > 1/2); integrating
+        # that majorant against 1/y leaves at most 2 M0.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(20):
+            zeros = [mpmath.mpf(0)] + [mpmath.besseljzero(2, k) for k in range(1, 201)]
+
+            def f(y):
+                return mpmath.besselj(1, y) / y if y else mpmath.mpf(1) / 2
+
+            lobes = [abs(f(a) - f(b)) for a, b in zip(zeros, zeros[1:])]
+            for a, b, lobe in list(zip(zeros, zeros[1:], lobes))[:3]:
+                quad = mpmath.quad(lambda y: abs(mpmath.besselj(2, y)) / y, [a, b])
+                assert abs(quad - lobe) < 1e-15
+            y0 = zeros[-1]
+
+            def modulus_sq(y):
+                return mpmath.besselj(2, y) ** 2 + mpmath.bessely(2, y) ** 2
+
+            ys = [y0 * (1 + k / 4) for k in range(9)]
+            decay = [y * modulus_sq(y) for y in ys]
+            assert decay == sorted(decay, reverse=True)
+            remainder = 2 * mpmath.sqrt(modulus_sq(y0))
+            v_upper = mpmath.fsum(lobes) + remainder
+        assert 0.974 < mpmath.fsum(lobes) < 0.975 and remainder < 0.064
+        assert 0.5 + v_upper <= ABEL_C
+
+    @pytest.mark.parametrize("D, p", [(15, 271), (31, 431), (3, 73)])
+    def test_never_above_weil(self, D, p):
+        for m, N in ((1, p * p), (1, p), (p, p)):
+            for d_max in range(1, 801):
+                tail = q.hybrid_d_tail(D, m, N, d_max)
+                assert tail.total <= _weil_tail(D, m, d_max), (m, N, d_max)
+                assert tail.d1 >= d_max and tail.abel >= 0.0
+
+    @pytest.mark.parametrize("D, p, d_max", [
+        (15, 271, 27), (15, 271, 1), (31, 431, 1), (31, 431, 40), (3, 73, 300), (15, 7, 5),
+    ])
+    def test_split_and_minimum(self, D, p, d_max):
+        # the parts are the formulas at d1, and no d1 up to 4x beyond does better
+        N = p * p
+        tail = q.hybrid_d_tail(D, 1, N, d_max)
+        k = 16 * ABEL_C * math.sqrt(D) / (math.pi * p)
+
+        def total(d1):
+            log0, log1 = math.log(D * d_max) + 1.5, math.log(D * d1) + 1.5
+            t = k * (log1**2 - log0**2) / 2 + _weil_tail(D, 1, d1)
+            return t + (d_max < D <= d1) * tau(D) / math.sqrt(D)
+
+        assert tail.total == pytest.approx(total(tail.d1), rel=1e-12)
+        assert tail.abel == pytest.approx(k * ((math.log(D * tail.d1) + 1.5) ** 2
+                                               - (math.log(D * d_max) + 1.5) ** 2) / 2,
+                                          rel=1e-12, abs=1e-15)
+        # every d1 near the minimum, and a grid of 2000 up to 4 d1
+        step = max(1, tail.d1 // 500)
+        grid = list(range(max(d_max, tail.d1 - 50), tail.d1 + 51))
+        grid += list(range(d_max, 4 * tail.d1 + 2, step))
+        assert tail.total <= min(map(total, grid)) * (1 + 1e-12)
+
+    def test_d_equals_D_keeps_its_weil_term(self):
+        # (31, 431) at d_max = 1: d1 lies beyond D = 31, so its Weil term is in
+        tail = q.hybrid_d_tail(31, 1, 431**2, 1)
+        assert tail.d1 > 31
+        rest = _weil_tail(31, 1, tail.d1)
+        assert tail.weil == pytest.approx(rest + tau(31) / math.sqrt(31), rel=1e-12)
+
+    def test_cap_is_the_smallest(self):
+        for D, p in ((15, 271), (31, 431), (19, 311), (3, 73)):
+            for m, N in ((1, p * p), (1, p), (p, p)):
+                cap = q.hybrid_d_cap(D, m, N, 800)
+                target = _weil_tail(D, m, 800)
+                assert q.hybrid_d_tail(D, m, N, cap).total <= target
+                if cap > 1:
+                    assert q.hybrid_d_tail(D, m, N, cap - 1).total > target
+        assert q.hybrid_d_cap(15, 1, 271**2, 800) == 27
+        assert q.hybrid_d_cap(31, 1, 431**2, 800) == 1
+        # at N = p the Abel bound's 1/sqrt(N) gains too little: the cap stays
+        assert q.hybrid_d_cap(15, 1, 271, 800) == 800
+        assert q.hybrid_d_cap(15, 271, 271, 800) == 800
+
+    def test_rejects_d_max_below_one(self):
+        with pytest.raises(ValueError, match="d_max"):
+            q.hybrid_d_tail(15, 1, 271**2, 0)

@@ -236,3 +236,34 @@ class TestVerifyCommand:
         assert main(["verify", "--suite", "weil", "--max-c", "0", "--quiet"]) == 2
         assert "max_c" in capsys.readouterr().err
         assert main(["verify", "--suite", "trig", "--max-c", "-3", "--quiet"]) == 2
+
+    @pytest.mark.parametrize("suite", ["trig", "envelope", "tails"])
+    def test_max_c_outside_weil_rejected(self, suite, capsys):
+        # only the weil suite reads --max-c; elsewhere it is an input error,
+        # not a silently ignored option
+        assert main(["verify", "--suite", suite, "--max-c", "5", "--json"]) == 2
+        captured = capsys.readouterr()
+        assert "max_c applies to the weil suite only" in captured.err
+        assert captured.out == ""
+
+
+class TestPairingCommand:
+    @pytest.mark.parametrize("level", ["0", "1", "-49"])
+    def test_bad_level_has_its_own_message(self, level, capsys):
+        assert main(["pairing", "--m", "1", "--level", level, "--disc", "3", "--quiet"]) == 2
+        assert f"error: level {level} is neither p nor p^2" in capsys.readouterr().err
+
+
+class TestNumericCertifyJson:
+    def test_reports_caps_and_tail_split(self, capsys):
+        argv = ["certify", "--disc", "15", "--prime", "271", "--mode", "numeric", "--json"]
+        assert main(argv) == 0
+        comp = json.loads(capsys.readouterr().out)["result"]["components"]
+        assert list(comp) == [
+            "value", "error_bound", "B(1,p^2) d_max", "B(1,p) d_max", "B(p,p) d_max",
+            "B(1,p^2) abel_tail", "B(1,p^2) weil_tail",
+        ]
+        assert (comp["B(1,p^2) d_max"], comp["B(1,p) d_max"], comp["B(p,p) d_max"]) == (
+            27, 800, 800,
+        )
+        assert comp["error_bound"] == 3.6021287676857296

@@ -207,6 +207,49 @@ class TestNumericSeries:
         long = q.A_numeric(1, CHI3, 49, t_max=64)
         assert long.error_bound < short.error_bound
 
+    def test_B_explicit_cap_keeps_value_with_hybrid_tail(self):
+        # explicit caps sum exactly those moduli: the value is the one the
+        # Weil d-tail engine gave (error 29.234176293947236 then); only the
+        # tail past d_max changed
+        b = q.B_numeric(1, CHI15, 271**2, d_max=60)
+        assert b.value == -0.013674232353845508
+        weil = 15 * tail_bounds(61).tau_tail
+        hybrid = q.hybrid_d_tail(15, 1, 271**2, 60).total
+        assert b.error_bound == pytest.approx(29.234176293947236 - weil + hybrid, rel=1e-12)
+        assert b.error_bound <= 29.234176293947236
+
+    @pytest.mark.parametrize("D, p", [(15, 271), (31, 431)])
+    def test_abel_bound_holds_per_modulus(self, D, p):
+        # |S_B(d)| over the full n-series (partial sum plus its n-tail) lies
+        # below the per-d Abel bound for every d != D; at d = D, where the
+        # period sum need not vanish, it does not, so the tail takes the
+        # Weil term there
+        chi, N = q.make_character(D), p * p
+        n_max = int(40 * D * p / (2 * math.pi))  # e^(-n x) < e^(-40) beyond
+        rng = np.random.default_rng(D)
+        sampled = rng.choice(np.arange(801, 40_001), size=8, replace=False).tolist()
+        for d in list(range(1, 51)) + sampled + [40_000]:
+            if math.gcd(d, N) != 1:
+                continue
+            sv = q.series_SB(1, chi, N, d, n_max)
+            ratio = (abs(sv.value) + sv.tail_bound) / q.abel_sb_bound(D, 1, N, d)
+            if d == D:
+                assert ratio > 1.1, d
+            else:
+                assert ratio < 1.0, d
+
+    def test_default_cap_resolved_before_B(self, monkeypatch):
+        # B_numeric (and bench/tracer.py's cap count) always sees an int
+        seen = []
+        b_numeric = trace.B_numeric
+        monkeypatch.setattr(
+            trace, "B_numeric",
+            lambda m, chi, N, *, d_max: seen.append(d_max) or b_numeric(m, chi, N, d_max=d_max),
+        )
+        q.pairing_numeric(1, 271**2, CHI15, t_max=4)
+        q.pairing_numeric(1, 271**2, CHI15, t_max=4, d_max=9)
+        assert seen == [27, 9]
+
     def test_caps_are_keyword_only(self):
         # bench/tracer.py binds the caps by name; keyword-only keeps a stray
         # positional argument from becoming a cap
@@ -221,6 +264,12 @@ class TestNumericSeries:
             q.A_numeric(1, CHI3, 49, t_max=0)
         with pytest.raises(ValueError, match="d_max"):
             q.B_numeric(1, CHI3, 49, d_max=0)
+
+    @pytest.mark.parametrize("N", [0, 1, -49])
+    def test_level_below_two_rejected(self, N):
+        # the level's shape is checked before gcd(m N, D)
+        with pytest.raises(UnsupportedCase, match=f"level {N} is neither p nor p\\^2"):
+            q.pairing_numeric(1, N, CHI3)
 
     def test_unsupported_case(self):
         with pytest.raises(UnsupportedCase):
@@ -278,17 +327,48 @@ class TestNewPlusPairing:
     def test_frozen_anchor_271_15(self):
         # Frozen from the engine that built one row per (m, c); rows read
         # from the per-modulus base row differ from those by rounding only.
+        # The hybrid d-tail took the error bound from 5.3286327878170345.
         res = q.new_plus_pairing(271, CHI15, t_max=64, d_max=300)
-        assert res.error_bound == 5.3286327878170345
+        assert res.error_bound == 3.143876520552363
+        assert res.error_bound <= 5.3286327878170345
         assert res.value == pytest.approx(12.519165051681355, rel=1e-12)
 
     def test_frozen_certificate_31_431(self):
         # The largest n-grid of the numeric-certify domain (D = 15..31 near
-        # the threshold).  The error bound depends on cutoffs only.
-        cert = q.certify_numeric(431, q.make_character(31))
-        assert cert.components["error_bound"] == 4.544043085213125
+        # the threshold), at the caps it used before the hybrid d-tail: the
+        # value is unchanged, the error bound (4.544043085213125 under the
+        # Weil d-tail) depends on cutoffs only.
+        cert = q.certify_numeric(431, q.make_character(31), t_max=240, d_max=800)
         assert cert.components["value"] == 12.539310509256302
-        assert cert.lower_bound == 0.6362431659390382
+        assert cert.components["error_bound"] == 2.239763050780716
+        assert cert.components["error_bound"] <= 4.544043085213125
+        assert cert.lower_bound == 0.8196119448129785
+
+    def test_frozen_default_certificate_31_431(self):
+        # At the default caps B(1,p^2) evaluates d = 1 only: its hybrid tail
+        # is already below the Weil tail at d = 800.
+        cert = q.certify_numeric(431, q.make_character(31))
+        assert cert.components["value"] == 12.53479667683292
+        assert cert.components["error_bound"] == 3.339114662497137
+        assert cert.lower_bound == 0.7317691238413886
+        assert cert.verdict == "certified-positive"
+
+    def test_numeric_certificate_reports_its_caps(self):
+        cert = q.certify_numeric(271, CHI15)
+        comp = cert.components
+        assert comp["B(1,p^2) d_max"] == 27
+        assert comp["B(1,p) d_max"] == 800
+        assert comp["B(p,p) d_max"] == 800
+        assert comp["B(1,p^2) abel_tail"] == 2.0883259854834946
+        assert comp["B(1,p^2) weil_tail"] == 1.0546810747957827
+        # the parts are B(1,p^2)'s d-tail in units of error_bound
+        tail = q.hybrid_d_tail(15, 1, 271**2, 27)
+        scale = 8 * math.pi**2 / 271
+        assert comp["B(1,p^2) abel_tail"] == pytest.approx(scale * tail.abel, rel=1e-15)
+        assert comp["B(1,p^2) weil_tail"] == pytest.approx(scale * tail.weil, rel=1e-15)
+        assert comp["error_bound"] == 3.6021287676857296
+        assert comp["error_bound"] <= 3.6048642901414336  # under the Weil d-tail
+        assert comp["value"] == 12.51975213119951
 
     def test_guards(self):
         with pytest.raises(NotPrime):
@@ -350,6 +430,9 @@ class TestCertificates:
         cert = q.certify_numeric(73, CHI3, t_max=72, d_max=300)
         assert cert.mode == "numeric-advisory"
         assert cert.components["value"] > 0
+        # an explicit cap serves every B shape
+        for shape in ("B(1,p^2)", "B(1,p)", "B(p,p)"):
+            assert cert.components[f"{shape} d_max"] == 300
 
 
 class TestNonsplitThreshold:
