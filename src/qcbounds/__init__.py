@@ -17,7 +17,8 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "arith": (
-        "MultiplicativeValues", "QuadraticCharacter", "divisor_count", "euler_phi",
+        "MultiplicativeValues", "QuadraticCharacter", "divisor_count", "divisor_counts",
+        "euler_phi",
         "factorize", "fundamental_discriminants", "gauss_sum", "is_fundamental_negative",
         "is_prime", "kloosterman_direct", "kloosterman_fast", "kronecker",
         "make_character", "mod_inverse", "multiplicative_functions", "next_prime",

@@ -110,6 +110,19 @@ def divisor_count(n: int) -> int:
     return multiplicative_functions(n).tau
 
 
+def divisor_counts(n_max: int) -> np.ndarray:
+    """tau(n) for n = 0..n_max (0 at n = 0) as an int32 array, sieved over
+    the divisor pairs (d, n/d) with d <= sqrt(n): two divisors, one if
+    d*d = n."""
+    import numpy as np
+
+    tau = np.zeros(n_max + 1, dtype=np.int32)
+    for d in range(1, math.isqrt(n_max) + 1):
+        tau[d * d::d] += 2
+        tau[d * d] -= 1
+    return tau
+
+
 def euler_phi(n: int) -> int:
     return multiplicative_functions(n).phi
 

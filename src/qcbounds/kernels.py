@@ -17,12 +17,11 @@ over many multiples of the level.  Three tools keep that cheap:
 * the classical closed form for S(1, y; p^a), p odd and a >= 2: the sum
   vanishes unless y is a unit square mod p^a, and otherwise equals
   2 p^(a/2) cos(4 pi w / p^a) with w^2 = y (a even), with a
-  Legendre-symbol/sine variant for odd a.  At a = 2, the only power the
-  levels p^2 meet unless p | t, one vectorised pass over the units w
-  writes the whole row S(1, . ; p^2) (row[w^2] = 2p cos(4 pi w/p^2)), so
-  a series reads it like any other row.  a >= 3, and p^2 too large for a
-  row, evaluate the closed form per term, vectorised: a square root of
-  each term is read from a table mod p and Hensel-lifted to p^a.
+  Legendre-symbol/sine variant for odd a.  It is evaluated per term,
+  vectorised: a square root of each term is read from a table mod p and
+  Hensel-lifted to p^a.  The levels p^2 meet a = 2 at every modulus, but
+  a certificate's planned caps evaluate only a handful of them, so no
+  p^2 row is built.
 
 All kernels are verified against direct enumeration in the test suite.
 """
@@ -37,14 +36,6 @@ import numpy as np
 from .arith import _units_and_inverses
 
 _TWO_PI = 2.0 * math.pi
-
-# Largest p^2 whose closed-form row is built; larger squares take the
-# per-term closed form.  Timed on one certificate (D = 23, p = 347..2099,
-# 2-CPU VM), the row took 30-46% less time at every p, but its p^2 floats
-# and build temporaries raised peak RSS by about 14 p^2 bytes: +3% at
-# p = 347, +11% at 701, +20% at 1009, +75% at 2099.  2^19 (p <= 719)
-# keeps that rise under the 15% peak-RSS bound of the benchmark.
-_P2_ROW_MAX = 1 << 19
 
 
 def _fft_row(m: int, c: int) -> np.ndarray:
@@ -95,41 +86,22 @@ def _sqrt_table(p: int) -> tuple[np.ndarray, np.ndarray]:
     return root, inv2
 
 
-@lru_cache(maxsize=1)
-def _p2_row(p: int) -> np.ndarray:
-    """The read-only row S(1, y; p^2) for y = 0..p^2-1, p odd.
-
-    S(1, w^2; p^2) = 2p cos(4 pi w/p^2) for a unit w and the sum vanishes
-    off the unit squares.  w and -w share a square, so w runs over the
-    units below p^2/2 and writes each unit square once.  _fft_row(1, p^2)
-    gives the same row, but it caches a p^2 unit table per prime: on the
-    numeric-certify benchmark it raised peak RSS by 46%, at equal wall
-    time within the spread (10 pairs).  One row is kept:
-    a certificate meets one prime, and every row held costs p^2 floats
-    while a rebuild takes milliseconds.
-    """
-    q = p * p
-    w = np.arange(1, (q + 1) // 2, dtype=np.int64)
-    w = w[w % p != 0]
-    row = np.zeros(q, dtype=np.float64)
-    row[(w * w) % q] = 2.0 * p * np.cos(((2 * w) % q) * (_TWO_PI / q))
-    row.flags.writeable = False
-    return row
-
-
 def _salie(p: int, a: int, y: np.ndarray) -> np.ndarray:
     """S(1, y; p^a) for p odd, a >= 2 and an int64 array y of residues
     mod p^a (w*w below stays under p^(2a-2), in int64 for p^a < 2^31).
 
-    The sum vanishes unless y is a unit square.  A root w of y is read
-    from the table mod p and lifted one p-adic digit per Hensel step;
-    then S = 2 p^(a/2) cos(4 pi w/p^a) for even a, with the
+    The sum vanishes unless y is a unit square, so only the unit squares
+    (about half the terms) are evaluated.  A root w of y is read from the
+    table mod p and lifted one p-adic digit per Hensel step; then
+    S = 2 p^(a/2) cos(4 pi w/p^a) for even a, with the
     Legendre-symbol/sine variant for odd a.
     """
     q = p**a
     root, inv2 = _sqrt_table(p)
+    out = np.zeros(y.shape)
     w = root[y % p]
-    mask = w != 0
+    squares = np.flatnonzero(w)
+    w, y = w[squares], y[squares]
     pe = 1
     for _ in range(a - 1):  # w^2 = y mod p*pe  ->  w^2 = y mod p^2*pe
         pe *= p
@@ -137,11 +109,11 @@ def _salie(p: int, a: int, y: np.ndarray) -> np.ndarray:
     amp = 2.0 * p ** (a / 2.0)
     ang = ((2 * w) % q) * (_TWO_PI / q)
     if a % 2 == 0:
-        return np.where(mask, amp * np.cos(ang), 0.0)
+        out[squares] = amp * np.cos(ang)
+        return out
     sign = np.where(root[w % p] != 0, amp, -amp)
-    if p % 4 == 1:
-        return np.where(mask, sign * np.cos(ang), 0.0)
-    return np.where(mask, -sign * np.sin(ang), 0.0)
+    out[squares] = sign * np.cos(ang) if p % 4 == 1 else -sign * np.sin(ang)
+    return out
 
 
 def _pp_values(m: int, p: int, a: int, k: int, n: np.ndarray) -> np.ndarray:
@@ -156,8 +128,6 @@ def _pp_values(m: int, p: int, a: int, k: int, n: np.ndarray) -> np.ndarray:
     if a == 1 or p == 2 or m % p == 0:
         return kloosterman_row(m, q)[(k * n) % q]
     k = m * k % q  # S(m, y; q) = S(1, m*y; q) for a unit m
-    if a == 2 and q <= _P2_ROW_MAX:
-        return _p2_row(p)[(k * n) % q]
     return _salie(p, a, (k * n) % q)
 
 
@@ -166,10 +136,9 @@ def series_kloosterman(m: int, p: int, N: int, t: int, n: np.ndarray) -> np.ndar
 
     Splits t*N = p^a * c' and evaluates both factors through the twisted
     multiplicativity identity.  The p-power factor reads the row mod p at
-    a = 1 and the closed-form p^2 row at a = 2 (p^2 <= _P2_ROW_MAX); a >= 3,
-    which needs p | t, and a larger p^2 take the vectorised closed form
-    with one lifted square root per term (_salie).  p | m at a >= 2, which
-    also needs p | t, reads the row S(m, . ; p^a) like a = 1.
+    a = 1; a >= 2 takes the vectorised closed form with one lifted square
+    root per term (_salie).  p | m at a >= 2, which needs p | t, reads the
+    row S(m, . ; p^a) like a = 1.
     """
     c = t * N
     a = 0

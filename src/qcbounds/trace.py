@@ -34,22 +34,27 @@ interval arithmetic); the numeric series evaluation is advisory and
 carries explicit truncation error bounds: Weil-induced majorants for the
 n-tails and A's c-tail, and for B's d-tail the hybrid of
 bounds.hybrid_d_tail (the paper's Abel transform per d up to a d1 chosen
-to minimise the total, the Weil tau-tail beyond).  By default B stops
-at the fewest moduli whose hybrid tail is no larger than the Weil tail
-at 800 (_resolve_d_max): a few dozen for (1, p^2), 800 for the level-p
-shapes.  Only the numeric path loads numpy (with
-bessel, kernels and bounds), inside the functions that use it, so a
-closed-form certificate starts without it.
+to minimise the total, the Weil tau-tail beyond).  None of these bounds
+depends on an evaluated term, so a planner (_plan) picks every series'
+cap before anything is evaluated: A's t_max and B's d_max for each
+shape, the cheapest caps on a geometric ladder whose error bound is no
+larger than the one the former fixed caps reached (t_max = 240, and B at
+bounds.hybrid_d_cap(..., 800)).  Explicit caps are summed as given.
+Only the numeric path loads numpy (with bessel, kernels and bounds),
+inside the functions that use it, so a closed-form certificate starts
+without it.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
-from .arith import QuadraticCharacter, divisor_count, is_prime
+from .arith import QuadraticCharacter, divisor_count, divisor_counts, euler_phi, is_prime
 from .errors import DividesDiscriminant, LevelMismatch, NotPrime, UnsupportedCase
 
 if TYPE_CHECKING:
@@ -69,8 +74,25 @@ MODE_CLOSED_FORM = "closed-form"
 MODE_NUMERIC = "numeric-advisory"
 MODE_WEIL_MIX = "weil-mix"
 
-DEFAULT_C_TERMS = 240
-DEFAULT_D_TERMS = 800
+# The former fixed caps, which now only set the planner's default target:
+# A summed 240 moduli, B stopped where its hybrid tail met the Weil tail
+# at 800 moduli.
+_FORMER_T_MAX = 240
+_FORMER_D_REF = 800
+# The planner's candidate caps, a geometric ladder: A's from 0
+# ("unevaluated") to 240, B's from 1 to 1600.  B may go past 800 where
+# that buys error more cheaply than A does, as at D < 15.
+_LADDER_RATIO = 1.12
+_T_TOP = 240
+_D_TOP = 1600
+# The planner's cost model, in units of one n-term of a series (about
+# 11 ns on a 2-CPU VM, J1 and its Kloosterman factor included): an A(1,p^2)
+# term, whose Kloosterman factor takes the per-term closed form, costs
+# about 90 ns; one modulus costs about 100-150 us beyond its terms (its
+# numpy calls and cold row builds).  Fitted to A_numeric/B_numeric timings
+# on six (D, p) pairs from 3 to 31.
+_SALIE_TERM_COST = 8.0
+_MODULUS_COST = 10_000.0
 
 
 def _level_prime(N: int) -> int:
@@ -132,18 +154,83 @@ def _n_cutoff(prefactor: float, x: float) -> int:
     return max(8, int(n) + 1)
 
 
-def _sa_prefactor(m: int, c: int) -> float:
+def _sa_prefactor(m: int, c: int, tau: int) -> float:
+    """The n-tail prefactor of S_A(c), given tau = tau(c)."""
     g = math.sqrt(math.gcd(m, c))
-    return _TWO_PI * math.sqrt(m) / c * g * divisor_count(c) * math.sqrt(c)
+    return _TWO_PI * math.sqrt(m) / c * g * tau * math.sqrt(c)
 
 
-def _sb_prefactor(m: int, d: int, N: int) -> float:
+def _sb_prefactor(m: int, d: int, N: int, tau: int) -> float:
+    """The n-tail prefactor of S_B(d), given tau = tau(d)."""
     g = math.sqrt(math.gcd(m, d))
-    return _TWO_PI * math.sqrt(m) / (d * math.sqrt(N)) * g * divisor_count(d) * math.sqrt(d)
+    return _TWO_PI * math.sqrt(m) / (d * math.sqrt(N)) * g * tau * math.sqrt(d)
 
 
 def _n_tail(prefactor: float, x: float, n_max: int) -> float:
     return prefactor * math.exp(-(n_max + 1) * x) / (1.0 - math.exp(-x))
+
+
+class _Terms(NamedTuple):
+    """The moduli q of one series up to its cap, each with its n-cutoff k
+    and the running sum of the n-tails at k divided by q: n_err[j] covers
+    the first j + 1 moduli.  Nothing here evaluates a term."""
+
+    moduli: Sequence[int]
+    cutoffs: list[int]
+    n_err: list[float]
+
+    def error(self, count: int, tail: float) -> float:
+        """The error bound of the first `count` moduli: their n-tails plus
+        `tail`, the bound on every modulus after them."""
+        return (self.n_err[count - 1] if count else 0.0) + tail
+
+
+def _terms(moduli: Sequence[int], prefactors: list[float], x: float) -> _Terms:
+    cutoffs = [_n_cutoff(f, x) for f in prefactors]
+    n_err = itertools.accumulate(_n_tail(f, x, k) / q for q, f, k in zip(moduli, prefactors, cutoffs))
+    return _Terms(moduli, cutoffs, list(n_err))
+
+
+def _a_terms(m: int, N: int, x: float, t_max: int) -> _Terms:
+    """A's moduli c = t N, t <= t_max.  tau(c) = tau(u) (j + a + 1) for
+    t = p^j u and N = p^a, with tau(u) read from a sieve: trial division
+    of c would run up to p."""
+    p = _level_prime(N)
+    tau = divisor_counts(t_max).tolist()
+    prefactors = []
+    for t in range(1, t_max + 1):
+        u, j = t, 1 if N == p else 2
+        while u % p == 0:
+            u, j = u // p, j + 1
+        prefactors.append(_sa_prefactor(m, t * N, tau[u] * (j + 1)))
+    return _terms(range(N, (t_max + 1) * N, N), prefactors, x)
+
+
+def _b_terms(m: int, N: int, x: float, d_max: int) -> _Terms:
+    tau = divisor_counts(d_max).tolist()
+    moduli = [d for d in range(1, d_max + 1) if math.gcd(d, N) == 1]
+    return _terms(moduli, [_sb_prefactor(m, d, N, tau[d]) for d in moduli], x)
+
+
+def _a_tail(D: int, N: int, t_max: int) -> float:
+    """A's Weil-induced c-tail past t_max N, (2D/N) tau_tail(t_max + 1);
+    14 D/N, A_bound's Weil branch, at t_max = 0."""
+    from .bounds import tail_bounds
+
+    return 2.0 * D / N * tail_bounds(t_max + 1).tau_tail
+
+
+def _b_tail(D: int, m: int, N: int, d_max: int) -> float:
+    from .bounds import hybrid_d_tail
+
+    return hybrid_d_tail(D, m, N, d_max).total
+
+
+def _check_caps(t_max: int | None, d_max: int | None) -> None:
+    if t_max is not None and t_max < 0:
+        raise ValueError("t_max must be >= 0")
+    if d_max is not None and d_max < 1:
+        raise ValueError("d_max must be >= 1")
 
 
 class _NGrid(NamedTuple):
@@ -223,7 +310,7 @@ def series_SA(
     x = _TWO_PI / (chi.D * math.sqrt(N))
     grid = _n_grid(chi, x, n_max, coprime=True)
     value = _sa_partial(m, p, N, c, grid, grid.n.size)
-    return SeriesValue(value, _n_tail(_sa_prefactor(m, c), x, n_max))
+    return SeriesValue(value, _n_tail(_sa_prefactor(m, c, divisor_count(c)), x, n_max))
 
 
 def series_SB(
@@ -240,7 +327,7 @@ def series_SB(
     _check_case(m, N)
     x = _TWO_PI / (chi.D * math.sqrt(N))
     value = _sb_partial(m, N, d, _n_grid(chi, x, n_max, coprime=False), n_max)
-    return SeriesValue(value, _n_tail(_sb_prefactor(m, d, N), x, n_max))
+    return SeriesValue(value, _n_tail(_sb_prefactor(m, d, N, divisor_count(d)), x, n_max))
 
 
 def _sb_sum(m: int, N: int, d: int, v: np.ndarray) -> float:
@@ -264,80 +351,171 @@ def _sb_sum(m: int, N: int, d: int, v: np.ndarray) -> float:
 
 
 def _modulus_series(
-    chi: QuadraticCharacter, x: float, moduli: Sequence[int], prefactors: list[float],
-    partial: Callable[[_NGrid, int, int], float], tail: float, coprime: bool,
+    chi: QuadraticCharacter, x: float, terms: _Terms,
+    partial: Callable[[_NGrid, int, int], float], error: float, coprime: bool,
 ) -> NumericResult:
-    """sum_q S(q)/q over every modulus: the one accumulator of A and B.
+    """sum_q S(q)/q over every modulus of `terms`: the one accumulator of
+    A and B, returned with `error`, the series' error bound.
 
     S(q) = partial(grid, q, j) is summed over the j grid points n <= k,
-    k the cutoff where the n-tail of prefactor q drops below 1e-15; all
-    S(q) share one n-grid, coprime to D for A (see _n_grid).  The error
-    bound adds the n-tails at k (each prefactor computed once) and
-    `tail`, the Weil-induced tail of the moduli after the last."""
+    k the cutoff where the n-tail of modulus q drops below 1e-15; all
+    S(q) share one n-grid, coprime to D for A (see _n_grid)."""
     import numpy as np
 
-    cutoffs = [_n_cutoff(f, x) for f in prefactors]
-    grid = _n_grid(chi, x, max(cutoffs), coprime)
-    counts = np.searchsorted(grid.n, cutoffs, side="right").tolist()
-    acc = err = 0.0
-    for q, f, k, j in zip(moduli, prefactors, cutoffs, counts):
+    if not terms.moduli:
+        return NumericResult(0.0, error)
+    grid = _n_grid(chi, x, max(terms.cutoffs), coprime)
+    counts = np.searchsorted(grid.n, terms.cutoffs, side="right").tolist()
+    acc = 0.0
+    for q, j in zip(terms.moduli, counts):
         acc += partial(grid, q, j) / q
-        err += _n_tail(f, x, k) / q
-    return NumericResult(acc, err + tail)
+    return NumericResult(acc, error)
 
 
-def A_numeric(
-    m: int, chi: QuadraticCharacter, N: int, *, t_max: int = DEFAULT_C_TERMS
-) -> NumericResult:
+def A_numeric(m: int, chi: QuadraticCharacter, N: int, *, t_max: int) -> NumericResult:
     """A(m,chi,N) = sum_{N|c} S_A(c)/c over the t_max moduli c = N..t_max N,
     each summed over the n coprime to D only (chi(n) = 0 elsewhere); the
     error bound aggregates the n-tails and the Weil-induced c-tail
     (2D/N) (2 log(t_max+1) + 7)/sqrt(t_max+1) of the moduli beyond.
+    t_max = 0 leaves A unevaluated: the value 0 and the whole c-tail
+    14 D/N, which is A_bound's Weil branch.
     """
-    from .bounds import tail_bounds
-
-    if t_max < 1:
-        raise ValueError("t_max must be >= 1")
+    _check_caps(t_max, None)
     params = PairingParams(m, N, chi)
     p = _level_prime(N)
-    moduli = range(N, (t_max + 1) * N, N)
+    terms = _a_terms(m, N, params.x, t_max)
     return _modulus_series(
-        chi, params.x, moduli, [_sa_prefactor(m, c) for c in moduli],
-        lambda grid, c, k: _sa_partial(m, p, N, c, grid, k),
-        2.0 * chi.D / N * tail_bounds(t_max + 1).tau_tail, coprime=True,
+        chi, params.x, terms, lambda grid, c, k: _sa_partial(m, p, N, c, grid, k),
+        terms.error(t_max, _a_tail(chi.D, N, t_max)), coprime=True,
     )
 
 
-def B_numeric(
-    m: int, chi: QuadraticCharacter, N: int, *, d_max: int = DEFAULT_D_TERMS
-) -> NumericResult:
+def B_numeric(m: int, chi: QuadraticCharacter, N: int, *, d_max: int) -> NumericResult:
     """B(m,chi,N) = sum_{(d,N)=1} S_B(d)/d over d <= d_max; each S_B(d) is
     folded by residue mod d and dotted once with its row (_sb_sum).  The
     moduli beyond d_max are bounded by bounds.hybrid_d_tail: the Abel
     (Polya-Vinogradov) bound per d up to the d1 that minimises the total,
     the Weil-induced |S_B(d)| <= D sqrt(m) tau(d)/sqrt(d) beyond d1 and
     at d = D."""
-    from .bounds import hybrid_d_tail
-
-    if d_max < 1:
-        raise ValueError("d_max must be >= 1")
+    _check_caps(None, d_max)
     params = PairingParams(m, N, chi)
-    moduli = [d for d in range(1, d_max + 1) if math.gcd(d, N) == 1]
+    terms = _b_terms(m, N, params.x, d_max)
     return _modulus_series(
-        chi, params.x, moduli, [_sb_prefactor(m, d, N) for d in moduli],
-        lambda grid, d, k: _sb_partial(m, N, d, grid, k),
-        hybrid_d_tail(chi.D, m, N, d_max).total, coprime=False,
+        chi, params.x, terms, lambda grid, d, k: _sb_partial(m, N, d, grid, k),
+        terms.error(len(terms.moduli), _b_tail(chi.D, m, N, d_max)), coprime=False,
     )
 
 
-def _resolve_d_max(m: int, N: int, chi: QuadraticCharacter, d_max: int | None) -> int:
-    """d_max itself, or for None the fewest moduli of B(m,chi,N) whose
-    hybrid d-tail is no larger than the Weil tail at 800 moduli."""
-    if d_max is not None:
-        return d_max
+class _Plan(NamedTuple):
+    """(t_max, d_max) for each (m, N) shape, and the error bound they give
+    (None when every cap was explicit: nothing is then modelled)."""
+
+    caps: list[tuple[int, int]]
+    error: float | None
+
+
+def _ladder(top: int) -> list[int]:
+    """The caps round(1.12^i) below top, then top."""
+    caps, r = [], 1.0
+    while round(r) < top:
+        if not caps or round(r) > caps[-1]:
+            caps.append(round(r))
+        r *= _LADDER_RATIO
+    return caps + [top]
+
+
+def _model(
+    kind: str, m: int, N: int, chi: QuadraticCharacter, caps: list[int]
+) -> tuple[list[float], list[float]]:
+    """The cost and the error bound of series `kind` ("A" or "B") of (m, N)
+    at each cap of the ascending `caps`, with no term evaluated.
+
+    The error is the one A_numeric/B_numeric report, from the same terms
+    in the same order.  The cost counts the n-terms the series sums (A's
+    only those coprime to D, a share phi(D)/D of each cutoff; A(1,p^2)'s
+    at _SALIE_TERM_COST each) plus _MODULUS_COST a modulus."""
+    D = chi.D
+    x = _TWO_PI / (D * math.sqrt(N))
+    if kind == "A":
+        terms, share = _a_terms(m, N, x, caps[-1]), euler_phi(D) / D
+        if N != _level_prime(N):
+            share *= _SALIE_TERM_COST
+        counts, tails = caps, [_a_tail(D, N, t) for t in caps]
+    else:
+        terms, share = _b_terms(m, N, x, caps[-1]), 1.0
+        counts = [bisect.bisect_right(terms.moduli, d) for d in caps]
+        tails = [_b_tail(D, m, N, d) for d in caps]
+    cost = [0.0, *itertools.accumulate(k * share + _MODULUS_COST for k in terms.cutoffs)]
+    return [cost[j] for j in counts], [terms.error(j, tail) for j, tail in zip(counts, tails)]
+
+
+def _plan(
+    chi: QuadraticCharacter, shapes: Sequence[tuple[int, int]],
+    t_max: int | None, d_max: int | None, total: Callable[[list[float]], float],
+) -> _Plan:
+    """Caps for the A and B series of every (m, N) in `shapes`, chosen
+    before any term is evaluated.
+
+    `total` maps the series' error bounds, ordered A, B of the first
+    shape, then A, B of the next, to the reported error bound; it is
+    linear, so its value at a unit vector is that series' weight.  An
+    explicit cap is kept.  Every other series chooses from a geometric
+    ladder of caps (A's from 0, "unevaluated", to 240; B's from 1 to 1600),
+    and the target is the error bound of the former fixed caps.  The plan
+    is the Lagrangian one: each series takes the cap that minimises
+    cost + lam * weighted error, for the smallest lam whose exact total
+    meets the target.  Every cap's error and cost come from _model.
+    """
+    import numpy as np
+
     from .bounds import hybrid_d_cap
 
-    return hybrid_d_cap(chi.D, m, N, DEFAULT_D_TERMS)
+    _check_caps(t_max, d_max)
+    if t_max is not None and d_max is not None:
+        return _Plan([(t_max, d_max)] * len(shapes), None)
+    ladders, costs, errs, former = [], [], [], []
+    for m, N in shapes:
+        for kind, cap, ladder in (("A", t_max, [0, *_ladder(_T_TOP)]), ("B", d_max, _ladder(_D_TOP))):
+            if cap is not None:  # an explicit cap is the only candidate
+                former_cap, ladder = cap, []
+            elif kind == "A":
+                former_cap = _FORMER_T_MAX
+            else:
+                former_cap = hybrid_d_cap(chi.D, m, N, _FORMER_D_REF)
+            caps = sorted({*ladder, former_cap})
+            cost, err = _model(kind, m, N, chi, caps)
+            ladders.append(caps)
+            costs.append(np.array(cost))
+            errs.append(err)
+            former.append(caps.index(former_cap))
+    weights = [total([float(i == j) for j in range(len(errs))]) for i in range(len(errs))]
+    weighted = [w * np.array(e) for w, e in zip(weights, errs)]
+
+    def pick(lam: float) -> list[int]:
+        return [int(np.argmin(c + lam * e)) for c, e in zip(costs, weighted)]
+
+    def error(idx: list[int]) -> float:
+        return total([e[i] for e, i in zip(errs, idx)])
+
+    # A larger lam never raises a series' error.  Once lam is large enough
+    # for the errors alone to decide, every series takes its least error,
+    # which is no more than at its former cap, so the upward search stops;
+    # falling back on the former caps only guards that against rounding.
+    target = error(former)
+    best, lo, hi = pick(0.0), 0.0, 1.0
+    if error(best) > target:
+        while error(pick(hi)) > target and hi < 1e60:
+            lo, hi = hi, 16.0 * hi
+        best = pick(hi) if error(pick(hi)) <= target else former
+        for _ in range(40):
+            mid = math.sqrt(lo * hi) if lo else hi / 16.0
+            idx = pick(mid)
+            if error(idx) <= target:
+                hi, best = mid, idx
+            else:
+                lo = mid
+    caps = [ladder[i] for ladder, i in zip(ladders, best)]
+    return _Plan(list(zip(caps[::2], caps[1::2])), error(best))
 
 
 def A_bound(m: int, chi: QuadraticCharacter, N: int) -> float:
@@ -364,24 +542,28 @@ def B_bound(m: int, chi: QuadraticCharacter, N: int) -> float:
     return min(weil, abel)
 
 
+def _pairing_error(m: int, N: int, a_error: float, b_error: float) -> float:
+    return _EIGHT_PI_SQ * math.sqrt(m) * (a_error + b_error / math.sqrt(N))
+
+
 def pairing_numeric(
     m: int,
     N: int,
     chi: QuadraticCharacter,
     *,
-    t_max: int = DEFAULT_C_TERMS,
+    t_max: int | None = None,
     d_max: int | None = None,
 ) -> NumericResult:
-    """Assemble (a_m, L_chi)_N from the A and B series; d_max=None takes
-    B's cap from _resolve_d_max."""
+    """Assemble (a_m, L_chi)_N from the A and B series; a cap left None
+    is planned (_plan) before either series is evaluated."""
     params = PairingParams(m, N, chi)
-    a = A_numeric(m, chi, N, t_max=t_max)
-    b = B_numeric(m, chi, N, d_max=_resolve_d_max(m, N, chi, d_max))
+    [(t, d)] = _plan(chi, [(m, N)], t_max, d_max, lambda e: _pairing_error(m, N, *e)).caps
+    a = A_numeric(m, chi, N, t_max=t)
+    b = B_numeric(m, chi, N, d_max=d)
     lead = 4.0 * math.pi * chi(m) * math.exp(-m * params.x)
     scale = _EIGHT_PI_SQ * math.sqrt(m)
     value = lead - scale * (a.value + params.epsilon / math.sqrt(N) * b.value)
-    error = scale * (a.error_bound + b.error_bound / math.sqrt(N))
-    return NumericResult(value, error)
+    return NumericResult(value, _pairing_error(m, N, a.error_bound, b.error_bound))
 
 
 def _check_certify_args(p: int, chi: QuadraticCharacter) -> None:
@@ -393,23 +575,53 @@ def _check_certify_args(p: int, chi: QuadraticCharacter) -> None:
         raise UnsupportedCase("the weighted pairing needs p >= 7")
 
 
+def _new_plus_shapes(p: int) -> tuple[tuple[int, int], ...]:
+    return ((1, p * p), (1, p), (p, p))
+
+
+def _new_plus_error(p: int, e1: float, e2: float, e3: float) -> float:
+    w = p * p - 1
+    return e1 + p / w * e2 + e3 / w
+
+
+def _new_plus_plan(
+    p: int, chi: QuadraticCharacter, t_max: int | None, d_max: int | None
+) -> _Plan:
+    """The caps of the six series of the new-plus pairing at p."""
+    shapes = _new_plus_shapes(p)
+
+    def total(e: list[float]) -> float:
+        return _new_plus_error(p, *(
+            _pairing_error(m, N, e[2 * i], e[2 * i + 1]) for i, (m, N) in enumerate(shapes)
+        ))
+
+    return _plan(chi, shapes, t_max, d_max, total)
+
+
+def _new_plus(p: int, chi: QuadraticCharacter, caps: list[tuple[int, int]]) -> NumericResult:
+    """new_plus_pairing with each pairing at its (t_max, d_max) from `caps`."""
+    w = p * p - 1
+    p1, p2, p3 = (
+        pairing_numeric(m, N, chi, t_max=t, d_max=d)
+        for (m, N), (t, d) in zip(_new_plus_shapes(p), caps)
+    )
+    value = p1.value - p / w * p2.value + chi(p) / w * p3.value
+    return NumericResult(value, _new_plus_error(p, p1.error_bound, p2.error_bound, p3.error_bound))
+
+
 def new_plus_pairing(
     p: int,
     chi: QuadraticCharacter,
     *,
-    t_max: int = DEFAULT_C_TERMS,
+    t_max: int | None = None,
     d_max: int | None = None,
 ) -> NumericResult:
     """(a_1, L_chi)_{p^2}^{+,new} = (a_1,L_chi)_{p^2}
-    - p/(p^2-1) (a_1,L_chi)_p + chi(p)/(p^2-1) (a_p,L_chi)_p."""
+    - p/(p^2-1) (a_1,L_chi)_p + chi(p)/(p^2-1) (a_p,L_chi)_p.  An explicit
+    cap serves all three pairings; the caps left None are planned for
+    the six series together (_plan)."""
     _check_certify_args(p, chi)
-    w = p * p - 1
-    p1 = pairing_numeric(1, p * p, chi, t_max=t_max, d_max=d_max)
-    p2 = pairing_numeric(1, p, chi, t_max=t_max, d_max=d_max)
-    p3 = pairing_numeric(p, p, chi, t_max=t_max, d_max=d_max)
-    value = p1.value - p / w * p2.value + chi(p) / w * p3.value
-    error = p1.error_bound + p / w * p2.error_bound + p3.error_bound / w
-    return NumericResult(value, error)
+    return _new_plus(p, chi, _new_plus_plan(p, chi, t_max, d_max).caps)
 
 
 @dataclass(frozen=True)
@@ -527,24 +739,28 @@ def certify_numeric(
     p: int,
     chi: QuadraticCharacter,
     *,
-    t_max: int = DEFAULT_C_TERMS,
+    t_max: int | None = None,
     d_max: int | None = None,
 ) -> Certificate:
     """Advisory certificate from the numeric series: value minus its
     truncation error bound, divided by 4 pi.
 
-    Besides value and error_bound, the components name the d_max used for
-    each B shape and split B(1,p^2)'s d-tail into its Abel and Weil parts,
+    The caps left None are planned as in new_plus_pairing.  Besides value
+    and error_bound, the components name the t_max and d_max used for
+    each shape and split B(1,p^2)'s d-tail into its Abel and Weil parts,
     both in units of error_bound (8 pi^2/p times the tail)."""
     from .bounds import hybrid_d_tail
 
-    res = new_plus_pairing(p, chi, t_max=t_max, d_max=d_max)
+    _check_certify_args(p, chi)
+    caps = _new_plus_plan(p, chi, t_max, d_max).caps
+    res = _new_plus(p, chi, caps)
     lower = (res.value - res.error_bound) / (4.0 * math.pi)
     verdict = CERTIFIED_POSITIVE if lower > _CERT_MARGIN else INDETERMINATE
     components: dict[str, float] = {"value": res.value, "error_bound": res.error_bound}
-    for name, m, N in (("B(1,p^2)", 1, p * p), ("B(1,p)", 1, p), ("B(p,p)", p, p)):
-        components[f"{name} d_max"] = _resolve_d_max(m, N, chi, d_max)
-    tail = hybrid_d_tail(chi.D, 1, p * p, components["B(1,p^2) d_max"])
+    for shape, (t, d) in zip(("(1,p^2)", "(1,p)", "(p,p)"), caps):
+        components[f"A{shape} t_max"] = t
+        components[f"B{shape} d_max"] = d
+    tail = hybrid_d_tail(chi.D, 1, p * p, caps[0][1])
     components["B(1,p^2) abel_tail"] = _EIGHT_PI_SQ * tail.abel / p
     components["B(1,p^2) weil_tail"] = _EIGHT_PI_SQ * tail.weil / p
     return Certificate(verdict, lower, MODE_NUMERIC, components)

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import bounds, compgroup, isogeny, runge, trace
 from .arith import (
+    divisor_counts,
     fundamental_discriminants,
     gauss_sum,
     is_prime,
@@ -150,11 +151,7 @@ def tails_suite(max_lambda: int = 1000, cutoff: int = 10**6) -> SuiteResult:
     the left side."""
     t0 = time.time()
     res = SuiteResult("tails")
-    # Divisor pairs (d, n/d) with d <= sqrt(n): two divisors, one if d*d = n.
-    tau = np.zeros(cutoff + 1, dtype=np.int32)
-    for d in range(1, math.isqrt(cutoff) + 1):
-        tau[d * d::d] += 2
-        tau[d * d] -= 1
+    tau = divisor_counts(cutoff)
     terms = tau[1:].astype(np.float64) / np.arange(1, cutoff + 1, dtype=np.float64) ** 1.5
     suffix = np.cumsum(terms[::-1])[::-1]
     lam = np.arange(1, max_lambda + 1)

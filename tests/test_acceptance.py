@@ -135,6 +135,16 @@ def test_criterion_10_displayed_constants():
         )
 
 
+def test_criterion_11_numeric_certificates_at_planned_caps():
+    with criterion(11, "numeric certificates at planned caps for 15 <= D <= 31", 5):
+        for D in q.fundamental_discriminants(15, 31):
+            p = q.next_prime(math.floor(q.nonsplit_threshold(D)))
+            while D % p == 0:
+                p = q.next_prime(p)
+            cert = q.certify_numeric(p, q.make_character(D))
+            assert cert.verdict == "certified-positive", (D, p, cert.lower_bound)
+
+
 def test_criterion_2_frozen_numeric_snapshot():
     # Regression anchor for the numeric engine at modest cost: the three
     # series pieces at (D, p) = (3, 73) reproduce frozen values within

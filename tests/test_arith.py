@@ -187,6 +187,12 @@ class TestMultiplicative:
             assert q.divisor_count(n) == len(divs)
             assert q.euler_phi(n) == sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
 
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 15, 16, 500])
+    def test_divisor_counts_sieve(self, n_max):
+        # the sieve behind the series prefactors and the tails suite
+        tau = q.divisor_counts(n_max)
+        assert tau.tolist() == [0] + [q.divisor_count(n) for n in range(1, n_max + 1)]
+
 
 class TestModInverse:
     def test_examples(self):

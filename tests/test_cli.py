@@ -260,10 +260,12 @@ class TestNumericCertifyJson:
         assert main(argv) == 0
         comp = json.loads(capsys.readouterr().out)["result"]["components"]
         assert list(comp) == [
-            "value", "error_bound", "B(1,p^2) d_max", "B(1,p) d_max", "B(p,p) d_max",
+            "value", "error_bound", "A(1,p^2) t_max", "B(1,p^2) d_max", "A(1,p) t_max",
+            "B(1,p) d_max", "A(p,p) t_max", "B(p,p) d_max",
             "B(1,p^2) abel_tail", "B(1,p^2) weil_tail",
         ]
         assert (comp["B(1,p^2) d_max"], comp["B(1,p) d_max"], comp["B(p,p) d_max"]) == (
-            27, 800, 800,
+            146, 184, 184,
         )
-        assert comp["error_bound"] == 3.6021287676857296
+        assert (comp["A(1,p^2) t_max"], comp["A(1,p) t_max"], comp["A(p,p) t_max"]) == (5, 38, 3)
+        assert comp["error_bound"] == 3.583658468594206

@@ -74,8 +74,8 @@ def test_series_rows_match_direct(m, p, N, t):
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 def test_p2_row_matches_direct(p):
-    # every unit m and every residue y mod p^2, through the row lookup
-    # S(m, y; p^2) = S(1, m*y; p^2) that series_kloosterman makes
+    # every unit m and every residue y mod p^2, through the closed form
+    # S(m, y; p^2) = S(1, m*y; p^2) that series_kloosterman evaluates
     q = p * p
     y = np.arange(q, dtype=np.int64)
     for m in range(1, q):
@@ -106,21 +106,3 @@ def test_salie_matches_direct(p, a):
     y = np.arange(q, dtype=np.int64)
     direct = [kloosterman_direct(1, int(v), q) for v in y]
     assert np.allclose(kernels._salie(p, a, y), direct, rtol=0.0, atol=1e-9)
-
-
-@pytest.mark.parametrize("m,p,N,t", [(1, 31, 961, 6), (1, 13, 169, 5), (3, 7, 49, 2)])
-def test_p2_row_agrees_with_per_term_salie(monkeypatch, m, p, N, t):
-    n = np.arange(1, 3 * N, dtype=np.int64)
-    row = series_kloosterman(m, p, N, t, n)
-    monkeypatch.setattr(kernels, "_P2_ROW_MAX", 0)
-    per_term = series_kloosterman(m, p, N, t, n)
-    assert np.allclose(row, per_term, rtol=0.0, atol=1e-9 * p)
-
-
-def test_p2_row_cache_keeps_one_prime():
-    kernels._p2_row.cache_clear()
-    n = np.arange(1, 200, dtype=np.int64)
-    series_kloosterman(1, 31, 961, 2, n)
-    series_kloosterman(1, 37, 1369, 2, n)
-    info = kernels._p2_row.cache_info()
-    assert (info.currsize, info.misses) == (1, 2)

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qcbounds as q
 from qcbounds import bessel, trace
@@ -128,7 +130,7 @@ def full_grid_A(m, chi, N, t_max):
     value = size = err = 0.0
     cutoffs = []
     for c in range(N, (t_max + 1) * N, N):
-        f = trace._sa_prefactor(m, c)
+        f = trace._sa_prefactor(m, c, q.divisor_count(c))
         k = trace._n_cutoff(f, x)
         cutoffs.append(k)
         n = np.arange(1, k + 1)
@@ -182,12 +184,12 @@ class TestCoprimeGrid:
 
 class TestNumericSeries:
     def test_A_within_closed_bound(self):
-        a = q.A_numeric(1, CHI3, 49)
+        a = q.A_numeric(1, CHI3, 49, t_max=240)
         assert abs(a.value) <= q.A_bound(1, CHI3, 49) + a.error_bound
         assert abs(a.value) <= 14 * 3 / 49 + a.error_bound
 
     def test_A_level_7(self):
-        a = q.A_numeric(1, CHI3, 7)
+        a = q.A_numeric(1, CHI3, 7, t_max=240)
         assert abs(a.value) <= 14 * 3 / 7 + a.error_bound
 
     def test_B_within_closed_bound(self):
@@ -239,7 +241,9 @@ class TestNumericSeries:
                 assert ratio < 1.0, d
 
     def test_default_cap_resolved_before_B(self, monkeypatch):
-        # B_numeric (and bench/tracer.py's cap count) always sees an int
+        # B_numeric (and bench/tracer.py's cap count) always sees an int: a
+        # planned cap, here the least B meeting its former error, or the
+        # explicit one
         seen = []
         b_numeric = trace.B_numeric
         monkeypatch.setattr(
@@ -260,10 +264,21 @@ class TestNumericSeries:
             q.A_numeric(1, CHI3, 49, 1e-6)
 
     def test_caps_below_one_rejected(self):
+        # t_max = 0 is allowed (A unevaluated); a negative t_max is not
         with pytest.raises(ValueError, match="t_max"):
-            q.A_numeric(1, CHI3, 49, t_max=0)
+            q.A_numeric(1, CHI3, 49, t_max=-1)
         with pytest.raises(ValueError, match="d_max"):
             q.B_numeric(1, CHI3, 49, d_max=0)
+        for t_max, d_max in ((-1, None), (None, 0)):
+            with pytest.raises(ValueError, match="_max"):
+                q.pairing_numeric(1, 49, CHI3, t_max=t_max, d_max=d_max)
+
+    @pytest.mark.parametrize("D, m, N", [(3, 1, 49), (15, 271, 271), (24, 1, 359**2)])
+    def test_t_max_zero_leaves_A_unevaluated(self, D, m, N):
+        # the value 0 and the whole Weil c-tail 14 D/N, A_bound's Weil branch
+        res = q.A_numeric(m, q.make_character(D), N, t_max=0)
+        assert res.value == 0.0
+        assert res.error_bound == pytest.approx(14 * D / N, rel=1e-15)
 
     @pytest.mark.parametrize("N", [0, 1, -49])
     def test_level_below_two_rejected(self, N):
@@ -273,9 +288,9 @@ class TestNumericSeries:
 
     def test_unsupported_case(self):
         with pytest.raises(UnsupportedCase):
-            q.A_numeric(2, CHI3, 49)
+            q.A_numeric(2, CHI3, 49, t_max=1)
         with pytest.raises(UnsupportedCase):
-            q.A_numeric(1, CHI3, 10)
+            q.A_numeric(1, CHI3, 10, t_max=1)
 
 
 class TestClosedFormBounds:
@@ -345,30 +360,34 @@ class TestNewPlusPairing:
         assert cert.lower_bound == 0.8196119448129785
 
     def test_frozen_default_certificate_31_431(self):
-        # At the default caps B(1,p^2) evaluates d = 1 only: its hybrid tail
-        # is already below the Weil tail at d = 800.
+        # The planned caps leave A(1,p^2) unevaluated and take B(1,p^2) to
+        # d = 34.  The former fixed caps (t_max = 240, B(1,p^2) at d = 1)
+        # gave error 3.339114662497137 and lower bound 0.7317691238413886.
         cert = q.certify_numeric(431, q.make_character(31))
-        assert cert.components["value"] == 12.53479667683292
-        assert cert.components["error_bound"] == 3.339114662497137
-        assert cert.lower_bound == 0.7317691238413886
+        assert cert.components["value"] == 12.540268134552237
+        assert cert.components["error_bound"] == 3.334994162684036
+        assert cert.components["error_bound"] <= 3.339114662497137
+        assert cert.lower_bound == 0.7325324275689945
         assert cert.verdict == "certified-positive"
 
     def test_numeric_certificate_reports_its_caps(self):
         cert = q.certify_numeric(271, CHI15)
         comp = cert.components
-        assert comp["B(1,p^2) d_max"] == 27
-        assert comp["B(1,p) d_max"] == 800
-        assert comp["B(p,p) d_max"] == 800
-        assert comp["B(1,p^2) abel_tail"] == 2.0883259854834946
+        caps = [comp[f"{s} {cap}"] for s, cap in (
+            ("A(1,p^2)", "t_max"), ("B(1,p^2)", "d_max"), ("A(1,p)", "t_max"),
+            ("B(1,p)", "d_max"), ("A(p,p)", "t_max"), ("B(p,p)", "d_max"),
+        )]
+        assert caps == [5, 146, 38, 184, 3, 184]  # 240, 27, 240, 800, 240, 800 before
+        assert comp["B(1,p^2) abel_tail"] == 1.6252178989802963
         assert comp["B(1,p^2) weil_tail"] == 1.0546810747957827
         # the parts are B(1,p^2)'s d-tail in units of error_bound
-        tail = q.hybrid_d_tail(15, 1, 271**2, 27)
+        tail = q.hybrid_d_tail(15, 1, 271**2, 146)
         scale = 8 * math.pi**2 / 271
         assert comp["B(1,p^2) abel_tail"] == pytest.approx(scale * tail.abel, rel=1e-15)
         assert comp["B(1,p^2) weil_tail"] == pytest.approx(scale * tail.weil, rel=1e-15)
-        assert comp["error_bound"] == 3.6021287676857296
-        assert comp["error_bound"] <= 3.6048642901414336  # under the Weil d-tail
-        assert comp["value"] == 12.51975213119951
+        assert comp["error_bound"] == 3.583658468594206
+        assert comp["error_bound"] <= 3.6021287676857296  # the former fixed caps
+        assert comp["value"] == 12.519017497555447
 
     def test_guards(self):
         with pytest.raises(NotPrime):
@@ -377,6 +396,80 @@ class TestNewPlusPairing:
             q.new_plus_pairing(3, CHI3)
         with pytest.raises(DividesDiscriminant):
             q.new_plus_pairing(5, CHI15)
+
+
+def former_default_error(p, chi):
+    """The error bound of the new-plus pairing at the former fixed caps:
+    A over t_max = 240 moduli, B up to hybrid_d_cap(D, m, N, 800).  No
+    series is evaluated; the n-tails are summed in the engine's order."""
+    D, w = chi.D, p * p - 1
+    pairings = []
+    for m, N in ((1, p * p), (1, p), (p, p)):
+        x = 2 * math.pi / (D * math.sqrt(N))
+        a = 0.0
+        for c in range(N, 241 * N, N):
+            f = trace._sa_prefactor(m, c, q.divisor_count(c))
+            a += trace._n_tail(f, x, trace._n_cutoff(f, x)) / c
+        a += 2.0 * D / N * tail_bounds(241).tau_tail
+        d_max = q.hybrid_d_cap(D, m, N, 800)
+        b = 0.0
+        for d in range(1, d_max + 1):
+            if math.gcd(d, N) == 1:
+                f = trace._sb_prefactor(m, d, N, q.divisor_count(d))
+                b += trace._n_tail(f, x, trace._n_cutoff(f, x)) / d
+        b += q.hybrid_d_tail(D, m, N, d_max).total
+        pairings.append(8 * math.pi**2 * math.sqrt(m) * (a + b / math.sqrt(N)))
+    e1, e2, e3 = pairings
+    return e1 + p / w * e2 + e3 / w
+
+
+@st.composite
+def near_threshold(draw):
+    """A fundamental D in 3..60 and one of the first four admissible primes
+    from its nonsplit threshold on."""
+    D = draw(st.sampled_from(q.fundamental_discriminants(3, 60)))
+    p = q.next_prime(math.floor(q.nonsplit_threshold(D)))
+    for _ in range(draw(st.integers(0, 3))):
+        p = q.next_prime(p)
+    while D % p == 0:
+        p = q.next_prime(p)
+    return D, p
+
+
+class TestPlanner:
+    @given(near_threshold())
+    @settings(max_examples=25, deadline=None)
+    def test_never_looser_than_the_former_caps(self, case):
+        D, p = case
+        chi = q.make_character(D)
+        plan = trace._new_plus_plan(p, chi, None, None)
+        assert plan.error <= former_default_error(p, chi)
+        for t, d in plan.caps:
+            assert 0 <= t <= 240 and 1 <= d <= 1600
+
+    @pytest.mark.parametrize("D, p", [(3, 73), (24, 359), (31, 421)])
+    def test_predicted_error_is_reported(self, D, p):
+        chi = q.make_character(D)
+        plan = trace._new_plus_plan(p, chi, None, None)
+        cert = q.certify_numeric(p, chi)
+        assert cert.components["error_bound"] == plan.error
+        caps = [(cert.components[f"A{s} t_max"], cert.components[f"B{s} d_max"])
+                for s in ("(1,p^2)", "(1,p)", "(p,p)")]
+        assert caps == plan.caps
+
+    def test_bare_pairing_is_planned(self):
+        m, N = 1, 271
+        plan = trace._plan(CHI15, [(m, N)], None, None,
+                           lambda e: trace._pairing_error(m, N, *e))
+        [(t, d)] = plan.caps
+        res = q.pairing_numeric(m, N, CHI15)
+        assert res.error_bound == plan.error
+        assert res == q.pairing_numeric(m, N, CHI15, t_max=t, d_max=d)
+        assert res.error_bound <= q.pairing_numeric(m, N, CHI15, t_max=240, d_max=800).error_bound
+
+    def test_explicit_caps_skip_the_planner(self):
+        plan = trace._new_plus_plan(271, CHI15, 64, 300)
+        assert plan == trace._Plan([(64, 300)] * 3, None)
 
 
 class TestCertificates:
