@@ -26,8 +26,8 @@ _EXPORTS = {
     "bessel": ("bessel_j1",),
     "bounds": (
         "DTail", "TailBounds", "WeilCase", "abel_sb_bound", "hybrid_d_cap", "hybrid_d_tail",
-        "tail_bounds", "trig_sum_bound", "trig_sum_direct", "twisted_dft",
-        "twisted_partial_bound", "twisted_partial_sup", "weil_bound",
+        "tail_bounds", "trig_sum_bound", "trig_sum_direct", "twisted_partial_bound",
+        "twisted_partial_sup", "weil_bound",
     ),
     "compgroup": (
         "ComponentGroup", "RhoValueSet", "SupersingularCounts", "component_group",
@@ -47,7 +47,7 @@ _EXPORTS = {
     "trace": (
         "A_bound", "A_numeric", "B_bound", "B_numeric", "Certificate", "NumericResult",
         "PairingParams", "certify_nonvanishing", "certify_numeric", "certify_weil_mix",
-        "new_plus_pairing", "pairing_numeric", "series_SA", "series_SB",
+        "new_plus_pairing", "pairing_numeric",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

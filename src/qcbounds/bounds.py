@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -97,25 +98,15 @@ def _twisted_sequence(m: int, c: int, chi: QuadraticCharacter, F: int) -> np.nda
     return chi.values(n).astype(np.float64) * kloosterman_row(m, c)[n % c]
 
 
-def twisted_dft(m: int, c: int, chi: QuadraticCharacter, alpha: int) -> complex:
-    """sum_{n=0}^{F-1} chi(n) S(m,n;c) e^(2 pi i n alpha / F), F = lcm(c, D).
+def twisted_dft_all(m: int, c: int, chi: QuadraticCharacter) -> np.ndarray:
+    """sum_{n=0}^{F-1} chi(n) S(m,n;c) e^(2 pi i n alpha / F), F = lcm(c, D),
+    for every alpha = 0..F-1 at once (one inverse FFT).
 
-    Modulus is at most c*sqrt(D), and the sum vanishes whenever
+    Each modulus is at most c*sqrt(D), and the sum vanishes whenever
     gcd(alpha, F/gcd(c,D)) > 1.  (For c = D that quotient is 1, so no
     vanishing is asserted; the c = D case sits outside the hypotheses of
     the partial-sum estimate but the modulus bound still holds.)
     """
-    if c < 1:
-        raise ValueError("modulus must be >= 1")
-    D = chi.D
-    F = math.lcm(c, D)
-    seq = _twisted_sequence(m, c, chi, F)
-    phases = np.arange(F) * (2.0 * math.pi * (alpha % F) / F)
-    return complex(np.sum(seq * np.cos(phases)), np.sum(seq * np.sin(phases)))
-
-
-def twisted_dft_all(m: int, c: int, chi: QuadraticCharacter) -> np.ndarray:
-    """twisted_dft for every alpha = 0..F-1 at once (one inverse FFT)."""
     D = chi.D
     F = math.lcm(c, D)
     seq = _twisted_sequence(m, c, chi, F)
@@ -220,19 +211,29 @@ def hybrid_d_tail(D: int, m: int, N: int, d_max: int) -> DTail:
             weil += divisor_count(D) * math.sqrt(m) / math.sqrt(D)
         return DTail(k * (log1 * log1 - log0 * log0) / 2.0, weil, d1)
 
-    # The smooth part of the total falls, then rises (the Weil tail falls
-    # like log(d)/d^(3/2) while the Abel integrand is log(Dd)/d), so its
-    # minimum over d1 >= d_max is where it first stops falling.
-    def smooth(d1: int) -> float:
-        log1 = math.log(D * d1) + 1.5
-        return k * log1 * log1 / 2.0 + weil_scale * tail_bounds(d1 + 1).tau_tail
-
-    best = _first_rise(smooth, d_max)
+    best = max(d_max, _smooth_min(D, m, N))
     candidates = [d_max, best]
     if d_max < D:
         # the d = D term splits the range: the best d1 below D, and above
         candidates = [d_max, min(best, D - 1), max(best, D)]
     return min((split(d1) for d1 in candidates), key=lambda t: t.total)
+
+
+@lru_cache(maxsize=64)
+def _smooth_min(D: int, m: int, N: int) -> int:
+    """The d1 >= 1 that minimises the smooth part of hybrid_d_tail's total.
+
+    It falls, then rises (the Weil tail falls like log(d)/d^(3/2) while
+    the Abel integrand is log(Dd)/d), so its minimum over d1 >= d_max is
+    max(d_max, this d1), and one search serves every d_max of a shape."""
+    k = _abel_scale(D, m, N)
+    weil_scale = D * math.sqrt(m)
+
+    def smooth(d1: int) -> float:
+        log1 = math.log(D * d1) + 1.5
+        return k * log1 * log1 / 2.0 + weil_scale * tail_bounds(d1 + 1).tau_tail
+
+    return _first_rise(smooth, 1)
 
 
 def _first_rise(f: Callable[[int], float], lo: int) -> int:

@@ -18,10 +18,6 @@ class InvalidHint(ValueError):
     """The prime hint passed to a refined Weil bound does not apply."""
 
 
-class LevelMismatch(ValueError):
-    """Series modulus incompatible with the level (N must divide c, or gcd(d, N) = 1)."""
-
-
 class UnsupportedCase(ValueError):
     """(m, N) outside the supported trace-formula cases (1, p**2), (1, p), (p, p)."""
 

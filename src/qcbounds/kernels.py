@@ -132,7 +132,8 @@ def _pp_values(m: int, p: int, a: int, k: int, n: np.ndarray) -> np.ndarray:
 
 
 def series_kloosterman(m: int, p: int, N: int, t: int, n: np.ndarray) -> np.ndarray:
-    """S(m, n; t*N) for the 1-based index array n, where N = p or p^2.
+    """S(m, n; t*N) for the 1-based index array n, where N = p or p^2, so
+    that p divides t*N (a >= 1 below).
 
     Splits t*N = p^a * c' and evaluates both factors through the twisted
     multiplicativity identity.  The p-power factor reads the row mod p at
@@ -150,16 +151,13 @@ def series_kloosterman(m: int, p: int, N: int, t: int, n: np.ndarray) -> np.ndar
     n = np.asarray(n, dtype=np.int64)
 
     # p-power factor: S(m, cpbar^2 * n; q).
-    if a == 0:
-        part_q = np.ones(n.shape, dtype=np.float64)
-    else:
-        cpbar = pow(cp, -1, q)
-        part_q = _pp_values(m, p, a, cpbar * cpbar % q, n)
+    cpbar = pow(cp, -1, q)
+    part_q = _pp_values(m, p, a, cpbar * cpbar % q, n)
 
     # small cofactor: S(m, qbar^2 * n; c').
     if cp == 1:
         return part_q
-    qbar = pow(q % cp, -1, cp) if a > 0 else 1
+    qbar = pow(q % cp, -1, cp)
     # In place (part_q is always a fresh array): one k-long temporary
     # fewer per modulus keeps the freed heap under malloc's trim
     # threshold, so the next modulus does not page-fault it back in.

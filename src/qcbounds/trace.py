@@ -39,10 +39,11 @@ depends on an evaluated term, so a planner (_plan) picks every series'
 cap before anything is evaluated: A's t_max and B's d_max for each
 shape, the cheapest caps on a geometric ladder whose error bound is no
 larger than the one the former fixed caps reached (t_max = 240, and B at
-bounds.hybrid_d_cap(..., 800)).  Explicit caps are summed as given.
-Only the numeric path loads numpy (with bessel, kernels and bounds),
-inside the functions that use it, so a closed-form certificate starts
-without it.
+bounds.hybrid_d_cap(..., 800)).  A caller may instead pass both t_max
+and d_max, which every shape sums as given, with no plan; exactly one
+of them is an error.  Only the numeric path loads numpy (with bessel,
+kernels and bounds), inside the functions that use it, so a closed-form
+certificate starts without it.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import QuadraticCharacter, divisor_count, divisor_counts, euler_phi, is_prime
-from .errors import DividesDiscriminant, LevelMismatch, NotPrime, UnsupportedCase
+from .errors import DividesDiscriminant, NotPrime, UnsupportedCase
 
 if TYPE_CHECKING:
     import numpy as np
@@ -135,11 +136,6 @@ class PairingParams:
     @property
     def x(self) -> float:
         return _TWO_PI / (self.chi.D * math.sqrt(self.N))
-
-
-class SeriesValue(NamedTuple):
-    value: float
-    tail_bound: float
 
 
 class NumericResult(NamedTuple):
@@ -233,6 +229,15 @@ def _check_caps(t_max: int | None, d_max: int | None) -> None:
         raise ValueError("d_max must be >= 1")
 
 
+def _given_caps(t_max: int | None, d_max: int | None) -> bool:
+    """Whether the caller passed both caps, which every shape then sums as
+    given, rather than neither, which leaves them to _plan."""
+    if (t_max is None) != (d_max is None):
+        raise ValueError("pass both t_max and d_max, or neither")
+    _check_caps(t_max, d_max)
+    return t_max is not None
+
+
 class _NGrid(NamedTuple):
     """The n <= n_max of a series, sqrt(n), the weight
     w_n = chi(n)/sqrt(n) e^(-nx) of every S_A and S_B, and room for one
@@ -295,39 +300,6 @@ def _sb_partial(m: int, N: int, d: int, grid: _NGrid, k: int) -> float:
     """S_B(d) summed over n <= k."""
     beta = 4.0 * math.pi * math.sqrt(m) / (d * math.sqrt(N))
     return _sb_sum(m, N, d, _weighted_j1(grid, beta, k))
-
-
-def series_SA(
-    m: int, chi: QuadraticCharacter, N: int, c: int, n_max: int
-) -> SeriesValue:
-    """Partial sum of S_A(c) over n <= n_max, plus a rigorous tail bound
-    from |J1(y)| <= y/2, the Weil bound and the geometric decay."""
-    if c % N != 0:
-        raise LevelMismatch(f"level {N} must divide c = {c}")
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    p = _check_case(m, N)
-    x = _TWO_PI / (chi.D * math.sqrt(N))
-    grid = _n_grid(chi, x, n_max, coprime=True)
-    value = _sa_partial(m, p, N, c, grid, grid.n.size)
-    return SeriesValue(value, _n_tail(_sa_prefactor(m, c, divisor_count(c)), x, n_max))
-
-
-def series_SB(
-    m: int, chi: QuadraticCharacter, N: int, d: int, n_max: int
-) -> SeriesValue:
-    """Partial sum of S_B(d); the second Kloosterman argument is
-    m * (N^-1 mod d), never an explicit power N^(phi(d)-1).  S(n, m*Nbar; d)
-    depends on n mod d only, so the weighted J1 terms are folded by
-    residue and dotted once with the row (see _sb_sum)."""
-    if math.gcd(d, N) != 1:
-        raise LevelMismatch(f"d = {d} must be coprime to the level {N}")
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    _check_case(m, N)
-    x = _TWO_PI / (chi.D * math.sqrt(N))
-    value = _sb_partial(m, N, d, _n_grid(chi, x, n_max, coprime=False), n_max)
-    return SeriesValue(value, _n_tail(_sb_prefactor(m, d, N, divisor_count(d)), x, n_max))
 
 
 def _sb_sum(m: int, N: int, d: int, v: np.ndarray) -> float:
@@ -407,11 +379,10 @@ def B_numeric(m: int, chi: QuadraticCharacter, N: int, *, d_max: int) -> Numeric
 
 
 class _Plan(NamedTuple):
-    """(t_max, d_max) for each (m, N) shape, and the error bound they give
-    (None when every cap was explicit: nothing is then modelled)."""
+    """(t_max, d_max) for each (m, N) shape, and the error bound they give."""
 
     caps: list[tuple[int, int]]
-    error: float | None
+    error: float
 
 
 def _ladder(top: int) -> list[int]:
@@ -451,37 +422,31 @@ def _model(
 
 def _plan(
     chi: QuadraticCharacter, shapes: Sequence[tuple[int, int]],
-    t_max: int | None, d_max: int | None, total: Callable[[list[float]], float],
+    total: Callable[[list[float]], float],
 ) -> _Plan:
     """Caps for the A and B series of every (m, N) in `shapes`, chosen
     before any term is evaluated.
 
     `total` maps the series' error bounds, ordered A, B of the first
     shape, then A, B of the next, to the reported error bound; it is
-    linear, so its value at a unit vector is that series' weight.  An
-    explicit cap is kept.  Every other series chooses from a geometric
-    ladder of caps (A's from 0, "unevaluated", to 240; B's from 1 to 1600),
-    and the target is the error bound of the former fixed caps.  The plan
-    is the Lagrangian one: each series takes the cap that minimises
-    cost + lam * weighted error, for the smallest lam whose exact total
-    meets the target.  Every cap's error and cost come from _model.
+    linear, so its value at a unit vector is that series' weight.  Every
+    series chooses from a geometric ladder of caps (A's from 0,
+    "unevaluated", to 240; B's from 1 to 1600), and the target is the
+    error bound of the former fixed caps.  The plan is the Lagrangian
+    one: each series takes the cap that minimises cost + lam * weighted
+    error, for the smallest lam whose exact total meets the target.
+    Every cap's error and cost come from _model.
     """
     import numpy as np
 
     from .bounds import hybrid_d_cap
 
-    _check_caps(t_max, d_max)
-    if t_max is not None and d_max is not None:
-        return _Plan([(t_max, d_max)] * len(shapes), None)
     ladders, costs, errs, former = [], [], [], []
     for m, N in shapes:
-        for kind, cap, ladder in (("A", t_max, [0, *_ladder(_T_TOP)]), ("B", d_max, _ladder(_D_TOP))):
-            if cap is not None:  # an explicit cap is the only candidate
-                former_cap, ladder = cap, []
-            elif kind == "A":
-                former_cap = _FORMER_T_MAX
-            else:
-                former_cap = hybrid_d_cap(chi.D, m, N, _FORMER_D_REF)
+        for kind, former_cap, ladder in (
+            ("A", _FORMER_T_MAX, [0, *_ladder(_T_TOP)]),
+            ("B", hybrid_d_cap(chi.D, m, N, _FORMER_D_REF), _ladder(_D_TOP)),
+        ):
             caps = sorted({*ladder, former_cap})
             cost, err = _model(kind, m, N, chi, caps)
             ladders.append(caps)
@@ -554,12 +519,14 @@ def pairing_numeric(
     t_max: int | None = None,
     d_max: int | None = None,
 ) -> NumericResult:
-    """Assemble (a_m, L_chi)_N from the A and B series; a cap left None
-    is planned (_plan) before either series is evaluated."""
+    """Assemble (a_m, L_chi)_N from the A and B series, at the caller's
+    t_max and d_max or, given neither, at caps planned (_plan) before
+    either series is evaluated.  Exactly one cap is a ValueError."""
     params = PairingParams(m, N, chi)
-    [(t, d)] = _plan(chi, [(m, N)], t_max, d_max, lambda e: _pairing_error(m, N, *e)).caps
-    a = A_numeric(m, chi, N, t_max=t)
-    b = B_numeric(m, chi, N, d_max=d)
+    if not _given_caps(t_max, d_max):
+        [(t_max, d_max)] = _plan(chi, [(m, N)], lambda e: _pairing_error(m, N, *e)).caps
+    a = A_numeric(m, chi, N, t_max=t_max)
+    b = B_numeric(m, chi, N, d_max=d_max)
     lead = 4.0 * math.pi * chi(m) * math.exp(-m * params.x)
     scale = _EIGHT_PI_SQ * math.sqrt(m)
     value = lead - scale * (a.value + params.epsilon / math.sqrt(N) * b.value)
@@ -584,9 +551,7 @@ def _new_plus_error(p: int, e1: float, e2: float, e3: float) -> float:
     return e1 + p / w * e2 + e3 / w
 
 
-def _new_plus_plan(
-    p: int, chi: QuadraticCharacter, t_max: int | None, d_max: int | None
-) -> _Plan:
+def _new_plus_plan(p: int, chi: QuadraticCharacter) -> _Plan:
     """The caps of the six series of the new-plus pairing at p."""
     shapes = _new_plus_shapes(p)
 
@@ -595,7 +560,16 @@ def _new_plus_plan(
             _pairing_error(m, N, e[2 * i], e[2 * i + 1]) for i, (m, N) in enumerate(shapes)
         ))
 
-    return _plan(chi, shapes, t_max, d_max, total)
+    return _plan(chi, shapes, total)
+
+
+def _new_plus_caps(
+    p: int, chi: QuadraticCharacter, t_max: int | None, d_max: int | None
+) -> list[tuple[int, int]]:
+    """The caller's (t_max, d_max) in all three pairings, or the plan's."""
+    if _given_caps(t_max, d_max):
+        return [(t_max, d_max)] * 3
+    return _new_plus_plan(p, chi).caps
 
 
 def _new_plus(p: int, chi: QuadraticCharacter, caps: list[tuple[int, int]]) -> NumericResult:
@@ -617,11 +591,12 @@ def new_plus_pairing(
     d_max: int | None = None,
 ) -> NumericResult:
     """(a_1, L_chi)_{p^2}^{+,new} = (a_1,L_chi)_{p^2}
-    - p/(p^2-1) (a_1,L_chi)_p + chi(p)/(p^2-1) (a_p,L_chi)_p.  An explicit
-    cap serves all three pairings; the caps left None are planned for
-    the six series together (_plan)."""
+    - p/(p^2-1) (a_1,L_chi)_p + chi(p)/(p^2-1) (a_p,L_chi)_p.  Explicit
+    t_max and d_max serve all three pairings; given neither, the caps of
+    the six series are planned together (_plan).  Exactly one cap is a
+    ValueError."""
     _check_certify_args(p, chi)
-    return _new_plus(p, chi, _new_plus_plan(p, chi, t_max, d_max).caps)
+    return _new_plus(p, chi, _new_plus_caps(p, chi, t_max, d_max))
 
 
 @dataclass(frozen=True)
@@ -745,14 +720,14 @@ def certify_numeric(
     """Advisory certificate from the numeric series: value minus its
     truncation error bound, divided by 4 pi.
 
-    The caps left None are planned as in new_plus_pairing.  Besides value
+    The caps are given or planned as in new_plus_pairing.  Besides value
     and error_bound, the components name the t_max and d_max used for
     each shape and split B(1,p^2)'s d-tail into its Abel and Weil parts,
     both in units of error_bound (8 pi^2/p times the tail)."""
     from .bounds import hybrid_d_tail
 
     _check_certify_args(p, chi)
-    caps = _new_plus_plan(p, chi, t_max, d_max).caps
+    caps = _new_plus_caps(p, chi, t_max, d_max)
     res = _new_plus(p, chi, caps)
     lower = (res.value - res.error_bound) / (4.0 * math.pi)
     verdict = CERTIFIED_POSITIVE if lower > _CERT_MARGIN else INDETERMINATE

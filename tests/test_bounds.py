@@ -1,5 +1,6 @@
 """Explicit inequalities: Weil cases, trig sums, twisted sums, tails."""
 
+import cmath
 import functools
 import math
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import qcbounds as q
-from qcbounds import verify
+from qcbounds import bounds, verify
 from qcbounds.bounds import (
     ABEL_C,
     WEIL_BOTH,
@@ -153,21 +154,33 @@ class TestTrigSum:
                 assert q.trig_sum_direct(K, F) <= bound + 1e-9
 
 
+def direct_dft(m, c, chi, alpha):
+    """sum_{n=0}^{F-1} chi(n) S(m,n;c) e^(2 pi i n alpha / F), F = lcm(c, D),
+    term by term from kloosterman_direct."""
+    F = math.lcm(c, chi.D)
+    return sum(
+        chi(n) * q.kloosterman_direct(m, n, c) * cmath.exp(2j * math.pi * n * alpha / F)
+        for n in range(F)
+    )
+
+
 class TestTwistedSums:
     def test_dft_examples(self):
         chi3 = q.make_character(3)
-        assert abs(q.twisted_dft(1, 1, chi3, 1)) == pytest.approx(math.sqrt(3), abs=1e-9)
-        assert abs(q.twisted_dft(1, 1, chi3, 0)) < 1e-12
+        vals = twisted_dft_all(1, 1, chi3)
+        assert abs(vals[1]) == pytest.approx(math.sqrt(3), abs=1e-9)
+        assert abs(vals[0]) < 1e-12
         chi4 = q.make_character(4)
-        assert abs(q.twisted_dft(1, 6, chi4, 5)) <= 6 * 2 + 1e-6
+        assert abs(twisted_dft_all(1, 6, chi4)[5]) <= 6 * 2 + 1e-6
 
     def test_dft_all_matches_single(self):
         chi = q.make_character(7)
         c = 10
         F = math.lcm(c, 7)
         vals = twisted_dft_all(3, c, chi)
+        assert vals.shape == (F,)
         for alpha in range(F):
-            assert vals[alpha] == pytest.approx(q.twisted_dft(3, c, chi, alpha), abs=1e-8)
+            assert vals[alpha] == pytest.approx(direct_dft(3, c, chi, alpha), abs=1e-8)
 
     def test_partial_sup_examples(self):
         chi3 = q.make_character(3)
@@ -231,6 +244,31 @@ CERTIFY_PAIRS = ((15, 269), (19, 311), (20, 317), (23, 347), (24, 353), (31, 409
 
 def _weil_tail(D, m, d_max):
     return D * math.sqrt(m) * q.tail_bounds(d_max + 1).tau_tail
+
+
+def hybrid_d_tail_per_d_max(D, m, N, d_max):
+    """bounds.hybrid_d_tail as it was when it searched the minimiser of
+    the smooth part from each d_max."""
+    k = bounds._abel_scale(D, m, N)
+    weil_scale = D * math.sqrt(m)
+    log0 = math.log(D * d_max) + 1.5
+
+    def split(d1):
+        log1 = math.log(D * d1) + 1.5
+        weil = weil_scale * q.tail_bounds(d1 + 1).tau_tail
+        if d_max < D <= d1:
+            weil += tau(D) * math.sqrt(m) / math.sqrt(D)
+        return bounds.DTail(k * (log1 * log1 - log0 * log0) / 2.0, weil, d1)
+
+    def smooth(d1):
+        log1 = math.log(D * d1) + 1.5
+        return k * log1 * log1 / 2.0 + weil_scale * q.tail_bounds(d1 + 1).tau_tail
+
+    best = bounds._first_rise(smooth, d_max)
+    candidates = [d_max, best]
+    if d_max < D:
+        candidates = [d_max, min(best, D - 1), max(best, D)]
+    return min((split(d1) for d1 in candidates), key=lambda t: t.total)
 
 
 class TestHybridDTail:
@@ -333,6 +371,21 @@ class TestHybridDTail:
         # at N = p the Abel bound's 1/sqrt(N) gains too little: the cap stays
         assert q.hybrid_d_cap(15, 1, 271, 800) == 800
         assert q.hybrid_d_cap(15, 271, 271, 800) == 800
+
+    @pytest.mark.parametrize("D", [3, 8, 15, 31, 403])
+    def test_one_search_serves_every_d_max(self, D):
+        # the minimiser of the smooth part, searched once per shape, gives
+        # the tail a search from each d_max gave, also where the d = D term
+        # falls inside the Abel range (d_max < D <= d1), as at D = 403
+        p = q.next_prime(math.floor(q.nonsplit_threshold(D)))
+        d_maxes = [*range(1, 100), *range(100, 1601, 37), D - 1, D, D + 1]
+        splits = 0
+        for m, N in ((1, p * p), (1, p), (p, p)):
+            for d_max in d_maxes:
+                tail = q.hybrid_d_tail(D, m, N, d_max)
+                assert tail == hybrid_d_tail_per_d_max(D, m, N, d_max), (m, N, d_max)
+                splits += d_max < D <= tail.d1
+        assert splits > 0
 
     def test_rejects_d_max_below_one(self):
         with pytest.raises(ValueError, match="d_max"):

@@ -1,5 +1,6 @@
 """CLI dispatch, exit codes, JSON shape and determinism."""
 
+import importlib
 import json
 import subprocess
 import sys
@@ -115,6 +116,25 @@ class TestColdStart:
             "    assert main(argv + ['--quiet']) == 0, argv\n"
             "    assert 'numpy' not in sys.modules, argv\n"
         )
+
+
+class TestExports:
+    def test_every_export_resolves_to_its_module(self):
+        # each public name comes, through the lazy __getattr__, from the
+        # module _EXPORTS lists for it, and is defined there
+        import qcbounds
+
+        for name in qcbounds.__all__:
+            module = importlib.import_module(f"qcbounds.{qcbounds._MODULE_OF[name]}")
+            obj = getattr(qcbounds, name)
+            assert obj is getattr(module, name), name
+            assert obj.__module__ == module.__name__, name
+
+    def test_unknown_name_raises_attribute_error(self):
+        import qcbounds
+
+        with pytest.raises(AttributeError, match="series_SA"):
+            qcbounds.series_SA
 
 
 class TestJsonOutput:

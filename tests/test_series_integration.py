@@ -2,8 +2,8 @@
 
 Everything here recomputes the Kloosterman/Bessel series with
 kloosterman_direct (unit-by-unit enumeration) and plain Python loops,
-then compares against the optimized kernels used by series_SA/series_SB
-and the A/B accumulators.
+then compares against the optimized per-modulus code the certificates
+run (the conftest `series` fixture) and the A/B accumulators.
 """
 
 import math
@@ -60,9 +60,9 @@ CASES = [
 
 
 @pytest.mark.parametrize("m,D,N,c", CASES)
-def test_series_sa_matches_brute_force(m, D, N, c):
+def test_series_sa_matches_brute_force(series, m, D, N, c):
     chi = q.make_character(D)
-    got = q.series_SA(m, chi, N, c, 300).value
+    got, _ = series("A", m, chi, N, c, 300)
     assert got == pytest.approx(brute_sa(m, chi, N, c, 300), abs=1e-10 * math.sqrt(c))
 
 
@@ -70,9 +70,9 @@ def test_series_sa_matches_brute_force(m, D, N, c):
     (1, 3, 49, 1), (1, 3, 49, 2), (1, 3, 49, 12), (7, 3, 7, 10),
     (1, 4, 49, 9), (11, 4, 11, 7),
 ])
-def test_series_sb_matches_brute_force(m, D, N, d):
+def test_series_sb_matches_brute_force(series, m, D, N, d):
     chi = q.make_character(D)
-    got = q.series_SB(m, chi, N, d, 300).value
+    got, _ = series("B", m, chi, N, d, 300)
     assert got == pytest.approx(brute_sb(m, chi, N, d, 300), abs=1e-10)
 
 

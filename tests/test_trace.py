@@ -12,7 +12,6 @@ import qcbounds as q
 from qcbounds import bessel, trace
 from qcbounds.errors import (
     DividesDiscriminant,
-    LevelMismatch,
     NotPrime,
     UnsupportedCase,
 )
@@ -26,30 +25,26 @@ CHI23 = q.make_character(23)
 
 
 class TestSeriesSA:
-    def test_weil_induced_bound_at_level(self):
-        sv = q.series_SA(1, CHI3, 49, 49, 2000)
-        assert abs(sv.value) <= 2 * 3 * 7 * 1 / math.sqrt(49)  # = 6
-        assert sv.tail_bound < 1e-12 * abs(sv.value)
+    def test_weil_induced_bound_at_level(self, series):
+        value, tail = series("A", 1, CHI3, 49, 49, 2000)
+        assert abs(value) <= 2 * 3 * 7 * 1 / math.sqrt(49)  # = 6
+        assert tail < 1e-12 * abs(value)
 
-    def test_weil_induced_bound_double_level(self):
-        sv = q.series_SA(1, CHI3, 49, 98, 2000)
-        assert abs(sv.value) <= 2 * 3 * 7 * 2 / math.sqrt(98)
+    def test_weil_induced_bound_double_level(self, series):
+        value, _ = series("A", 1, CHI3, 49, 98, 2000)
+        assert abs(value) <= 2 * 3 * 7 * 2 / math.sqrt(98)
 
-    def test_level_must_divide(self):
-        with pytest.raises(LevelMismatch):
-            q.series_SA(1, CHI3, 49, 50, 100)
-
-    def test_tail_decreases(self):
-        tails = [q.series_SA(1, CHI3, 49, 49, n).tail_bound for n in (10, 50, 200)]
+    def test_tail_decreases(self, series):
+        tails = [series("A", 1, CHI3, 49, 49, n)[1] for n in (10, 50, 200)]
         assert tails == sorted(tails, reverse=True)
 
 
 class TestSeriesSB:
-    def test_trivial_modulus(self):
+    def test_trivial_modulus(self, series):
         # d = 1: the Kloosterman factor is identically 1
         from qcbounds.bessel import bessel_j1
 
-        sv = q.series_SB(1, CHI3, 49, 1, 500)
+        value, _ = series("B", 1, CHI3, 49, 1, 500)
         n = np.arange(1, 501)
         x = 2 * math.pi / (3 * 7)
         expect = float(
@@ -60,18 +55,14 @@ class TestSeriesSB:
                 * np.exp(-n * x)
             )
         )
-        assert sv.value == pytest.approx(expect, rel=1e-12)
+        assert value == pytest.approx(expect, rel=1e-12)
 
-    def test_weil_induced_bound(self):
-        sv = q.series_SB(1, CHI3, 49, 2, 2000)
-        assert abs(sv.value) <= 3 * 2 / math.sqrt(2)
+    def test_weil_induced_bound(self, series):
+        value, _ = series("B", 1, CHI3, 49, 2, 2000)
+        assert abs(value) <= 3 * 2 / math.sqrt(2)
 
-    def test_coprimality_enforced(self):
-        with pytest.raises(LevelMismatch):
-            q.series_SB(1, CHI3, 49, 7, 100)
-
-    def test_tail_small(self):
-        assert q.series_SB(1, CHI3, 49, 5, 2000).tail_bound < 1e-10
+    def test_tail_small(self, series):
+        assert series("B", 1, CHI3, 49, 5, 2000)[1] < 1e-10
 
     @pytest.mark.parametrize("m,N,d,k", [
         (1, 49, 1, 300), (1, 49, 12, 300), (7, 7, 10, 95), (1, 9, 37, 37),
@@ -221,7 +212,7 @@ class TestNumericSeries:
         assert b.error_bound <= 29.234176293947236
 
     @pytest.mark.parametrize("D, p", [(15, 271), (31, 431)])
-    def test_abel_bound_holds_per_modulus(self, D, p):
+    def test_abel_bound_holds_per_modulus(self, series, D, p):
         # |S_B(d)| over the full n-series (partial sum plus its n-tail) lies
         # below the per-d Abel bound for every d != D; at d = D, where the
         # period sum need not vanish, it does not, so the tail takes the
@@ -233,8 +224,8 @@ class TestNumericSeries:
         for d in list(range(1, 51)) + sampled + [40_000]:
             if math.gcd(d, N) != 1:
                 continue
-            sv = q.series_SB(1, chi, N, d, n_max)
-            ratio = (abs(sv.value) + sv.tail_bound) / q.abel_sb_bound(D, 1, N, d)
+            value, tail = series("B", 1, chi, N, d, n_max)
+            ratio = (abs(value) + tail) / q.abel_sb_bound(D, 1, N, d)
             if d == D:
                 assert ratio > 1.1, d
             else:
@@ -242,17 +233,20 @@ class TestNumericSeries:
 
     def test_default_cap_resolved_before_B(self, monkeypatch):
         # B_numeric (and bench/tracer.py's cap count) always sees an int: a
-        # planned cap, here the least B meeting its former error, or the
-        # explicit one
+        # planned cap or the explicit one
+        m, N = 1, 271**2
+        [(_, planned)] = trace._plan(
+            CHI15, [(m, N)], lambda e: trace._pairing_error(m, N, *e)
+        ).caps
         seen = []
         b_numeric = trace.B_numeric
         monkeypatch.setattr(
             trace, "B_numeric",
             lambda m, chi, N, *, d_max: seen.append(d_max) or b_numeric(m, chi, N, d_max=d_max),
         )
-        q.pairing_numeric(1, 271**2, CHI15, t_max=4)
-        q.pairing_numeric(1, 271**2, CHI15, t_max=4, d_max=9)
-        assert seen == [27, 9]
+        q.pairing_numeric(m, N, CHI15)
+        q.pairing_numeric(m, N, CHI15, t_max=4, d_max=9)
+        assert seen == [planned, 9] and isinstance(planned, int)
 
     def test_caps_are_keyword_only(self):
         # bench/tracer.py binds the caps by name; keyword-only keeps a stray
@@ -269,9 +263,22 @@ class TestNumericSeries:
             q.A_numeric(1, CHI3, 49, t_max=-1)
         with pytest.raises(ValueError, match="d_max"):
             q.B_numeric(1, CHI3, 49, d_max=0)
-        for t_max, d_max in ((-1, None), (None, 0)):
-            with pytest.raises(ValueError, match="_max"):
+        for t_max, d_max, name in ((-1, 9, "t_max"), (4, 0, "d_max")):
+            with pytest.raises(ValueError, match=f"{name} must be"):
                 q.pairing_numeric(1, 49, CHI3, t_max=t_max, d_max=d_max)
+
+    def test_exactly_one_cap_rejected(self, monkeypatch):
+        # both caps or neither; the error comes before any plan
+        monkeypatch.setattr(trace, "_plan", lambda *a: pytest.fail("planned"))
+        calls = (
+            lambda **caps: q.pairing_numeric(1, 49, CHI3, **caps),
+            lambda **caps: q.new_plus_pairing(73, CHI3, **caps),
+            lambda **caps: q.certify_numeric(73, CHI3, **caps),
+        )
+        for call in calls:
+            for caps in ({"t_max": 4}, {"d_max": 9}, {"t_max": 0, "d_max": None}):
+                with pytest.raises(ValueError, match="both t_max and d_max, or neither"):
+                    call(**caps)
 
     @pytest.mark.parametrize("D, m, N", [(3, 1, 49), (15, 271, 271), (24, 1, 359**2)])
     def test_t_max_zero_leaves_A_unevaluated(self, D, m, N):
@@ -442,7 +449,7 @@ class TestPlanner:
     def test_never_looser_than_the_former_caps(self, case):
         D, p = case
         chi = q.make_character(D)
-        plan = trace._new_plus_plan(p, chi, None, None)
+        plan = trace._new_plus_plan(p, chi)
         assert plan.error <= former_default_error(p, chi)
         for t, d in plan.caps:
             assert 0 <= t <= 240 and 1 <= d <= 1600
@@ -450,7 +457,7 @@ class TestPlanner:
     @pytest.mark.parametrize("D, p", [(3, 73), (24, 359), (31, 421)])
     def test_predicted_error_is_reported(self, D, p):
         chi = q.make_character(D)
-        plan = trace._new_plus_plan(p, chi, None, None)
+        plan = trace._new_plus_plan(p, chi)
         cert = q.certify_numeric(p, chi)
         assert cert.components["error_bound"] == plan.error
         caps = [(cert.components[f"A{s} t_max"], cert.components[f"B{s} d_max"])
@@ -459,17 +466,21 @@ class TestPlanner:
 
     def test_bare_pairing_is_planned(self):
         m, N = 1, 271
-        plan = trace._plan(CHI15, [(m, N)], None, None,
-                           lambda e: trace._pairing_error(m, N, *e))
+        plan = trace._plan(CHI15, [(m, N)], lambda e: trace._pairing_error(m, N, *e))
         [(t, d)] = plan.caps
         res = q.pairing_numeric(m, N, CHI15)
         assert res.error_bound == plan.error
         assert res == q.pairing_numeric(m, N, CHI15, t_max=t, d_max=d)
         assert res.error_bound <= q.pairing_numeric(m, N, CHI15, t_max=240, d_max=800).error_bound
 
-    def test_explicit_caps_skip_the_planner(self):
-        plan = trace._new_plus_plan(271, CHI15, 64, 300)
-        assert plan == trace._Plan([(64, 300)] * 3, None)
+    def test_explicit_caps_skip_the_planner(self, monkeypatch):
+        monkeypatch.setattr(trace, "_plan", lambda *a: pytest.fail("planned"))
+        q.pairing_numeric(1, 49, CHI3, t_max=4, d_max=9)
+        res = q.new_plus_pairing(73, CHI3, t_max=4, d_max=9)
+        cert = q.certify_numeric(73, CHI3, t_max=4, d_max=9)
+        assert cert.components["value"] == res.value
+        for s in ("(1,p^2)", "(1,p)", "(p,p)"):
+            assert (cert.components[f"A{s} t_max"], cert.components[f"B{s} d_max"]) == (4, 9)
 
 
 class TestCertificates:
