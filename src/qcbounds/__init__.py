@@ -21,7 +21,7 @@ _EXPORTS = {
         "euler_phi",
         "factorize", "fundamental_discriminants", "gauss_sum", "is_fundamental_negative",
         "is_prime", "kloosterman_direct", "kloosterman_fast", "kronecker",
-        "make_character", "mod_inverse", "multiplicative_functions", "next_prime",
+        "make_character", "multiplicative_functions", "next_prime",
     ),
     "bessel": ("bessel_j1",),
     "bounds": (
@@ -46,8 +46,7 @@ _EXPORTS = {
     ),
     "trace": (
         "A_bound", "A_numeric", "B_bound", "B_numeric", "Certificate", "NumericResult",
-        "PairingParams", "certify_nonvanishing", "certify_numeric", "certify_weil_mix",
-        "new_plus_pairing", "pairing_numeric",
+        "PairingParams", "certify_nonvanishing", "certify_numeric", "pairing_numeric",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

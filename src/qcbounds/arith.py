@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import DomainError, NotFundamental, NotInvertible
+from .errors import DomainError, NotFundamental
 
 if TYPE_CHECKING:
     import numpy as np
@@ -125,16 +125,6 @@ def divisor_counts(n_max: int) -> np.ndarray:
 
 def euler_phi(n: int) -> int:
     return multiplicative_functions(n).phi
-
-
-def mod_inverse(v: int, c: int) -> int:
-    """Inverse of v modulo c, in [0, c).  mod_inverse(1, 1) == 0."""
-    if c < 1:
-        raise ValueError("modulus must be >= 1")
-    try:
-        return pow(v, -1, c)
-    except ValueError as exc:
-        raise NotInvertible(f"{v} is not invertible mod {c}") from exc
 
 
 def kronecker(delta: int, n: int) -> int:

@@ -10,10 +10,6 @@ class NotFundamental(ValueError):
     """-D is not a fundamental discriminant of an imaginary quadratic field."""
 
 
-class NotInvertible(ValueError):
-    """Requested a modular inverse of a non-unit."""
-
-
 class InvalidHint(ValueError):
     """The prime hint passed to a refined Weil bound does not apply."""
 

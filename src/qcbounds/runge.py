@@ -157,12 +157,16 @@ def eisenstein_e4(tau: UpperHalfPoint) -> complex:
 def j_invariant(tau: UpperHalfPoint) -> complex:
     """j = E4^3 / Delta; j(i) = 1728, j(exp(i pi/3)) = 0.
 
-    Raises DomainError where Delta(tau) underflows to 0, which happens
-    for Im tau near 0 or very large."""
-    disc = delta(tau)
+    j is SL2(Z)-invariant, so both q-series are evaluated at the reduction
+    of tau to the fundamental domain, where |q| <= e^(-pi sqrt 3) keeps
+    them short and accurate.  Raises DomainError where Delta underflows
+    to 0 at the reduced point, which happens for Im tau near 0 (reduced
+    far up) or very large."""
+    reduced, _ = reduce_to_fundamental_domain(tau)
+    disc = delta(reduced)
     if disc == 0:
-        raise DomainError(f"Delta(tau) underflows to 0 at tau = {tau.z}")
-    return eisenstein_e4(tau) ** 3 / disc
+        raise DomainError(f"Delta(tau) underflows to 0 at tau = {tau.z} (reduced: {reduced.z})")
+    return eisenstein_e4(reduced) ** 3 / disc
 
 
 Matrix = tuple[tuple[int, int], tuple[int, int]]

@@ -30,20 +30,23 @@ lower bound
           - 2 pi tau(D)/sqrt(D) (1/p + 1/(p-1))
 
 with one-sided 1e-12 rounding inflation (a pragmatic surrogate for full
-interval arithmetic); the numeric series evaluation is advisory and
-carries explicit truncation error bounds: Weil-induced majorants for the
-n-tails and A's c-tail, and for B's d-tail the hybrid of
-bounds.hybrid_d_tail (the paper's Abel transform per d up to a d1 chosen
-to minimise the total, the Weil tau-tail beyond).  None of these bounds
-depends on an evaluated term, so a planner (_plan) picks every series'
-cap before anything is evaluated: A's t_max and B's d_max for each
-shape, the cheapest caps on a geometric ladder whose error bound is no
-larger than the one the former fixed caps reached (t_max = 240, and B at
-bounds.hybrid_d_cap(..., 800)).  A caller may instead pass both t_max
-and d_max, which every shape sums as given, with no plan; exactly one
-of them is an error.  Only the numeric path loads numpy (with bessel,
-kernels and bounds), inside the functions that use it, so a closed-form
-certificate starts without it.
+interval arithmetic).  It is claimed for D >= 15 only; below that its
+verdict is indeterminate and its diagnostic points to the numeric mode
+(certify_numeric, `certify --mode numeric`).  The numeric series
+evaluation is advisory and carries explicit truncation error bounds:
+Weil-induced majorants for the n-tails and A's c-tail, and for B's
+d-tail the hybrid of bounds.hybrid_d_tail (the paper's Abel transform
+per d up to a d1 chosen to minimise the total, the Weil tau-tail
+beyond).  None of these bounds depends on an evaluated term, so a
+planner (_plan) picks every series' cap before anything is evaluated:
+A's t_max and B's d_max for each shape, the cheapest caps on a
+geometric ladder whose error bound is no larger than the one the former
+fixed caps reached (t_max = 240, and B at bounds.hybrid_d_cap(...,
+800)).  A caller may instead pass both t_max and d_max, which every
+shape sums as given, with no plan; exactly one of them is an error.
+Only the numeric path loads numpy (with bessel, kernels and bounds),
+inside the functions that use it, so a closed-form certificate starts
+without it.
 """
 
 from __future__ import annotations
@@ -73,7 +76,6 @@ INDETERMINATE = "indeterminate"
 
 MODE_CLOSED_FORM = "closed-form"
 MODE_NUMERIC = "numeric-advisory"
-MODE_WEIL_MIX = "weil-mix"
 
 # The former fixed caps, which now only set the planner's default target:
 # A summed 240 moduli, B stopped where its hybrid tail met the Weil tail
@@ -563,42 +565,6 @@ def _new_plus_plan(p: int, chi: QuadraticCharacter) -> _Plan:
     return _plan(chi, shapes, total)
 
 
-def _new_plus_caps(
-    p: int, chi: QuadraticCharacter, t_max: int | None, d_max: int | None
-) -> list[tuple[int, int]]:
-    """The caller's (t_max, d_max) in all three pairings, or the plan's."""
-    if _given_caps(t_max, d_max):
-        return [(t_max, d_max)] * 3
-    return _new_plus_plan(p, chi).caps
-
-
-def _new_plus(p: int, chi: QuadraticCharacter, caps: list[tuple[int, int]]) -> NumericResult:
-    """new_plus_pairing with each pairing at its (t_max, d_max) from `caps`."""
-    w = p * p - 1
-    p1, p2, p3 = (
-        pairing_numeric(m, N, chi, t_max=t, d_max=d)
-        for (m, N), (t, d) in zip(_new_plus_shapes(p), caps)
-    )
-    value = p1.value - p / w * p2.value + chi(p) / w * p3.value
-    return NumericResult(value, _new_plus_error(p, p1.error_bound, p2.error_bound, p3.error_bound))
-
-
-def new_plus_pairing(
-    p: int,
-    chi: QuadraticCharacter,
-    *,
-    t_max: int | None = None,
-    d_max: int | None = None,
-) -> NumericResult:
-    """(a_1, L_chi)_{p^2}^{+,new} = (a_1,L_chi)_{p^2}
-    - p/(p^2-1) (a_1,L_chi)_p + chi(p)/(p^2-1) (a_p,L_chi)_p.  Explicit
-    t_max and d_max serve all three pairings; given neither, the caps of
-    the six series are planned together (_plan).  Exactly one cap is a
-    ValueError."""
-    _check_certify_args(p, chi)
-    return _new_plus(p, chi, _new_plus_caps(p, chi, t_max, d_max))
-
-
 @dataclass(frozen=True)
 class Certificate:
     """Outcome of a rigorous bound evaluation for
@@ -647,9 +613,8 @@ def certify_nonvanishing(p: int, chi: QuadraticCharacter) -> Certificate:
     before combining.  Certified-positive needs a margin above 1e-6.
 
     The assembled form is only claimed for D >= 15; below that the
-    verdict is always indeterminate with a diagnostic (D in {7, 8, 11}
-    are covered by the separate Weil-mix mode, D in {3, 4} by external
-    computation).
+    verdict is always indeterminate, with a diagnostic that points to
+    the numeric mode (certify_numeric, `certify --mode numeric`).
     """
     _check_certify_args(p, chi)
     D = chi.D
@@ -667,47 +632,13 @@ def certify_nonvanishing(p: int, chi: QuadraticCharacter) -> Certificate:
         verdict = INDETERMINATE
         diagnostic = (
             f"the assembled closed form is only claimed for D >= 15 (got D={D}); "
-            "try certify_weil_mix for D in {7, 8, 11} or the numeric mode"
+            "try the numeric mode (certify --mode numeric)"
         )
     elif lower > _CERT_MARGIN:
         verdict = CERTIFIED_POSITIVE
     else:
         verdict = INDETERMINATE
     return Certificate(verdict, lower, MODE_CLOSED_FORM, components, diagnostic)
-
-
-def certify_weil_mix(p: int, chi: QuadraticCharacter) -> Certificate:
-    """Alternative mix: Weil bounds on five terms, Abel on |B(1,chi,p^2)|.
-
-    A best-effort reconstruction targeting D in {7, 8, 11}, where the
-    default assembly is not claimed; kept as a separate mode and never
-    used by the default certifier.
-    """
-    _check_certify_args(p, chi)
-    D = chi.D
-    w = p * p - 1.0
-    ld, lp = math.log(D), math.log(p)
-    sqrt_d = math.sqrt(D)
-    a1 = 14.0 * D / (p * p)
-    a2 = 14.0 * D / p
-    a3 = 14.0 * D / p
-    b1 = sqrt_d / p * (9.0 * ld * ld + 24.0 * ld * lp + 24.0 * lp * lp) + (
-        divisor_count(D) / sqrt_d
-    )
-    b2 = 7.0 * D
-    b3 = 7.0 * D * math.sqrt(p)
-    total = _TWO_PI * (a1 + p / w * a2 + a3 / w) + _TWO_PI * (
-        b1 / p + math.sqrt(p) * b2 / w + b3 / w
-    )
-    first = _first_term_lower(p, D)
-    lower = first * _ROUND_DEFLATE - total * _ROUND_INFLATE
-    components = {
-        "A(1,p^2)": a1, "A(1,p)": a2, "A(p,p)": a3,
-        "B(1,p^2)": b1, "B(1,p)": b2, "B(p,p)": b3,
-        "first_term": first,
-    }
-    verdict = CERTIFIED_POSITIVE if lower > _CERT_MARGIN else INDETERMINATE
-    return Certificate(verdict, lower, MODE_WEIL_MIX, components)
 
 
 def certify_numeric(
@@ -717,21 +648,33 @@ def certify_numeric(
     t_max: int | None = None,
     d_max: int | None = None,
 ) -> Certificate:
-    """Advisory certificate from the numeric series: value minus its
-    truncation error bound, divided by 4 pi.
+    """Advisory certificate from the numeric series: the new-plus pairing
 
-    The caps are given or planned as in new_plus_pairing.  Besides value
-    and error_bound, the components name the t_max and d_max used for
-    each shape and split B(1,p^2)'s d-tail into its Abel and Weil parts,
-    both in units of error_bound (8 pi^2/p times the tail)."""
+        (a_1, L_chi)_{p^2}^{+,new} = (a_1,L_chi)_{p^2}
+            - p/(p^2-1) (a_1,L_chi)_p + chi(p)/(p^2-1) (a_p,L_chi)_p
+
+    minus its truncation error bound, divided by 4 pi.
+
+    Explicit t_max and d_max serve all three pairings; given neither, the
+    caps of the six series are planned together (_plan).  Exactly one cap
+    is a ValueError.  Besides value and error_bound, the components name
+    the t_max and d_max used for each shape and split B(1,p^2)'s d-tail
+    into its Abel and Weil parts, both in units of error_bound (8 pi^2/p
+    times the tail)."""
     from .bounds import hybrid_d_tail
 
     _check_certify_args(p, chi)
-    caps = _new_plus_caps(p, chi, t_max, d_max)
-    res = _new_plus(p, chi, caps)
-    lower = (res.value - res.error_bound) / (4.0 * math.pi)
+    caps = [(t_max, d_max)] * 3 if _given_caps(t_max, d_max) else _new_plus_plan(p, chi).caps
+    w = p * p - 1
+    p1, p2, p3 = (
+        pairing_numeric(m, N, chi, t_max=t, d_max=d)
+        for (m, N), (t, d) in zip(_new_plus_shapes(p), caps)
+    )
+    value = p1.value - p / w * p2.value + chi(p) / w * p3.value
+    error = _new_plus_error(p, p1.error_bound, p2.error_bound, p3.error_bound)
+    lower = (value - error) / (4.0 * math.pi)
     verdict = CERTIFIED_POSITIVE if lower > _CERT_MARGIN else INDETERMINATE
-    components: dict[str, float] = {"value": res.value, "error_bound": res.error_bound}
+    components: dict[str, float] = {"value": value, "error_bound": error}
     for shape, (t, d) in zip(("(1,p^2)", "(1,p)", "(p,p)"), caps):
         components[f"A{shape} t_max"] = t
         components[f"B{shape} d_max"] = d

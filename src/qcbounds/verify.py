@@ -438,9 +438,9 @@ def envelope_suite(
     chi15 = make_character(15)
     cert = trace.certify_nonvanishing(269, chi15)
     res.check(cert.certified, "certificate at (D, p) = (15, 269) not positive")
-    num = trace.new_plus_pairing(269, chi15, t_max=96, d_max=300)
+    num = trace.certify_numeric(269, chi15, t_max=96, d_max=300).components
     res.check(
-        abs(num.value) > 4.0 * math.pi * cert.lower_bound - num.error_bound,
+        abs(num["value"]) > 4.0 * math.pi * cert.lower_bound - num["error_bound"],
         "numeric series contradicts the certificate at (15, 269)",
     )
     return _finish(res, t0)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import qcbounds as q
 from qcbounds.arith import _units_and_inverses, kloosterman_direct_complex
-from qcbounds.errors import DomainError, NotFundamental, NotInvertible
+from qcbounds.errors import DomainError, NotFundamental
 
 
 def legendre_euler(a: int, p: int) -> int:
@@ -192,24 +192,6 @@ class TestMultiplicative:
         # the sieve behind the series prefactors and the tails suite
         tau = q.divisor_counts(n_max)
         assert tau.tolist() == [0] + [q.divisor_count(n) for n in range(1, n_max + 1)]
-
-
-class TestModInverse:
-    def test_examples(self):
-        assert q.mod_inverse(3, 7) == 5
-        assert q.mod_inverse(1, 1) == 0
-        with pytest.raises(NotInvertible):
-            q.mod_inverse(2, 4)
-
-    @given(st.integers(1, 10**6), st.integers(2, 10**6))
-    @settings(max_examples=100, deadline=None)
-    def test_inverse_property(self, v, c):
-        if math.gcd(v, c) != 1:
-            with pytest.raises(NotInvertible):
-                q.mod_inverse(v, c)
-        else:
-            r = q.mod_inverse(v, c)
-            assert 0 <= r < c and v * r % c == 1
 
 
 class TestPrimes:

@@ -48,6 +48,10 @@ def test_absolute_error_on_0_1000():
     )
     for x in xs:
         assert bessel_j1(float(x)) == pytest.approx(j1_quadrature(float(x)), abs=1e-9)
+    # and on to 5e3, past the largest argument a certificate uses (about
+    # 4,061 in B(p,p) at (D, p) = (403, 1361)); the error there is ~4e-15
+    for x in np.concatenate([rng.uniform(1e3, 5e3, 400), [1000.0, 4061.0, 5000.0]]):
+        assert bessel_j1(float(x)) == pytest.approx(float(mpmath.besselj(1, float(x))), abs=1e-12)
 
 
 def test_array_and_scalar_agree():

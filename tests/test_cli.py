@@ -133,8 +133,10 @@ class TestExports:
     def test_unknown_name_raises_attribute_error(self):
         import qcbounds
 
-        with pytest.raises(AttributeError, match="series_SA"):
-            qcbounds.series_SA
+        for name in ("series_SA", "certify_weil_mix", "new_plus_pairing", "mod_inverse"):
+            assert name not in qcbounds.__all__
+            with pytest.raises(AttributeError, match=name):
+                getattr(qcbounds, name)
 
 
 class TestJsonOutput:

@@ -11,9 +11,9 @@ from qcbounds.kernels import kloosterman_row, series_kloosterman
 
 ROW_CASES = [(1, 12), (3, 35), (0, 8), (2, 49), (5, 121), (4, 1), (9, 27), (7, 100)]
 
-# (m, p, N, t): exercises a = 1, the p^2 row, Salie even/odd powers, the
-# higher powers p | t brings (p | m among them, read from a row) and the
-# CRT twist against the small cofactor.
+# (m, p, N, t): exercises a = 1, the a = 2 closed form, Salie at higher
+# even/odd powers, the higher powers p | t brings (p | m among them, read
+# from a row) and the CRT twist against the small cofactor.
 SERIES_CASES = [
     (1, 7, 49, 1), (1, 7, 49, 2), (1, 7, 49, 6), (1, 7, 49, 7), (1, 7, 49, 14),
     (1, 7, 49, 49), (1, 7, 7, 1), (1, 7, 7, 4), (1, 7, 7, 7), (1, 7, 7, 21),
@@ -73,7 +73,7 @@ def test_series_rows_match_direct(m, p, N, t):
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
-def test_p2_row_matches_direct(p):
+def test_a2_closed_form_matches_direct_at_every_unit_m(p):
     # every unit m and every residue y mod p^2, through the closed form
     # S(m, y; p^2) = S(1, m*y; p^2) that series_kloosterman evaluates
     q = p * p

@@ -74,6 +74,15 @@ class TestJInvariant:
             q.j_invariant(pt(1.37, 1.2)), rel=1e-10
         )
 
+    @pytest.mark.parametrize("re_, im", [(0.3, 0.01), (0.1, 0.05)])
+    def test_invariance_near_the_real_line(self, re_, im):
+        # tau, tau + 1 and -1/tau reduce to one point up to rounding; the
+        # unreduced q-series drifted by up to 4.5e-11 relative here
+        tau = complex(re_, im)
+        j0, j1, j2 = (q.j_invariant(UpperHalfPoint.from_complex(z)) for z in (tau, tau + 1, -1 / tau))
+        assert j1 == pytest.approx(j0, rel=1e-13)
+        assert j2 == pytest.approx(j0, rel=1e-13)
+
 
 class TestReduction:
     def test_fixed_point(self):

@@ -272,7 +272,6 @@ class TestNumericSeries:
         monkeypatch.setattr(trace, "_plan", lambda *a: pytest.fail("planned"))
         calls = (
             lambda **caps: q.pairing_numeric(1, 49, CHI3, **caps),
-            lambda **caps: q.new_plus_pairing(73, CHI3, **caps),
             lambda **caps: q.certify_numeric(73, CHI3, **caps),
         )
         for call in calls:
@@ -343,17 +342,17 @@ class TestPairing:
 
 class TestNewPlusPairing:
     def test_advisory_positive_73_3(self):
-        res = q.new_plus_pairing(73, CHI3, t_max=72, d_max=300)
-        assert res.value > 0
+        cert = q.certify_numeric(73, CHI3, t_max=72, d_max=300)
+        assert cert.components["value"] > 0
 
     def test_frozen_anchor_271_15(self):
         # Frozen from the engine that built one row per (m, c); rows read
         # from the per-modulus base row differ from those by rounding only.
         # The hybrid d-tail took the error bound from 5.3286327878170345.
-        res = q.new_plus_pairing(271, CHI15, t_max=64, d_max=300)
-        assert res.error_bound == 3.143876520552363
-        assert res.error_bound <= 5.3286327878170345
-        assert res.value == pytest.approx(12.519165051681355, rel=1e-12)
+        comp = q.certify_numeric(271, CHI15, t_max=64, d_max=300).components
+        assert comp["error_bound"] == 3.143876520552363
+        assert comp["error_bound"] <= 5.3286327878170345
+        assert comp["value"] == pytest.approx(12.519165051681355, rel=1e-12)
 
     def test_frozen_certificate_31_431(self):
         # The largest n-grid of the numeric-certify domain (D = 15..31 near
@@ -398,11 +397,11 @@ class TestNewPlusPairing:
 
     def test_guards(self):
         with pytest.raises(NotPrime):
-            q.new_plus_pairing(72, CHI3)
+            q.certify_numeric(72, CHI3)
         with pytest.raises(DividesDiscriminant):
-            q.new_plus_pairing(3, CHI3)
+            q.certify_numeric(3, CHI3)
         with pytest.raises(DividesDiscriminant):
-            q.new_plus_pairing(5, CHI15)
+            q.certify_numeric(5, CHI15)
 
 
 def former_default_error(p, chi):
@@ -475,10 +474,12 @@ class TestPlanner:
 
     def test_explicit_caps_skip_the_planner(self, monkeypatch):
         monkeypatch.setattr(trace, "_plan", lambda *a: pytest.fail("planned"))
-        q.pairing_numeric(1, 49, CHI3, t_max=4, d_max=9)
-        res = q.new_plus_pairing(73, CHI3, t_max=4, d_max=9)
-        cert = q.certify_numeric(73, CHI3, t_max=4, d_max=9)
-        assert cert.components["value"] == res.value
+        p, w = 73, 73 * 73 - 1
+        p1, p2, p3 = (q.pairing_numeric(m, N, CHI3, t_max=4, d_max=9)
+                      for m, N in ((1, p * p), (1, p), (p, p)))
+        cert = q.certify_numeric(p, CHI3, t_max=4, d_max=9)
+        # the new-plus combination of the three pairings, at the given caps
+        assert cert.components["value"] == p1.value - p / w * p2.value + CHI3(p) / w * p3.value
         for s in ("(1,p^2)", "(1,p)", "(p,p)"):
             assert (cert.components[f"A{s} t_max"], cert.components[f"B{s} d_max"]) == (4, 9)
 
@@ -509,26 +510,19 @@ class TestCertificates:
     def test_small_D_gated_indeterminate(self):
         # below D = 15 the closed form is not claimed (the verdict is
         # gated even when the raw number sneaks above zero, as it does by
-        # 8e-4 at D = 11, p = 223)
+        # 8e-4 at D = 11, p = 223); the diagnostic points to the numeric
+        # mode, which certifies each of them
         for D, p in [(3, 73), (7, 163), (8, 179), (11, 223)]:
-            cert = q.certify_nonvanishing(p, q.make_character(D))
+            chi = q.make_character(D)
+            cert = q.certify_nonvanishing(p, chi)
             assert cert.verdict == "indeterminate"
-            assert cert.diagnostic is not None
-
-    def test_weil_mix_mode(self):
-        # The sketched alternative mix certifies D = 7, 8, 11 just above
-        # their thresholds.
-        for D, p in [(7, 163), (8, 179), (11, 223)]:
-            mixed = q.certify_weil_mix(p, q.make_character(D))
-            assert mixed.verdict == "certified-positive"
-            assert mixed.mode == "weil-mix"
-        # ... but not D = 3 or 4 (delegated to external computations)
-        assert q.certify_weil_mix(73, CHI3).verdict == "indeterminate"
+            assert "certify --mode numeric" in cert.diagnostic
+            assert q.certify_numeric(p, chi).certified
 
     def test_certificate_soundness_against_numeric(self):
         cert = q.certify_nonvanishing(271, CHI15)
-        res = q.new_plus_pairing(271, CHI15, t_max=96, d_max=300)
-        assert abs(res.value) > 4 * math.pi * cert.lower_bound - res.error_bound
+        num = q.certify_numeric(271, CHI15, t_max=96, d_max=300).components
+        assert abs(num["value"]) > 4 * math.pi * cert.lower_bound - num["error_bound"]
 
     def test_numeric_mode(self):
         cert = q.certify_numeric(73, CHI3, t_max=72, d_max=300)
