@@ -32,11 +32,13 @@ WEIL_BOTH = "prime-divides-both"
 
 @dataclass(frozen=True)
 class WeilCase:
-    tag: str
-    bound_value: float
+    tag: str | np.ndarray
+    bound_value: float | np.ndarray
 
 
-def weil_bound(m: int, n: int, c: int, p_hint: int | None = None) -> WeilCase:
+def weil_bound(
+    m: int | np.ndarray, n: int | np.ndarray, c: int, p_hint: int | None = None
+) -> WeilCase:
     """Sharpest applicable Weil bound on |S(m,n;c)|.
 
     Generic: gcd(m,n,c)^(1/2) tau(c) sqrt(c).  With an odd prime hint p,
@@ -44,34 +46,37 @@ def weil_bound(m: int, n: int, c: int, p_hint: int | None = None) -> WeilCase:
     when p divides neither m nor n, tau(c') gcd^(1/2) sqrt(c') when p
     divides exactly one, and tau(c/p) gcd^(1/2) sqrt(c) when p divides
     both.
+
+    m and n are integers (a str tag and a float bound) or integer arrays
+    (tag and bound arrays of their broadcast shape), reduced mod c before
+    any int64 step: the gcd and p | m, p | n depend only on m, n mod c.
     """
     if c < 1:
         raise ValueError("modulus must be >= 1")
-    g = math.sqrt(math.gcd(m, math.gcd(n, c)))
+    m = np.asarray(m % c, dtype=np.int64)
+    n = np.asarray(n % c, dtype=np.int64)
+    g = np.sqrt(np.gcd(m, np.gcd(n, c)))
     tau = divisor_count(c)
     generic = g * tau * math.sqrt(c)
-    if p_hint is None:
-        return WeilCase(WEIL_GENERIC, generic)
-    if p_hint % 2 == 0 or c % p_hint != 0 or not is_prime(p_hint):
-        raise InvalidHint(f"hint {p_hint} must be an odd prime dividing {c}")
-    cp, alpha = c, 0
-    while cp % p_hint == 0:
-        cp //= p_hint
-        alpha += 1
-    # tau(c) = (alpha + 1) tau(c'), and tau(c/p) = alpha tau(c')
-    tau_cp = tau // (alpha + 1)
-    if m % p_hint != 0 and n % p_hint != 0:
-        tag = WEIL_COPRIME
-        refined = 2.0 * tau_cp * g * math.sqrt(c)
-    elif m % p_hint == 0 and n % p_hint == 0:
-        tag = WEIL_BOTH
-        refined = alpha * tau_cp * g * math.sqrt(c)
-    else:
-        tag = WEIL_ONE
-        refined = tau_cp * g * math.sqrt(cp)
-    if refined <= generic:
-        return WeilCase(tag, refined)
-    return WeilCase(WEIL_GENERIC, generic)
+    tag, bound = np.full(generic.shape, WEIL_GENERIC), generic
+    if p_hint is not None:
+        if p_hint % 2 == 0 or c % p_hint != 0 or not is_prime(p_hint):
+            raise InvalidHint(f"hint {p_hint} must be an odd prime dividing {c}")
+        cp, alpha = c, 0
+        while cp % p_hint == 0:
+            cp //= p_hint
+            alpha += 1
+        # tau(c) = (alpha + 1) tau(c'), and tau(c/p) = alpha tau(c')
+        tau_cp = tau // (alpha + 1)
+        # k = how many of m, n the hint divides: coprime, one, both
+        k = (m % p_hint == 0).astype(np.int64) + (n % p_hint == 0)
+        coef = np.array([2.0 * tau_cp, tau_cp, alpha * tau_cp])[k]
+        root = np.array([math.sqrt(c), math.sqrt(cp), math.sqrt(c)])[k]
+        refined = coef * g * root
+        keep = refined <= generic
+        tag = np.where(keep, np.array([WEIL_COPRIME, WEIL_ONE, WEIL_BOTH])[k], tag)
+        bound = np.where(keep, refined, bound)
+    return WeilCase(str(tag), float(bound)) if bound.ndim == 0 else WeilCase(tag, bound)
 
 
 def trig_sum_direct(K: int | np.ndarray, F: int) -> float | np.ndarray:

@@ -225,8 +225,7 @@ def _cmd_rho_table(args) -> int:
 
 def _cmd_verify(args) -> int:
     from . import verify
-    seed = verify.DEFAULT_SEED if args.seed is None else args.seed
-    results = verify.run_suite(args.suite, max_c=args.max_c, seed=seed)
+    results = verify.run_suite(args.suite, max_c=args.max_c, seed=args.seed)
     summary = []
     all_passed = True
     for r in results:
@@ -240,8 +239,8 @@ def _cmd_verify(args) -> int:
             for msg in r.failures[:10]:
                 print(f"    {msg}")
     if args.json:
-        _emit(args, "verify", {"suite": args.suite, "seed": seed,
-                               "max_c": args.max_c},
+        seed = verify.DEFAULT_SEED if args.seed is None else args.seed
+        _emit(args, "verify", {"suite": args.suite, "seed": seed, "max_c": args.max_c},
               {"suites": summary, "all_passed": all_passed})
     return 0 if all_passed else 1
 
@@ -336,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--suite", required=True, help="a suite name, or all")
     s.add_argument("--max-c", type=int, default=None, dest="max_c")
     s.add_argument("--seed", type=int, default=None,
-                   help="seed of the randomized suites (default: the suite default)")
+                   help="seed of the runge and compgroup suites (default: the suite default)")
     s.set_defaults(func=_cmd_verify)
 
     return parser

@@ -52,61 +52,57 @@ class SuiteResult:
             self.failures.append(message)
 
 
-def _finish(result: SuiteResult, t0: float) -> SuiteResult:
-    result.elapsed_s = time.time() - t0
-    return result
-
-
-def _weil_one_modulus(c: int, max_mn: int, tol: float) -> list[str]:
+def _weil_one_modulus(c: int) -> list[str]:
+    """The weil suite's messages at c: realness and symmetry, then per
+    (m, n) in row-major order fast/direct, generic, refined per hint and
+    periodicity."""
     fails: list[str] = []
-    ms = np.arange(1, max_mn + 1)
-    table = kloosterman_direct_complex(ms[:, None], ms, c)
+    m = np.arange(1, 13)[:, None]
+    n = m.T
+    table = kloosterman_direct_complex(m, n, c)
     real, imag = table.real, table.imag
     if np.max(np.abs(imag)) > 1e-9:
         fails.append(f"c={c}: imaginary part {np.max(np.abs(imag)):.2e}")
     if np.max(np.abs(real - real.T)) > 1e-9:
         fails.append(f"c={c}: symmetry violated")
-    fast_bad = np.abs(kloosterman_fast(ms[:, None], ms, c) - real) > 1e-9
-    if c <= max_mn:
-        # the FFT row S(m, .; c) read at n mod c: a second, independent engine
-        rows = np.array([kloosterman_row(m, c) for m in range(1, max_mn + 1)])
-        per_bad = np.abs(rows[:, ms % c] - real) > 1e-9
+    v = np.abs(real)
+    bad = [np.abs(kloosterman_fast(m, n, c) - real) > 1e-9,
+           v > bounds.weil_bound(m, n, c).bound_value + 1e-6]
+    messages = ["fast != direct at ({},{},{})", "generic Weil fails at ({},{},{})"]
     # primes dividing c to at most the third power
-    hints = [p for p in (3, 5, 7, 11, 13) if c % p == 0 and c % p**4 != 0]
-    for m in range(1, max_mn + 1):
-        for n in range(1, max_mn + 1):
-            if fast_bad[m - 1, n - 1]:
-                fails.append(f"fast != direct at ({m},{n},{c})")
-            v = abs(real[m - 1, n - 1])
-            if v > bounds.weil_bound(m, n, c).bound_value + tol:
-                fails.append(f"generic Weil fails at ({m},{n},{c})")
-            for p in hints:
-                if v > bounds.weil_bound(m, n, c, p).bound_value + tol:
-                    fails.append(f"refined Weil fails at ({m},{n},{c}) hint {p}")
-            if c <= max_mn and per_bad[m - 1, n - 1]:
-                fails.append(f"periodicity fails at ({m},{n},{c})")
+    for p in (3, 5, 7, 11, 13):
+        if c % p == 0 and c % p**4 != 0:
+            bad.append(v > bounds.weil_bound(m, n, c, p).bound_value + 1e-6)
+            messages.append(f"refined Weil fails at ({{}},{{}},{{}}) hint {p}")
+    if c <= 12:
+        # the FFT row S(m, .; c) read at n mod c: a second, independent engine
+        rows = np.array([kloosterman_row(mi, c) for mi in range(1, 13)])
+        bad.append(np.abs(rows[:, n[0] % c] - real) > 1e-9)
+        messages.append("periodicity fails at ({},{},{})")
+    # argwhere walks (m, n, check) in row-major order, the messages' order
+    for i, j, k in np.argwhere(np.stack(bad, axis=-1)):
+        fails.append(messages[k].format(i + 1, j + 1, c))
     return fails
 
 
-def weil_suite(max_c: int = 400, max_mn: int = 12) -> SuiteResult:
-    """Realness, symmetry, periodicity, all four Weil refinement cases,
-    the fast/direct oracle equivalence, and Gauss-sum moduli."""
-    t0 = time.time()
+def weil_suite(max_c: int = 400) -> SuiteResult:
+    """Realness, symmetry, periodicity, all four Weil refinement cases and
+    the fast/direct oracle equivalence for 1 <= m, n <= 12, c <= max_c;
+    and the Gauss-sum moduli for the fundamental D <= 500."""
     res = SuiteResult("weil")
     for c in range(1, max_c + 1):
-        res.checks += 2 * max_mn * max_mn + 2
-        res.failures.extend(_weil_one_modulus(c, max_mn, 1e-6))
+        res.checks += 2 * 12 * 12 + 2
+        res.failures.extend(_weil_one_modulus(c))
     for D in fundamental_discriminants(3, 500):
         g = abs(gauss_sum(make_character(D))) ** 2
         res.check(abs(g - D) <= 1e-8 * D, f"|G(chi_{D})|^2 != {D}")
-    return _finish(res, t0)
+    return res
 
 
-def trig_suite(max_f: int = 300) -> SuiteResult:
-    """S_{K,F} <= (4F/pi^2)(log F + 1.5) for 0 <= K <= F <= max_f."""
-    t0 = time.time()
+def trig_suite() -> SuiteResult:
+    """S_{K,F} <= (4F/pi^2)(log F + 1.5) for 0 <= K <= F <= 300."""
     res = SuiteResult("trig")
-    for F in range(1, max_f + 1):
+    for F in range(1, 301):
         bound = bounds.trig_sum_bound(F)
         worst = float(np.max(bounds.trig_sum_direct(np.arange(F + 1), F))) - bound
         if F == 1:
@@ -115,24 +111,22 @@ def trig_suite(max_f: int = 300) -> SuiteResult:
         res.checks += F + 1
         if worst > 1e-9:
             res.failures.append(f"trig bound fails at F={F} by {worst:.2e}")
-    return _finish(res, t0)
+    return res
 
 
-def twisted_suite(
-    discs: tuple[int, ...] = (3, 4, 7, 8, 11, 15), max_c: int = 60, max_m: int = 5
-) -> SuiteResult:
+def twisted_suite() -> SuiteResult:
     """DFT modulus and zero structure, and partial-sum suprema, for the
-    character-twisted Kloosterman sums."""
-    t0 = time.time()
+    character-twisted Kloosterman sums at D in (3, 4, 7, 8, 11, 15),
+    c <= 60 and m <= 5."""
     res = SuiteResult("twisted")
-    for D in discs:
+    for D in (3, 4, 7, 8, 11, 15):
         chi = make_character(D)
-        for c in range(1, max_c + 1):
+        for c in range(1, 61):
             F = math.lcm(c, D)
             quot = F // math.gcd(c, D)
             zero_mask = np.array([math.gcd(a, quot) != 1 for a in range(F)])
             cb = c * math.sqrt(D)
-            for m in range(1, max_m + 1):
+            for m in range(1, 6):
                 vals = np.abs(twisted_dft_all(m, c, chi))
                 res.checks += 2 * F + 1
                 if np.max(vals) > cb + 1e-6:
@@ -142,31 +136,31 @@ def twisted_suite(
                 sup = bounds.twisted_partial_sup(m, c, chi)
                 if sup > bounds.twisted_partial_bound(c, D):
                     res.failures.append(f"partial sup fails at D={D}, c={c}, m={m}")
-    return _finish(res, t0)
+    return res
 
 
-def tails_suite(max_lambda: int = 1000, cutoff: int = 10**6) -> SuiteResult:
-    """One-sided tau-tail check: sum_{lam <= n <= cutoff} tau(n)/n^(3/2)
-    <= (2 log lam + 7)/sqrt(lam); dropping the remainder only weakens
-    the left side."""
-    t0 = time.time()
+def tails_suite() -> SuiteResult:
+    """One-sided tau-tail check for lam <= 1000: sum_{lam <= n <= 10^6}
+    tau(n)/n^(3/2) <= (2 log lam + 7)/sqrt(lam); dropping the remainder
+    only weakens the left side.  Plus the harmonic and log(n)/n sums for
+    lam <= 1000."""
     res = SuiteResult("tails")
-    tau = divisor_counts(cutoff)
-    terms = tau[1:].astype(np.float64) / np.arange(1, cutoff + 1, dtype=np.float64) ** 1.5
+    tau = divisor_counts(10**6)
+    terms = tau[1:].astype(np.float64) / np.arange(1, 10**6 + 1, dtype=np.float64) ** 1.5
     suffix = np.cumsum(terms[::-1])[::-1]
-    lam = np.arange(1, max_lambda + 1)
+    lam = np.arange(1, 1001)
     partial = suffix[lam - 1]
     closed = np.array([bounds.tail_bounds(int(v)).tau_tail for v in lam])
-    res.checks += max_lambda
+    res.checks += 1000
     bad = np.nonzero(partial > closed)[0]
     for i in bad:
         res.failures.append(f"tau tail fails at lambda={lam[i]}")
     # Anchor: at lambda = 1 the full sum is about 6.8 against the bound 7.
     res.check(6.7 < partial[0] < 7.0, f"lambda=1 partial sum {partial[0]:.3f} not ~6.8")
-    n = np.arange(1, max_lambda + 1, dtype=np.float64)
+    n = np.arange(1, 1001, dtype=np.float64)
     harm = np.cumsum(1.0 / n)
     logn = np.cumsum(np.log(n) / n)
-    for lam_i in range(1, max_lambda + 1):
+    for lam_i in range(1, 1001):
         res.check(
             harm[lam_i - 1] <= bounds.tail_bounds(lam_i).harmonic + 1e-12,
             f"harmonic bound fails at {lam_i}",
@@ -176,21 +170,21 @@ def tails_suite(max_lambda: int = 1000, cutoff: int = 10**6) -> SuiteResult:
     # verify exactly that split rather than the blanket claim.
     log_fails = {
         lam_i
-        for lam_i in range(1, max_lambda + 1)
+        for lam_i in range(1, 1001)
         if logn[lam_i - 1] > bounds.tail_bounds(lam_i).log_over_n + 1e-12
     }
     res.check(
         log_fails == set(range(2, 21)),
         f"log/n failure set changed: {sorted(log_fails)[:25]}",
     )
-    return _finish(res, t0)
+    return res
 
 
-def runge_suite(seed: int = DEFAULT_SEED, samples: int = 200) -> SuiteResult:
-    """Functional equations of the modular unit, deviation bounds on
-    reduced points, the reduction |q| invariant, the two estimate-chain
-    inequalities and the j-invariant/q comparison."""
-    t0 = time.time()
+def runge_suite(seed: int = DEFAULT_SEED) -> SuiteResult:
+    """Functional equations of the modular unit at 50 random points,
+    deviation bounds and the |q| invariant on 200 reduced points, the two
+    estimate-chain inequalities for p <= 10^4, the j-invariant/q
+    comparison at 200 points and |J1(x)| <= x/2 at 10^5 points."""
     res = SuiteResult("runge")
     rng = np.random.default_rng(seed)
 
@@ -207,7 +201,7 @@ def runge_suite(seed: int = DEFAULT_SEED, samples: int = 200) -> SuiteResult:
 
     # Deviations on reduced points (reduce a random cloud first).
     reduced: list[UpperHalfPoint] = []
-    while len(reduced) < samples:
+    while len(reduced) < 200:
         tau = UpperHalfPoint(float(rng.uniform(-2.5, 2.5)), float(rng.uniform(0.05, 2.0)))
         r, _ = runge.reduce_to_fundamental_domain(tau)
         reduced.append(r)
@@ -243,7 +237,7 @@ def runge_suite(seed: int = DEFAULT_SEED, samples: int = 200) -> SuiteResult:
 
     # log|j| <= log|q^-1| + log 2 once |j| > 3500, on reduced points.
     n_spot = 0
-    while n_spot < samples:
+    while n_spot < 200:
         tau = UpperHalfPoint(float(rng.uniform(-0.5, 0.5)), float(rng.uniform(0.9, 2.5)))
         r, _ = runge.reduce_to_fundamental_domain(tau)
         jv = abs(runge.j_invariant(r))
@@ -264,13 +258,12 @@ def runge_suite(seed: int = DEFAULT_SEED, samples: int = 200) -> SuiteResult:
     res.checks += xs.size
     if np.any(vals > xs / 2.0 + 1e-15):
         res.failures.append("|J1(x)| <= x/2 fails")
-    return _finish(res, t0)
+    return res
 
 
 def compgroup_suite(seed: int = DEFAULT_SEED) -> SuiteResult:
     """Closed-form match of the component groups, the tabulated reduction
     values, the two-torsion sweep and random SNF sanity."""
-    t0 = time.time()
     res = SuiteResult("compgroup")
     for p in (11, 23, 37, 59, 101, 997):
         for e in (1, 2, 3, 5):
@@ -326,7 +319,7 @@ def compgroup_suite(seed: int = DEFAULT_SEED) -> SuiteResult:
             all(nonzero[i + 1] % nonzero[i] == 0 for i in range(len(nonzero) - 1)),
             "diagonal not a divisibility chain",
         )
-    return _finish(res, t0)
+    return res
 
 
 def _matmul(a, b):
@@ -339,12 +332,11 @@ def _matmul(a, b):
     ]
 
 
-def certify_grid_suite(d_lo: int = 15, d_hi: int = 403) -> SuiteResult:
-    """Nonvanishing certificates across fundamental discriminants, plus
-    the final-threshold consistency checks."""
-    t0 = time.time()
+def certify_grid_suite() -> SuiteResult:
+    """Nonvanishing certificates at the fundamental discriminants
+    15 <= D <= 403, plus the final-threshold consistency checks."""
     res = SuiteResult("certify-grid")
-    for D in fundamental_discriminants(d_lo, d_hi):
+    for D in fundamental_discriminants(15, 403):
         chi = make_character(D)
         p = next_prime(math.floor(isogeny.nonsplit_threshold(D)))
         while D % p == 0:
@@ -403,32 +395,27 @@ def certify_grid_suite(d_lo: int = 15, d_hi: int = 403) -> SuiteResult:
             abs(spec_rhs - isogeny.qcurve_case_bounds(deg, h).borel_dp) < 1e-3,
             "product inequality does not specialize to the Borel case bound",
         )
-    return _finish(res, t0)
+    return res
 
 
-def envelope_suite(
-    primes: tuple[int, ...] = (7, 11, 13, 73),
-    discs: tuple[int, ...] = (3, 4, 15),
-    t_max: int = 64,
-    d_max: int = 200,
-) -> SuiteResult:
+def envelope_suite() -> SuiteResult:
     """Certified closed-form bounds dominate the numeric series:
     |A_numeric| <= A_bound + error, likewise for B, over all three
-    (m, N) shapes; plus certificate/numeric soundness at one point."""
-    t0 = time.time()
+    (m, N) shapes at p in (7, 11, 13, 73), D in (3, 4, 15), t_max = 64
+    and d_max = 200; plus certificate/numeric soundness at one point."""
     res = SuiteResult("envelope")
-    for p in primes:
-        for D in discs:
+    for p in (7, 11, 13, 73):
+        for D in (3, 4, 15):
             if D % p == 0:
                 continue
             chi = make_character(D)
             for m, N in ((1, p * p), (1, p), (p, p)):
-                a = trace.A_numeric(m, chi, N, t_max=t_max)
+                a = trace.A_numeric(m, chi, N, t_max=64)
                 res.check(
                     abs(a.value) <= trace.A_bound(m, chi, N) + a.error_bound,
                     f"A envelope fails at m={m}, N={N}, D={D}",
                 )
-                b = trace.B_numeric(m, chi, N, d_max=d_max)
+                b = trace.B_numeric(m, chi, N, d_max=200)
                 res.check(
                     abs(b.value) <= trace.B_bound(m, chi, N) + b.error_bound,
                     f"B envelope fails at m={m}, N={N}, D={D}",
@@ -443,7 +430,7 @@ def envelope_suite(
         abs(num["value"]) > 4.0 * math.pi * cert.lower_bound - num["error_bound"],
         "numeric series contradicts the certificate at (15, 269)",
     )
-    return _finish(res, t0)
+    return res
 
 
 SUITES = {
@@ -459,8 +446,11 @@ SUITES = {
 
 
 def run_suite(name: str, max_c: int | None = None,
-              seed: int = DEFAULT_SEED) -> list[SuiteResult]:
-    """Run one named suite, or all of them."""
+              seed: int | None = None) -> list[SuiteResult]:
+    """Run one named suite, or all of them, and time each into elapsed_s.
+
+    max_c is the weil suite's modulus cap and seed the runge and
+    compgroup suites' seed; None keeps the suite's default."""
     if name == "all":
         names = list(SUITES)
     elif name in SUITES:
@@ -471,12 +461,13 @@ def run_suite(name: str, max_c: int | None = None,
         raise DomainError(f"max_c must be >= 1 (got {max_c})")
     if max_c is not None and name not in ("weil", "all"):
         raise DomainError(f"max_c applies to the weil suite only, not {name!r}")
+    if seed is not None and name not in ("runge", "compgroup", "all"):
+        raise DomainError(f"seed applies to the runge and compgroup suites only, not {name!r}")
     out = []
     for n in names:
-        if n == "weil":
-            out.append(weil_suite(400 if max_c is None else max_c))
-        elif n in ("runge", "compgroup"):
-            out.append(SUITES[n](seed=seed))
-        else:
-            out.append(SUITES[n]())
+        arg = {"weil": max_c, "runge": seed, "compgroup": seed}.get(n)
+        t0 = time.perf_counter()
+        result = SUITES[n]() if arg is None else SUITES[n](arg)
+        result.elapsed_s = time.perf_counter() - t0
+        out.append(result)
     return out

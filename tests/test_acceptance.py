@@ -51,35 +51,35 @@ def test_criterion_2_certificate_numeric_agreement():
 
 def test_criterion_3_weil_suite():
     with criterion(3, "Weil bounds on 1<=m,n<=12, c<=400 at 1e-6", 10):
-        result = verify.weil_suite(max_c=400, max_mn=12)
+        result = verify.weil_suite()
         assert result.passed, result.failures[:5]
         assert result.checks == 116153
 
 
 def test_criterion_4_trig_inequality():
     with criterion(4, "S_{K,F} <= (4F/pi^2)(log F + 1.5) for F<=300", 10):
-        result = verify.trig_suite(max_f=300)
+        result = verify.trig_suite()
         assert result.passed, result.failures[:5]
         assert result.checks == 45449
 
 
 def test_criterion_5_twisted_sums():
     with criterion(5, "twisted DFT bound/zero structure and partial sups", 10):
-        result = verify.twisted_suite(discs=(3, 4, 7, 8, 11, 15), max_c=60, max_m=5)
+        result = verify.twisted_suite()
         assert result.passed, result.failures[:5]
         assert result.checks == 665740
 
 
 def test_criterion_6_tau_tail():
     with criterion(6, "tau-tail bound for lambda <= 1000 against 1e6 cutoff", 10):
-        result = verify.tails_suite(max_lambda=1000, cutoff=10**6)
+        result = verify.tails_suite()
         assert result.passed, result.failures[:5]
         assert result.checks == 2002
 
 
 def test_criterion_7_runge():
     with criterion(7, "unit functional equations, deviations, Runge bound", 10):
-        result = verify.runge_suite(seed=verify.DEFAULT_SEED, samples=200)
+        result = verify.runge_suite(seed=verify.DEFAULT_SEED)
         assert result.passed, result.failures[:5]
         assert result.checks == 122899
         assert q.runge_j_bound(2) == pytest.approx(21.045, abs=1e-3)

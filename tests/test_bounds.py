@@ -27,10 +27,12 @@ class TestWeilBound:
     def test_spec_examples(self):
         w = q.weil_bound(1, 1, 5)
         assert w.tag == WEIL_GENERIC and w.bound_value == pytest.approx(2 * math.sqrt(5))
+        assert type(w.tag) is str and type(w.bound_value) is float
         w = q.weil_bound(1, 1, 25, 5)
         assert w.tag == WEIL_COPRIME and w.bound_value == pytest.approx(10.0)
         w = q.weil_bound(5, 1, 5, 5)
         assert w.tag == WEIL_ONE and w.bound_value == pytest.approx(1.0)
+        assert type(w.tag) is str and type(w.bound_value) is float
         # |S(5,1;5)| is a Ramanujan sum of modulus 1
         assert abs(q.kloosterman_direct(5, 1, 5)) == pytest.approx(1.0, abs=1e-9)
 
@@ -74,13 +76,23 @@ class TestWeilBound:
         return (tag, refined) if refined <= generic else (WEIL_GENERIC, generic)
 
     def test_matches_factorizing_oracle(self):
+        # one array call per (c, hint); every element's tag and bound exactly
+        mn = np.arange(13)
         for c in range(1, 401):
             hints = [None] + [p for p in range(3, c + 1, 2) if c % p == 0 and q.is_prime(p)]
-            for m in range(13):
-                for n in range(13):
-                    for p in hints:
-                        w = q.weil_bound(m, n, c, p)
-                        assert (w.tag, w.bound_value) == self.weil_bound_oracle(m, n, c, p)
+            for p in hints:
+                w = q.weil_bound(mn[:, None], mn, c, p)
+                assert w.tag.shape == w.bound_value.shape == (13, 13)
+                for m in range(13):
+                    for n in range(13):
+                        expect = self.weil_bound_oracle(m, n, c, p)
+                        assert (w.tag[m, n], w.bound_value[m, n]) == expect, (m, n, c, p)
+
+    def test_reduces_mod_c_before_int64(self):
+        # 10**19 overflows int64; gcd(m, n, c) and p | m only see m mod c
+        w = q.weil_bound(10**19, 5, 25, 5)
+        assert (w.tag, w.bound_value) == (WEIL_BOTH, 22.360679774997898)
+        assert type(w.tag) is str and type(w.bound_value) is float
 
     def test_composite_hint_rejected(self):
         with pytest.raises(InvalidHint):
@@ -92,12 +104,12 @@ class TestWeilBound:
         # a wrong fast evaluator is caught against the suite's own table,
         # once per (m, n, c), and is the only failure
         monkeypatch.setattr(verify, "kloosterman_fast", lambda m, n, c: 1e3)
-        res = verify.weil_suite(max_c=4, max_mn=2)
+        res = verify.weil_suite(max_c=4)
         assert res.failures == [
             f"fast != direct at ({m},{n},{c})"
-            for c in range(1, 5) for m in (1, 2) for n in (1, 2)
+            for c in range(1, 5) for m in range(1, 13) for n in range(1, 13)
         ]
-        assert res.checks == 4 * (2 * 4 + 2) + len(q.fundamental_discriminants(3, 500))
+        assert res.checks == 4 * (2 * 144 + 2) + len(q.fundamental_discriminants(3, 500))
 
     def test_suite_checks_the_library_realness(self, monkeypatch):
         # an imaginary part in the library's complex sum is caught once per modulus
@@ -105,20 +117,60 @@ class TestWeilBound:
         monkeypatch.setattr(
             verify, "kloosterman_direct_complex", lambda m, n, c: exact(m, n, c) + 1j
         )
-        res = verify.weil_suite(max_c=4, max_mn=2)
+        res = verify.weil_suite(max_c=4)
         assert res.failures == [f"c={c}: imaginary part 1.00e+00" for c in range(1, 5)]
 
     def test_suite_checks_periodicity_against_the_fft_row(self, monkeypatch):
-        # a wrong FFT row is caught at every (m, n) of each modulus c <= max_mn,
+        # a wrong FFT row is caught at every (m, n) of each modulus c <= 12,
         # and the check count does not depend on it
         row = verify.kloosterman_row
         monkeypatch.setattr(verify, "kloosterman_row", lambda m, c: row(m, c) + 0.5)
-        res = verify.weil_suite(max_c=4, max_mn=2)
+        res = verify.weil_suite(max_c=14)
         assert res.failures == [
             f"periodicity fails at ({m},{n},{c})"
-            for c in (1, 2) for m in (1, 2) for n in (1, 2)
+            for c in range(1, 13) for m in range(1, 13) for n in range(1, 13)
         ]
-        assert res.checks == 4 * (2 * 4 + 2) + len(q.fundamental_discriminants(3, 500))
+        assert res.checks == 14 * (2 * 144 + 2) + len(q.fundamental_discriminants(3, 500))
+
+    def test_suite_message_order(self, monkeypatch):
+        # fast, generic, refined and periodicity checks all fail, some at the
+        # same (m, n, c): the messages come per (c, m, n) in that check order
+        fast, row, weil = verify.kloosterman_fast, verify.kloosterman_row, bounds.weil_bound
+
+        def bad_fast(m, n, c):
+            return fast(m, n, c) + np.where((m + n) % 2 == 0, 0.5, 0.0)
+
+        def bad_row(m, c):
+            return row(m, c) + np.where((np.arange(c) + m) % 3 == 0, 0.25, 0.0)
+
+        def small_weil(m, n, c, p=None):
+            w = weil(m, n, c, p)
+            return bounds.WeilCase(w.tag, 0.25 * w.bound_value)
+
+        monkeypatch.setattr(verify, "kloosterman_fast", bad_fast)
+        monkeypatch.setattr(verify, "kloosterman_row", bad_row)
+        monkeypatch.setattr(bounds, "weil_bound", small_weil)
+        expect = []
+        for c in range(1, 16):
+            hints = [p for p in (3, 5, 7, 11, 13) if c % p == 0 and c % p**4 != 0]
+            for m in range(1, 13):
+                for n in range(1, 13):
+                    real = verify.kloosterman_direct_complex(m, n, c).real
+                    if abs(bad_fast(m, n, c) - real) > 1e-9:
+                        expect.append(f"fast != direct at ({m},{n},{c})")
+                    if abs(real) > small_weil(m, n, c).bound_value + 1e-6:
+                        expect.append(f"generic Weil fails at ({m},{n},{c})")
+                    for p in hints:
+                        if abs(real) > small_weil(m, n, c, p).bound_value + 1e-6:
+                            expect.append(f"refined Weil fails at ({m},{n},{c}) hint {p}")
+                    if c <= 12 and abs(bad_row(m, c)[n % c] - real) > 1e-9:
+                        expect.append(f"periodicity fails at ({m},{n},{c})")
+        assert verify.weil_suite(max_c=15).failures == expect
+        kinds = {}
+        for msg in expect:
+            kind, at = msg.split(" at ")
+            kinds.setdefault(at.split(" hint")[0], set()).add(kind.split()[0])
+        assert {"fast", "generic", "refined", "periodicity"} in kinds.values()
 
 
 class TestTrigSum:
@@ -142,9 +194,9 @@ class TestTrigSum:
             verify.bounds, "trig_sum_direct",
             lambda K, F: np.full(np.shape(K), q.trig_sum_bound(F) + 1.0),
         )
-        res = verify.trig_suite(max_f=20)
+        res = verify.trig_suite()
         assert res.failures == ["F=1"] + [
-            f"trig bound fails at F={F} by 1.00e+00" for F in range(2, 21)
+            f"trig bound fails at F={F} by 1.00e+00" for F in range(2, 301)
         ]
 
     def test_inequality_small_grid(self):

@@ -4,10 +4,11 @@ import importlib
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
-from qcbounds import compgroup, runge
+from qcbounds import compgroup, runge, verify
 from qcbounds.cli import main
 
 CLI = [sys.executable, "-m", "qcbounds.cli"]
@@ -267,6 +268,44 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert "max_c applies to the weil suite only" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "suite", ["weil", "trig", "twisted", "tails", "certify-grid", "envelope"]
+    )
+    def test_seed_on_a_deterministic_suite_rejected(self, suite, capsys):
+        # these suites draw nothing random, so --seed would be ignored
+        assert main(["verify", "--suite", suite, "--seed", "5", "--json"]) == 2
+        captured = capsys.readouterr()
+        assert "seed applies to the runge and compgroup suites only" in captured.err
+        assert captured.out == ""
+
+    @pytest.fixture
+    def stub_suites(self, monkeypatch):
+        """Stub every suite: record its arguments and take a millisecond."""
+        calls = []
+
+        def stub(name):
+            def run(*args):
+                calls.append((name, args))
+                time.sleep(0.001)
+                return verify.SuiteResult(name, checks=1)
+            return run
+
+        monkeypatch.setattr(verify, "SUITES", {n: stub(n) for n in verify.SUITES})
+        return calls
+
+    @pytest.mark.parametrize("suite", ["all", "runge", "compgroup"])
+    def test_seed_reaches_the_randomized_suites(self, suite, stub_suites, capsys):
+        assert main(["verify", "--suite", suite, "--seed", "7", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["inputs"]["seed"] == 7
+        names = verify.SUITES if suite == "all" else [suite]
+        assert stub_suites == [(n, (7,) if n in ("runge", "compgroup") else ()) for n in names]
+
+    def test_run_suite_times_every_suite(self, stub_suites):
+        # bench's verify.<suite>.s reads elapsed_s, which run_suite alone sets
+        results = verify.run_suite("all")
+        assert [r.name for r in results] == list(verify.SUITES)
+        assert all(r.elapsed_s > 0 for r in results)
 
 
 class TestPairingCommand:
