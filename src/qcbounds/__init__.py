@@ -46,7 +46,7 @@ _EXPORTS = {
     ),
     "trace": (
         "A_bound", "A_numeric", "B_bound", "B_numeric", "Certificate", "NumericResult",
-        "PairingParams", "certify_nonvanishing", "certify_numeric", "pairing_numeric",
+        "certify_nonvanishing", "certify_numeric", "pairing_numeric",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

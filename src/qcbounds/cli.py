@@ -18,7 +18,6 @@ import argparse
 import math
 import sys
 import time
-from fractions import Fraction
 
 from . import __version__
 from .errors import NonConvergence, PostconditionFailed
@@ -46,8 +45,6 @@ def _to_json(obj) -> str:
         return _fmt_float(obj)
     if isinstance(obj, complex):
         return _to_json({"re": obj.real, "im": obj.imag})
-    if isinstance(obj, Fraction):
-        return _to_json(str(obj))
     if isinstance(obj, str):
         out = obj.replace("\\", "\\\\").replace('"', '\\"')
         return f'"{out}"'
@@ -56,8 +53,6 @@ def _to_json(obj) -> str:
         return "{" + items + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_to_json(v) for v in obj) + "]"
-    if hasattr(obj, "item"):  # numpy scalar
-        return _to_json(obj.item())
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
@@ -344,6 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.out is not None and not args.json:
+        print("error: --out needs --json", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except (ValueError, NonConvergence, PostconditionFailed) as exc:

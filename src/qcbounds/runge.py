@@ -9,7 +9,8 @@ log|j| < 2 pi sqrt(p) + 6 log p + 8 for integral points.
 
 g is always evaluated through its coprime-index product (never as a
 quotient of two Delta values, whose ratio overflows doubles long before
-the product's logarithm misbehaves).
+the product's logarithm misbehaves).  Every function of the level p
+checks that p is prime (errors.NotPrime).
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import DomainError, NonConvergence
+from .arith import is_prime
+from .errors import DomainError, NonConvergence, NotPrime
 
 _TRUNCATION_EPS = 1e-16
 _MAX_REDUCTION_STEPS = 10_000
@@ -82,12 +84,18 @@ def delta(tau: UpperHalfPoint) -> complex:
     return q * prod
 
 
+def _check_prime(p: int) -> None:
+    if not is_prime(p):
+        raise NotPrime(f"{p} is not prime")
+
+
 def unit_g(tau: UpperHalfPoint, p: int) -> complex:
     """g(tau) = q^(1-p) prod_{(n,p)=1} (1-q^n)^24.
 
     Raises DomainError, with log|g| (see log_abs_unit_g) in the message,
     where g(tau) is not a finite nonzero double: it underflows near the
     real line and overflows for large Im tau."""
+    _check_prime(p)
     q = tau.q
     prod = 1.0 + 0.0j
     qn = 1.0 + 0.0j
@@ -128,6 +136,7 @@ def _log_abs_coprime_product(tau: UpperHalfPoint, p: int) -> float:
 def log_abs_unit_g(tau: UpperHalfPoint, p: int) -> float:
     """log|g(tau)|, computed in log space so high imaginary parts never
     overflow: (1-p) log|q| + 24 sum_{(n,p)=1} log|1-q^n|."""
+    _check_prime(p)
     log_abs_q = -2.0 * math.pi * tau.im
     return (1 - p) * log_abs_q + 24.0 * _log_abs_coprime_product(tau, p)
 
@@ -215,6 +224,7 @@ def locate_near_cusp(tau: UpperHalfPoint, p: int) -> CuspLocation:
     tau' = T^k beta tau in D + Z and -1/tau' equivalent to tau under
     Gamma_0(p); the point is near c_zero.
     """
+    _check_prime(p)
     reduced, beta = reduce_to_fundamental_domain(tau)
     (a, _b), (c, _d) = beta
     if c % p == 0:
@@ -254,6 +264,7 @@ def g_deviation(tau: UpperHalfPoint, p: int) -> UnitDeviation:
     |log|g| + (p-1) log|q|| <= 25|q| and
     |log|g0| - ((p-1)/p) log|q|| <= 4 pi^2 p / log|q^-1| + 12 log p
     on the translated fundamental domain."""
+    _check_prime(p)
     log_abs_q = -2.0 * math.pi * tau.im
     # log|g| + (p-1) log|q| is exactly 24 sum log|1-q^n|; taking it directly
     # avoids cancelling two logs of size ~(p-1) 2 pi Im(tau).
@@ -265,6 +276,5 @@ def g_deviation(tau: UpperHalfPoint, p: int) -> UnitDeviation:
 
 def runge_j_bound(p: int) -> float:
     """log|j(P)| < 2 pi sqrt(p) + 6 log p + 8 for integral points of X0(p)."""
-    if p < 2:
-        raise ValueError("p must be a prime >= 2")
+    _check_prime(p)
     return 2.0 * math.pi * math.sqrt(p) + 6.0 * math.log(p) + 8.0

@@ -37,8 +37,10 @@ evaluation is advisory and carries explicit truncation error bounds:
 Weil-induced majorants for the n-tails and A's c-tail, and for B's
 d-tail the hybrid of bounds.hybrid_d_tail (the paper's Abel transform
 per d up to a d1 chosen to minimise the total, the Weil tau-tail
-beyond).  None of these bounds depends on an evaluated term, so a
-planner (_plan) picks every series' cap before anything is evaluated:
+beyond).  None of these bounds depends on an evaluated term.  _model
+composes every series error bound, for the evaluators A_numeric and
+B_numeric, which report it, and for a planner (_plan), which picks
+every series' cap before anything is evaluated:
 A's t_max and B's d_max for each shape, the cheapest caps on a
 geometric ladder whose error bound is no larger than the one the former
 fixed caps reached (t_max = 240, and B at bounds.hybrid_d_cap(...,
@@ -110,34 +112,20 @@ def _level_prime(N: int) -> int:
     raise UnsupportedCase(f"level {N} is neither p nor p^2")
 
 
-def _check_case(m: int, N: int) -> int:
-    """Restrict to the shapes (1, p^2), (1, p), (p, p); returns p."""
+def _shape(m: int, N: int, chi: QuadraticCharacter) -> int:
+    """Restrict to the shapes (1, p^2), (1, p), (p, p) with gcd(mN, D) = 1;
+    returns p."""
     p = _level_prime(N)
-    if m == 1 or (m == p and N == p):
-        return p
-    raise UnsupportedCase(f"(m, N) = ({m}, {N}) outside cases (1,p^2), (1,p), (p,p)")
+    if not (m == 1 or (m == p and N == p)):
+        raise UnsupportedCase(f"(m, N) = ({m}, {N}) outside cases (1,p^2), (1,p), (p,p)")
+    if math.gcd(N * m, chi.D) != 1:
+        raise DividesDiscriminant(f"gcd({m}*{N}, {chi.D}) must be 1")
+    return p
 
 
-@dataclass(frozen=True)
-class PairingParams:
-    m: int
-    N: int
-    chi: QuadraticCharacter
-
-    def __post_init__(self) -> None:
-        _check_case(self.m, self.N)
-        if math.gcd(self.N * self.m, self.chi.D) != 1:
-            raise DividesDiscriminant(
-                f"gcd({self.m}*{self.N}, {self.chi.D}) must be 1"
-            )
-
-    @property
-    def epsilon(self) -> int:
-        return self.chi(self.N)
-
-    @property
-    def x(self) -> float:
-        return _TWO_PI / (self.chi.D * math.sqrt(self.N))
+def _x(D: int, N: int) -> float:
+    """The decay rate x = 2 pi/(D sqrt(N)) of every series' weight e^(-nx)."""
+    return _TWO_PI / (D * math.sqrt(N))
 
 
 class NumericResult(NamedTuple):
@@ -171,29 +159,23 @@ def _n_tail(prefactor: float, x: float, n_max: int) -> float:
 class _Terms(NamedTuple):
     """The moduli q of one series up to its cap, each with its n-cutoff k
     and the running sum of the n-tails at k divided by q: n_err[j] covers
-    the first j + 1 moduli.  Nothing here evaluates a term."""
+    the first j moduli, so n_err[0] = 0.  Nothing here evaluates a term."""
 
     moduli: Sequence[int]
     cutoffs: list[int]
     n_err: list[float]
 
-    def error(self, count: int, tail: float) -> float:
-        """The error bound of the first `count` moduli: their n-tails plus
-        `tail`, the bound on every modulus after them."""
-        return (self.n_err[count - 1] if count else 0.0) + tail
-
 
 def _terms(moduli: Sequence[int], prefactors: list[float], x: float) -> _Terms:
     cutoffs = [_n_cutoff(f, x) for f in prefactors]
-    n_err = itertools.accumulate(_n_tail(f, x, k) / q for q, f, k in zip(moduli, prefactors, cutoffs))
-    return _Terms(moduli, cutoffs, list(n_err))
+    tails = [_n_tail(f, x, k) / q for q, f, k in zip(moduli, prefactors, cutoffs)]
+    return _Terms(moduli, cutoffs, list(itertools.accumulate(tails, initial=0.0)))
 
 
-def _a_terms(m: int, N: int, x: float, t_max: int) -> _Terms:
+def _a_terms(m: int, N: int, p: int, x: float, t_max: int) -> _Terms:
     """A's moduli c = t N, t <= t_max.  tau(c) = tau(u) (j + a + 1) for
     t = p^j u and N = p^a, with tau(u) read from a sieve: trial division
     of c would run up to p."""
-    p = _level_prime(N)
     tau = divisor_counts(t_max).tolist()
     prefactors = []
     for t in range(1, t_max + 1):
@@ -210,25 +192,36 @@ def _b_terms(m: int, N: int, x: float, d_max: int) -> _Terms:
     return _terms(moduli, [_sb_prefactor(m, d, N, tau[d]) for d in moduli], x)
 
 
-def _a_tail(D: int, N: int, t_max: int) -> float:
-    """A's Weil-induced c-tail past t_max N, (2D/N) tau_tail(t_max + 1);
-    14 D/N, A_bound's Weil branch, at t_max = 0."""
-    from .bounds import tail_bounds
+def _model(
+    kind: str, m: int, N: int, chi: QuadraticCharacter, caps: list[int]
+) -> tuple[_Terms, list[float], list[float]]:
+    """The terms of series `kind` ("A" or "B") of (m, N) up to the last of
+    the ascending `caps`, and its cost and error bound at each cap, with no
+    term evaluated: the one error model of _plan, A_numeric and B_numeric.
 
-    return 2.0 * D / N * tail_bounds(t_max + 1).tau_tail
+    The error bound is the n-tails of the moduli up to the cap plus A's
+    Weil-induced c-tail past t_max N, (2D/N) tau_tail(t_max + 1) (14 D/N,
+    A_bound's Weil branch, at t_max = 0), or B's d-tail past d_max,
+    bounds.hybrid_d_tail.  The cost counts the n-terms the series sums
+    (A's only those coprime to D, a share phi(D)/D of each cutoff;
+    A(1,p^2)'s at _SALIE_TERM_COST each) plus _MODULUS_COST a modulus."""
+    from .bounds import hybrid_d_tail, tail_bounds
 
-
-def _b_tail(D: int, m: int, N: int, d_max: int) -> float:
-    from .bounds import hybrid_d_tail
-
-    return hybrid_d_tail(D, m, N, d_max).total
-
-
-def _check_caps(t_max: int | None, d_max: int | None) -> None:
-    if t_max is not None and t_max < 0:
-        raise ValueError("t_max must be >= 0")
-    if d_max is not None and d_max < 1:
-        raise ValueError("d_max must be >= 1")
+    D = chi.D
+    x = _x(D, N)
+    if kind == "A":
+        p = _level_prime(N)
+        terms, share = _a_terms(m, N, p, x, caps[-1]), euler_phi(D) / D
+        if N != p:
+            share *= _SALIE_TERM_COST
+        counts, tails = caps, [2.0 * D / N * tail_bounds(t + 1).tau_tail for t in caps]
+    else:
+        terms, share = _b_terms(m, N, x, caps[-1]), 1.0
+        counts = [bisect.bisect_right(terms.moduli, d) for d in caps]
+        tails = [hybrid_d_tail(D, m, N, d).total for d in caps]
+    cost = [0.0, *itertools.accumulate(k * share + _MODULUS_COST for k in terms.cutoffs)]
+    errors = [terms.n_err[j] + tail for j, tail in zip(counts, tails)]
+    return terms, [cost[j] for j in counts], errors
 
 
 def _given_caps(t_max: int | None, d_max: int | None) -> bool:
@@ -236,8 +229,13 @@ def _given_caps(t_max: int | None, d_max: int | None) -> bool:
     given, rather than neither, which leaves them to _plan."""
     if (t_max is None) != (d_max is None):
         raise ValueError("pass both t_max and d_max, or neither")
-    _check_caps(t_max, d_max)
-    return t_max is not None
+    if t_max is None:
+        return False
+    if t_max < 0:
+        raise ValueError("t_max must be >= 0")
+    if d_max < 1:
+        raise ValueError("d_max must be >= 1")
+    return True
 
 
 class _NGrid(NamedTuple):
@@ -349,34 +347,35 @@ def _modulus_series(
 def A_numeric(m: int, chi: QuadraticCharacter, N: int, *, t_max: int) -> NumericResult:
     """A(m,chi,N) = sum_{N|c} S_A(c)/c over the t_max moduli c = N..t_max N,
     each summed over the n coprime to D only (chi(n) = 0 elsewhere); the
-    error bound aggregates the n-tails and the Weil-induced c-tail
+    error bound (_model) aggregates the n-tails and the Weil-induced c-tail
     (2D/N) (2 log(t_max+1) + 7)/sqrt(t_max+1) of the moduli beyond.
     t_max = 0 leaves A unevaluated: the value 0 and the whole c-tail
     14 D/N, which is A_bound's Weil branch.
     """
-    _check_caps(t_max, None)
-    params = PairingParams(m, N, chi)
-    p = _level_prime(N)
-    terms = _a_terms(m, N, params.x, t_max)
+    if t_max < 0:
+        raise ValueError("t_max must be >= 0")
+    p = _shape(m, N, chi)
+    terms, _, [error] = _model("A", m, N, chi, [t_max])
     return _modulus_series(
-        chi, params.x, terms, lambda grid, c, k: _sa_partial(m, p, N, c, grid, k),
-        terms.error(t_max, _a_tail(chi.D, N, t_max)), coprime=True,
+        chi, _x(chi.D, N), terms, lambda grid, c, k: _sa_partial(m, p, N, c, grid, k),
+        error, coprime=True,
     )
 
 
 def B_numeric(m: int, chi: QuadraticCharacter, N: int, *, d_max: int) -> NumericResult:
     """B(m,chi,N) = sum_{(d,N)=1} S_B(d)/d over d <= d_max; each S_B(d) is
     folded by residue mod d and dotted once with its row (_sb_sum).  The
-    moduli beyond d_max are bounded by bounds.hybrid_d_tail: the Abel
-    (Polya-Vinogradov) bound per d up to the d1 that minimises the total,
-    the Weil-induced |S_B(d)| <= D sqrt(m) tau(d)/sqrt(d) beyond d1 and
-    at d = D."""
-    _check_caps(None, d_max)
-    params = PairingParams(m, N, chi)
-    terms = _b_terms(m, N, params.x, d_max)
+    moduli beyond d_max are bounded (_model) by bounds.hybrid_d_tail: the
+    Abel (Polya-Vinogradov) bound per d up to the d1 that minimises the
+    total, the Weil-induced |S_B(d)| <= D sqrt(m) tau(d)/sqrt(d) beyond d1
+    and at d = D."""
+    if d_max < 1:
+        raise ValueError("d_max must be >= 1")
+    _shape(m, N, chi)
+    terms, _, [error] = _model("B", m, N, chi, [d_max])
     return _modulus_series(
-        chi, params.x, terms, lambda grid, d, k: _sb_partial(m, N, d, grid, k),
-        terms.error(len(terms.moduli), _b_tail(chi.D, m, N, d_max)), coprime=False,
+        chi, _x(chi.D, N), terms, lambda grid, d, k: _sb_partial(m, N, d, grid, k),
+        error, coprime=False,
     )
 
 
@@ -395,31 +394,6 @@ def _ladder(top: int) -> list[int]:
             caps.append(round(r))
         r *= _LADDER_RATIO
     return caps + [top]
-
-
-def _model(
-    kind: str, m: int, N: int, chi: QuadraticCharacter, caps: list[int]
-) -> tuple[list[float], list[float]]:
-    """The cost and the error bound of series `kind` ("A" or "B") of (m, N)
-    at each cap of the ascending `caps`, with no term evaluated.
-
-    The error is the one A_numeric/B_numeric report, from the same terms
-    in the same order.  The cost counts the n-terms the series sums (A's
-    only those coprime to D, a share phi(D)/D of each cutoff; A(1,p^2)'s
-    at _SALIE_TERM_COST each) plus _MODULUS_COST a modulus."""
-    D = chi.D
-    x = _TWO_PI / (D * math.sqrt(N))
-    if kind == "A":
-        terms, share = _a_terms(m, N, x, caps[-1]), euler_phi(D) / D
-        if N != _level_prime(N):
-            share *= _SALIE_TERM_COST
-        counts, tails = caps, [_a_tail(D, N, t) for t in caps]
-    else:
-        terms, share = _b_terms(m, N, x, caps[-1]), 1.0
-        counts = [bisect.bisect_right(terms.moduli, d) for d in caps]
-        tails = [_b_tail(D, m, N, d) for d in caps]
-    cost = [0.0, *itertools.accumulate(k * share + _MODULUS_COST for k in terms.cutoffs)]
-    return [cost[j] for j in counts], [terms.error(j, tail) for j, tail in zip(counts, tails)]
 
 
 def _plan(
@@ -450,7 +424,7 @@ def _plan(
             ("B", hybrid_d_cap(chi.D, m, N, _FORMER_D_REF), _ladder(_D_TOP)),
         ):
             caps = sorted({*ladder, former_cap})
-            cost, err = _model(kind, m, N, chi, caps)
+            _, cost, err = _model(kind, m, N, chi, caps)
             ladders.append(caps)
             costs.append(np.array(cost))
             errs.append(err)
@@ -487,7 +461,7 @@ def _plan(
 
 def A_bound(m: int, chi: QuadraticCharacter, N: int) -> float:
     """min(14 D/N, sqrt(Dm)/N (9 log^2 D + 6 log D log N))."""
-    PairingParams(m, N, chi)
+    _shape(m, N, chi)
     D = chi.D
     ld, ln = math.log(D), math.log(N)
     weil = 14.0 * D / N
@@ -499,7 +473,7 @@ def B_bound(m: int, chi: QuadraticCharacter, N: int) -> float:
     """min(7 D sqrt(m), sqrt(Dm)/sqrt(N) (9 log^2 D + 12 log D log N
     + 6 log^2 N) + tau(D) sqrt(m)/sqrt(D)); the extra term carries the
     d = D contribution, which only has a Weil bound."""
-    PairingParams(m, N, chi)
+    _shape(m, N, chi)
     D = chi.D
     ld, ln = math.log(D), math.log(N)
     weil = 7.0 * D * math.sqrt(m)
@@ -524,14 +498,14 @@ def pairing_numeric(
     """Assemble (a_m, L_chi)_N from the A and B series, at the caller's
     t_max and d_max or, given neither, at caps planned (_plan) before
     either series is evaluated.  Exactly one cap is a ValueError."""
-    params = PairingParams(m, N, chi)
+    _shape(m, N, chi)
     if not _given_caps(t_max, d_max):
         [(t_max, d_max)] = _plan(chi, [(m, N)], lambda e: _pairing_error(m, N, *e)).caps
     a = A_numeric(m, chi, N, t_max=t_max)
     b = B_numeric(m, chi, N, d_max=d_max)
-    lead = 4.0 * math.pi * chi(m) * math.exp(-m * params.x)
+    lead = 4.0 * math.pi * chi(m) * math.exp(-m * _x(chi.D, N))
     scale = _EIGHT_PI_SQ * math.sqrt(m)
-    value = lead - scale * (a.value + params.epsilon / math.sqrt(N) * b.value)
+    value = lead - scale * (a.value + chi(N) / math.sqrt(N) * b.value)
     return NumericResult(value, _pairing_error(m, N, a.error_bound, b.error_bound))
 
 

@@ -11,7 +11,7 @@ def partial_series(kind, m, chi, N, q, n_max):
     coprime to N) summed over n <= n_max, and its n-tail bound past n_max,
     through the per-modulus code the certificates run: the n-grid, the
     partial sum of one modulus and its n-tail prefactor."""
-    x = trace.PairingParams(m, N, chi).x
+    x = trace._x(chi.D, N)
     if kind == "A":
         grid = trace._n_grid(chi, x, n_max, coprime=True)
         value = trace._sa_partial(m, trace._level_prime(N), N, q, grid, grid.n.size)

@@ -66,6 +66,28 @@ class TestExitCodes:
         assert main(["component-group", "--prime", "11", "--ram", "2", "--quiet"]) == 2
         assert "does not match" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("prime", ["4", "9", "-5", "1"])
+    @pytest.mark.parametrize("argv", [
+        ["runge-bound"],
+        ["reduce-tau", "--re", "0.3", "--im", "0.08"],
+        ["unit-g", "--re", "0.0", "--im", "1.5"],
+    ])
+    def test_runge_commands_need_a_prime(self, argv, prime, capsys):
+        assert main([*argv, "--prime", prime, "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {prime} is not prime\n"
+        assert captured.out == ""
+
+    def test_out_needs_json(self, tmp_path, capsys):
+        # the record is only written in JSON mode, so --out alone is refused
+        # before the command runs
+        path = tmp_path / "o.json"
+        assert main(["gauss-sum", "4", "--out", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --out needs --json\n"
+        assert captured.out == ""
+        assert not path.exists()
+
     def test_threads_option_removed(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "trig", "--threads", "2", "--quiet"])
@@ -134,7 +156,9 @@ class TestExports:
     def test_unknown_name_raises_attribute_error(self):
         import qcbounds
 
-        for name in ("series_SA", "certify_weil_mix", "new_plus_pairing", "mod_inverse"):
+        for name in (
+            "series_SA", "certify_weil_mix", "new_plus_pairing", "mod_inverse", "PairingParams",
+        ):
             assert name not in qcbounds.__all__
             with pytest.raises(AttributeError, match=name):
                 getattr(qcbounds, name)
@@ -225,6 +249,41 @@ class TestJsonOutput:
         assert main(["gauss-sum", "4", "--json", "--out", str(path)]) == 0
         stdout = capsys.readouterr().out
         assert path.read_text() == stdout
+
+
+class TestEveryCommandJson:
+    ARGVS = [
+        ["kloosterman", "3", "4", "360", "--fast"],
+        ["gauss-sum", "15"],
+        ["character", "15", "7"],
+        ["certify", "--disc", "15", "--prime", "271"],
+        ["certify", "--disc", "3", "--prime", "73", "--mode", "numeric"],
+        ["pairing", "--m", "1", "--level", "49", "--disc", "3"],
+        ["threshold", "--disc", "15"],
+        ["thresholds", "--disc", "3"],
+        ["runge-bound", "--prime", "11"],
+        ["reduce-tau", "--re", "0.3", "--im", "0.08"],
+        ["reduce-tau", "--re", "0.3", "--im", "0.08", "--prime", "5"],
+        ["unit-g", "--re", "0.0", "--im", "1.5", "--prime", "7"],
+        ["j-invariant", "--re", "0.0", "--im", "1.0"],
+        ["component-group", "--prime", "11", "--ram", "2"],
+        ["rho-table", "--prime", "19", "--ram", "2"],
+        ["verify", "--suite", "trig"],
+    ]
+
+    def test_every_subcommand_is_covered(self):
+        from qcbounds.cli import build_parser
+
+        parser = build_parser()
+        [sub] = [a for a in parser._actions if a.dest == "command"]
+        assert {argv[0] for argv in self.ARGVS} == set(sub.choices)
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+    def test_stdout_parses(self, argv, capsys):
+        # _to_json writes JSON by hand; every record must still parse
+        assert main([*argv, "--json"]) in (0, 1)
+        record = json.loads(capsys.readouterr().out)
+        assert record["command"] == argv[0]
 
 
 class TestDeterminism:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import qcbounds as q
-from qcbounds.errors import DomainError, NonConvergence
+from qcbounds.errors import DomainError, NonConvergence, NotPrime
 from qcbounds.runge import UpperHalfPoint, log_abs_unit_g
 from qcbounds.verify import runge_suite
 
@@ -244,3 +244,22 @@ class TestRungeBound:
     def test_monotone(self):
         vals = [q.runge_j_bound(p) for p in (2, 3, 5, 7, 11, 13, 101)]
         assert vals == sorted(vals)
+
+
+class TestPrimeCheck:
+    # the unit g and the two cusps of X0(p) need p prime: X0(4) has three
+    # cusps, and locate_near_cusp inverts c mod p
+    CALLS = {
+        "unit_g": lambda p: q.unit_g(pt(0.0, 1.5), p),
+        "unit_g0": lambda p: q.unit_g0(pt(0.0, 1.5), p),
+        "log_abs_unit_g": lambda p: log_abs_unit_g(pt(0.0, 1.5), p),
+        "g_deviation": lambda p: q.g_deviation(pt(0.0, 1.5), p),
+        "locate_near_cusp": lambda p: q.locate_near_cusp(pt(0.3, 0.08), p),
+        "runge_j_bound": q.runge_j_bound,
+    }
+
+    @pytest.mark.parametrize("name", list(CALLS))
+    @pytest.mark.parametrize("p", [4, 9, -5, 1])
+    def test_rejects_a_composite_or_unit(self, name, p):
+        with pytest.raises(NotPrime, match=f"^{p} is not prime$"):
+            self.CALLS[name](p)

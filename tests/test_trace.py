@@ -323,6 +323,46 @@ class TestClosedFormBounds:
             q.A_bound(1, CHI3, 9)  # N = 3^2 shares a factor with D = 3
 
 
+class TestShapeCheck:
+    # every entry point checks (m, N, D) the same way, in one order: the
+    # level, then the shape, then gcd(m N, D)
+    ENTRY_POINTS = {
+        "A_numeric": lambda m, chi, N: q.A_numeric(m, chi, N, t_max=1),
+        "B_numeric": lambda m, chi, N: q.B_numeric(m, chi, N, d_max=1),
+        "pairing_numeric": lambda m, chi, N: q.pairing_numeric(m, N, chi, t_max=1, d_max=1),
+        "A_bound": q.A_bound,
+        "B_bound": q.B_bound,
+    }
+
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    @pytest.mark.parametrize("m, D, N, error, message", [
+        (2, 3, 7, UnsupportedCase, "(m, N) = (2, 7) outside cases (1,p^2), (1,p), (p,p)"),
+        (1, 3, 1, UnsupportedCase, "level 1 is neither p nor p^2"),
+        (1, 3, 12, UnsupportedCase, "level 12 is neither p nor p^2"),
+        (1, 3, 343, UnsupportedCase, "level 343 is neither p nor p^2"),
+        (2, 3, 12, UnsupportedCase, "level 12 is neither p nor p^2"),
+        (2, 15, 5, UnsupportedCase, "(m, N) = (2, 5) outside cases (1,p^2), (1,p), (p,p)"),
+        (1, 15, 9, DividesDiscriminant, "gcd(1*9, 15) must be 1"),
+        (5, 15, 5, DividesDiscriminant, "gcd(5*5, 15) must be 1"),
+        (1, 4, 2, DividesDiscriminant, "gcd(1*2, 4) must be 1"),
+    ])
+    def test_rejects_with_one_message(self, entry, m, D, N, error, message):
+        with pytest.raises(error) as info:
+            self.ENTRY_POINTS[entry](m, q.make_character(D), N)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+    def test_cap_checked_before_shape(self):
+        # A_numeric and B_numeric check their cap first; pairing_numeric
+        # checks the shape first
+        with pytest.raises(ValueError, match="^t_max must be >= 0$"):
+            q.A_numeric(2, CHI3, 7, t_max=-1)
+        with pytest.raises(ValueError, match="^d_max must be >= 1$"):
+            q.B_numeric(1, CHI3, 12, d_max=0)
+        with pytest.raises(UnsupportedCase):
+            q.pairing_numeric(2, 7, CHI3, t_max=-1, d_max=0)
+
+
 class TestPairing:
     def test_triangle_inequality_envelope(self):
         for (m, N) in [(1, 49), (1, 7), (7, 7)]:
