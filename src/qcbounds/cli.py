@@ -8,14 +8,15 @@ reported as 0 in JSON mode).  Exit codes: 0 success or certified-true,
 input error.
 
 Each command imports only the modules it calls, so the closed-form
-commands start without loading numpy; `kloosterman`, `gauss-sum`,
-`pairing`, `certify --mode numeric` and `verify` load it.
+commands start without loading numpy; `gauss-sum`, `pairing`, `certify
+--mode numeric`, `verify` and `kloosterman` at c >= 2^16 load it.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 
@@ -56,6 +57,16 @@ def _to_json(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
+def _print(text: str) -> None:
+    """Print a line to stdout; into a closed pipe it is dropped and the exit code kept."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:  # stdout to devnull: the interpreter's final flush cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _emit(args, command: str, inputs: dict, result, certified=None, mode=None,
           elapsed_ms: int = 0) -> None:
     if args.json:
@@ -66,16 +77,16 @@ def _emit(args, command: str, inputs: dict, result, certified=None, mode=None,
             record["mode"] = mode
         record["elapsed_ms"] = 0  # kept deterministic for byte-identical output
         text = _to_json(record)
-        print(text)
+        _print(text)
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write(text + "\n")
     elif not args.quiet:
-        print(f"{command}: {result}")
+        _print(f"{command}: {result}")
         if certified is not None:
-            print(f"certified: {certified} (mode {mode}, {elapsed_ms} ms)")
+            _print(f"certified: {certified} (mode {mode}, {elapsed_ms} ms)")
     elif certified is not None:
-        print(certified)
+        _print(str(certified))
 
 
 def _tau_point(args):
@@ -229,10 +240,10 @@ def _cmd_verify(args) -> int:
         all_passed &= r.passed
         if not args.json and not args.quiet:
             status = "PASS" if r.passed else "FAIL"
-            print(f"[{status}] {r.name}: {r.checks} checks, "
-                  f"{len(r.failures)} failures ({r.elapsed_s:.1f}s)")
+            _print(f"[{status}] {r.name}: {r.checks} checks, "
+                   f"{len(r.failures)} failures ({r.elapsed_s:.1f}s)")
             for msg in r.failures[:10]:
-                print(f"    {msg}")
+                _print(f"    {msg}")
     if args.json:
         seed = verify.DEFAULT_SEED if args.seed is None else args.seed
         _emit(args, "verify", {"suite": args.suite, "seed": seed, "max_c": args.max_c},

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcbounds as q
-from qcbounds.arith import _units_and_inverses, kloosterman_direct_complex
+from qcbounds.arith import _PURE_MODULUS_MAX, _units_and_inverses, kloosterman_direct_complex
 from qcbounds.errors import DomainError, NotFundamental
 
 
@@ -149,6 +149,20 @@ class TestKloosterman:
                 assert table.shape == (13, 13)
                 scalars = [[fn(m, n, c) for n in range(13)] for m in range(13)]
                 assert table.tolist() == scalars, (fn.__name__, c)
+
+    @given(
+        st.integers(-(10**30), 10**30),
+        st.integers(-(10**30), 10**30),
+        st.one_of(st.integers(1, 2000),
+                  st.integers(_PURE_MODULUS_MAX - 16, _PURE_MODULUS_MAX + 16)),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_pure_scalars_match_numpy_bit_for_bit(self, m, n, c):
+        # integers below the crossover are summed without numpy: the bits
+        # must still be numpy's (this is the guard should np.cos ever
+        # differ from libm's cos); a one-element array takes numpy's path
+        for fn in (q.kloosterman_direct, q.kloosterman_fast):
+            assert repr(fn(m, n, c)) == repr(float(fn(np.array([m % c]), n % c, c)[0]))
 
     @pytest.mark.parametrize("m", [2 * 10**18 + 1, 10**19 + 1, 10**30 + 1, -(10**30) - 1])
     def test_huge_arguments_reduce_mod_c(self, m):

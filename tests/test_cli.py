@@ -6,9 +6,11 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from qcbounds import compgroup, runge, verify
+from qcbounds.arith import kloosterman_direct
 from qcbounds.cli import main
 
 CLI = [sys.executable, "-m", "qcbounds.cli"]
@@ -106,6 +108,16 @@ class TestExitCodes:
         proc = run_cli("certify", "--disc", "15")  # missing --prime
         assert proc.returncode == 2
 
+    def test_closed_pipe_keeps_exit_code_and_quiet_stderr(self):
+        proc = subprocess.Popen(
+            CLI + ["certify", "--disc", "15", "--prime", "271", "--json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()  # the reader goes away while the command is still starting
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 0
+        assert err == b""
+
 
 class TestColdStart:
     # closed-form commands must not pay for importing numpy
@@ -116,6 +128,9 @@ class TestColdStart:
         ["runge-bound", "--prime", "11"],
         ["reduce-tau", "--re", "0.3", "--im", "0.08", "--prime", "5"],
         ["character", "15", "7"],
+        ["kloosterman", "3", "4", "360", "--fast"],
+        ["kloosterman", "1", "1", "5"],
+        ["kloosterman", "3", "4", "65521"],  # the largest prime below the 2^16 crossover
     ]
 
     @staticmethod
@@ -139,6 +154,13 @@ class TestColdStart:
             "    assert main(argv + ['--quiet']) == 0, argv\n"
             "    assert 'numpy' not in sys.modules, argv\n"
         )
+
+    @pytest.mark.parametrize("fast", [[], ["--fast"]])
+    def test_kloosterman_above_crossover_takes_array_value(self, fast, capsys):
+        c = (1 << 16) + 1  # prime, so --fast sums it directly too
+        assert main(["kloosterman", "3", "4", str(c), "--json", *fast]) == 0
+        value = json.loads(capsys.readouterr().out)["result"]["value"]
+        assert repr(value) == repr(float(kloosterman_direct(np.array([3]), 4, c)[0]))
 
 
 class TestExports:
