@@ -38,6 +38,7 @@ _EXPORTS = {
         "ThresholdReport", "contradiction_search", "exceptional_bound",
         "faltings_upper_from_j_height", "main_thresholds", "nonsplit_threshold",
         "qcurve_case_bounds", "serre_product_inequality", "serre_uniform_bound",
+        "threshold_prime",
     ),
     "runge": (
         "CuspLocation", "UpperHalfPoint", "delta", "g_deviation", "j_invariant",

@@ -12,8 +12,9 @@ each blown-up chain C_{s,i} = i*C_s first leaves generators
     (G)   Zbar = 3e*Gbar        (when j = 0 is supersingular)
 
 whose cokernel is Z/(n e) x (Z/e)^(S-2), n the numerator of (p-1)/12.
-The Smith normal form realizes the group exactly, and the chain
-structure yields the tabulated reduction values rho(g(P)).
+The Smith normal form realizes the group exactly.  The tabulated
+reduction values rho(g(P)) need no Smith normal form: each comes from
+the chain multiplicities k in (C_s, E, G) = (1, 2, 3) alone (_CHAIN).
 """
 
 from __future__ import annotations
@@ -59,6 +60,11 @@ def eisenstein_n(p: int) -> int:
     return Fraction(p - 1, 12).numerator
 
 
+# Multiplicity k of each collapsed chain end, by the first four letters of
+# its generator's name: the chain relation reads Zbar = k*e*gen.
+_CHAIN = {"Cbar": 1, "Ebar": 2, "Gbar": 3}
+
+
 def generator_names(p: int) -> list[str]:
     counts = supersingular_counts(p)
     names = ["Zbar"] + [f"Cbar_s{i + 1}" for i in range(counts.S_prime)]
@@ -70,47 +76,19 @@ def generator_names(p: int) -> list[str]:
 
 
 def relation_matrix(p: int, e: int) -> list[list[int]]:
-    """Laplacian relation rows over the collapsed generators."""
+    """Laplacian relation rows over the collapsed generators: (Z), (Z'),
+    then one chain row Zbar - k*e*gen per generator after Zbar."""
     if e < 1:
         raise ValueError("ramification index must be >= 1")
-    counts = supersingular_counts(p)
-    sp, I, R, S = counts.S_prime, counts.I, counts.R, counts.S
-    ncols = 1 + sp + I + R
-    col_E = 1 + sp
-    col_G = 1 + sp + I
-
-    rows: list[list[int]] = []
-    row = [0] * ncols
-    row[0] = -S
-    if I:
-        row[col_E] = e
-    if R:
-        row[col_G] = 2 * e
-    rows.append(row)
-
-    row = [0] * ncols
-    for s in range(sp):
-        row[1 + s] = 1
-    if I:
-        row[col_E] = I
-    if R:
-        row[col_G] = R
-    rows.append(row)
-
-    for s in range(sp):
-        row = [0] * ncols
-        row[0] = 1
-        row[1 + s] = -e
-        rows.append(row)
-    if I:
-        row = [0] * ncols
-        row[0] = 1
-        row[col_E] = -2 * e
-        rows.append(row)
-    if R:
-        row = [0] * ncols
-        row[0] = 1
-        row[col_G] = -3 * e
+    S = supersingular_counts(p).S
+    ks = [_CHAIN[name[:4]] for name in generator_names(p)[1:]]
+    rows = [
+        [-S] + [(k - 1) * e for k in ks],  # (Z)
+        [0] + [1] * len(ks),  # (Z')
+    ]
+    for col, k in enumerate(ks, start=1):
+        row = [1] + [0] * len(ks)
+        row[col] = -k * e
         rows.append(row)
     return rows
 
@@ -324,15 +302,13 @@ def component_group(p: int, e: int) -> ComponentGroup:
         raise PostconditionFailed("image of Zbar does not have order n")
     z_span = group.cyclic_subgroup(z)
     total = group.zero()
-    chain_mult = {"Cbar": e, "Ebar": 2 * e, "Gbar": 3 * e}
     for name in names:
         if group.scale(e, images[name]) not in z_span:
             raise PostconditionFailed(f"e * {name} escapes <Zbar>")
         if name != "Zbar":
             total = group.add(total, images[name])
             # chain relations: e Cbar_s = 2e Ebar = 3e Gbar = Zbar exactly
-            mult = chain_mult[name[:4] if name.startswith("Cbar") else name]
-            if group.scale(mult, images[name]) != z:
+            if group.scale(_CHAIN[name[:4]] * e, images[name]) != z:
                 raise PostconditionFailed(f"chain relation fails for {name}")
     if total != group.zero():
         raise PostconditionFailed("sum of component classes over S is nonzero")
@@ -355,7 +331,7 @@ def _rho_candidates(I: int, R: int, s_prime: int, e: int) -> list[tuple[str, int
             cands += [("Gbar", 2), ("Gbar", 4), ("Gbar", 3)]
     else:
         if I:
-            cands += [("Ebar", 2), ("Ebar", 4), ("Ebar", 6), ("Ebar", 4)]
+            cands += [("Ebar", 2), ("Ebar", 4), ("Ebar", 6)]
         if R:
             cands += [("Gbar", 2 * i) for i in range(1, 6)]
         if s_prime:
@@ -364,58 +340,40 @@ def _rho_candidates(I: int, R: int, s_prime: int, e: int) -> list[tuple[str, int
 
 
 def _rho_value(gen: str, mult: int, e: int) -> Fraction:
-    """Formal fraction of Zbar forced by the chain relations:
-    2e*Ebar = Zbar, 3e*Gbar = Zbar, e*Cbar_s = Zbar."""
+    """Formal fraction of Zbar forced by the chain relation Zbar = k*e*gen."""
     if gen == "Zbar'":
         return Fraction(0)
     if gen == "Zbar":
         return Fraction(mult)
-    denom = {"Ebar": 2 * e, "Gbar": 3 * e, "Cbar": e}[gen]
-    return Fraction(mult, denom)
+    return Fraction(mult, _CHAIN[gen] * e)
 
 
-def rho_value_set(p: int, e: int) -> RhoValueSet:
-    """Possible reduction values of g(P) as rational multiples of Zbar.
-
-    Each candidate value a/b is certified inside the Smith-normal-form
-    coordinates of the component group: b * x = a * Zbar must hold for
-    the candidate element x.  Only e in {1, 2} is tabulated.
-    """
-    if e not in (1, 2):
-        raise UnsupportedRamification("reduction values are tabulated for e in {1, 2}")
-    counts = supersingular_counts(p)
-    group = component_group(p, e)
-    images = group.generator_images
-    z = images["Zbar"]
-
-    values: set[Fraction] = set()
-    for gen, mult in _rho_candidates(counts.I, counts.R, counts.S_prime, e):
-        val = _rho_value(gen, mult, e)
-        if gen == "Zbar'":
-            x = group.zero()
-        elif gen == "Cbar":
-            x = group.scale(mult, images["Cbar_s1"])
-        else:
-            x = group.scale(mult, images[gen])
-        # Certify b*x = a*Zbar in the computed coordinates.
-        a, b = val.numerator, val.denominator
-        if group.scale(b, x) != group.scale(a, z):
-            raise PostconditionFailed(
-                f"candidate {mult}*{gen} does not satisfy {b}*x = {a}*Zbar "
-                f"at (p, e) = ({p}, {e}); table cell disagrees with the group"
-            )
-        values.add(val)
-    return RhoValueSet(p % 12, e, frozenset(values))
-
-
-def _rho_values_light(p: int, e: int) -> set[Fraction]:
-    """Same value set as rho_value_set but without building the group;
-    used by the two-torsion sweep (the relations force every value)."""
+def _rho_values(p: int, e: int) -> set[Fraction]:
+    """The values of rho_value_set, which the two-torsion sweep reads too."""
     counts = supersingular_counts(p)
     return {
         _rho_value(gen, mult, e)
         for gen, mult in _rho_candidates(counts.I, counts.R, counts.S_prime, e)
     }
+
+
+def rho_value_set(p: int, e: int) -> RhoValueSet:
+    """Possible reduction values of g(P) as rational multiples of Zbar.
+
+    Each candidate x = mult*gen has the value a/b = mult/(k*e) in lowest
+    terms, k the chain multiplicity of gen.  It holds in the group
+    without building it: b*x = (b*mult)*gen = a*(k*e*gen) = a*Zbar, where
+    the last step is the chain row k*e*gen = Zbar of the presentation,
+    which component_group checks for every group it builds ("chain
+    relation fails for ...").  For Zbar' (x = 0) and Zbar (b = 1) the
+    identity is trivial.  The candidates depend only on I, R, whether
+    S' > 0 and e; S' > 0 for every p > 13, so there the values depend
+    only on p mod 12 and e.
+    Only e in {1, 2} is tabulated.
+    """
+    if e not in (1, 2):
+        raise UnsupportedRamification("reduction values are tabulated for e in {1, 2}")
+    return RhoValueSet(p % 12, e, frozenset(_rho_values(p, e)))
 
 
 def two_torsion_obstruction(p: int) -> bool:
@@ -429,7 +387,7 @@ def two_torsion_obstruction(p: int) -> bool:
         return False
     half = n // 2
     for e in (1, 2):
-        for val in _rho_values_light(p, e):
+        for val in _rho_values(p, e):
             if (val.numerator - val.denominator * half) % n == 0:
                 return True
     return False

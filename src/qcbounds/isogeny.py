@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .arith import is_fundamental_negative
+from .arith import is_fundamental_negative, next_prime
 from .errors import DomainError, NotFundamental
 
 SERRE_CONSTANT = 1e7
@@ -106,6 +106,15 @@ def nonsplit_threshold(D: int) -> float:
     if D < 3:
         raise ValueError("need D >= 3")
     return 50.0 * D**0.25 * math.log(D)
+
+
+def threshold_prime(D: int) -> int:
+    """The smallest prime above nonsplit_threshold(D) that does not divide D,
+    the prime at which the certificates of D are made."""
+    p = next_prime(math.floor(nonsplit_threshold(D)))
+    while D % p == 0:
+        p = next_prime(p)
+    return p
 
 
 def main_thresholds(D: int) -> ThresholdReport:

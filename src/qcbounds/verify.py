@@ -24,7 +24,6 @@ from .arith import (
     kloosterman_direct_complex,
     kloosterman_fast,
     make_character,
-    next_prime,
 )
 from .bessel import bessel_j1
 from .bounds import twisted_dft_all
@@ -338,9 +337,7 @@ def certify_grid_suite() -> SuiteResult:
     res = SuiteResult("certify-grid")
     for D in fundamental_discriminants(15, 403):
         chi = make_character(D)
-        p = next_prime(math.floor(isogeny.nonsplit_threshold(D)))
-        while D % p == 0:
-            p = next_prime(p)
+        p = isogeny.threshold_prime(D)
         cert = trace.certify_nonvanishing(p, chi)
         res.check(
             cert.certified, f"certificate indeterminate at D={D}, p={p} ({cert.lower_bound:.4f})"

@@ -30,13 +30,9 @@ def criterion(num: int, description: str, budget_s: float):
 
 def test_criterion_1_nonvanishing_grid():
     with criterion(1, "nonvanishing certificates for 15 <= D <= 403", 60):
-        for D in q.fundamental_discriminants(15, 403):
-            chi = q.make_character(D)
-            p = q.next_prime(math.floor(q.nonsplit_threshold(D)))
-            while D % p == 0:
-                p = q.next_prime(p)
-            cert = q.certify_nonvanishing(p, chi)
-            assert cert.verdict == "certified-positive", (D, p, cert.lower_bound)
+        result = verify.certify_grid_suite()
+        assert result.passed, result.failures[:5]
+        assert result.checks == 176
 
 
 def test_criterion_2_certificate_numeric_agreement():
@@ -138,11 +134,16 @@ def test_criterion_10_displayed_constants():
 def test_criterion_11_numeric_certificates_at_planned_caps():
     with criterion(11, "numeric certificates at planned caps for 15 <= D <= 31", 5):
         for D in q.fundamental_discriminants(15, 31):
-            p = q.next_prime(math.floor(q.nonsplit_threshold(D)))
-            while D % p == 0:
-                p = q.next_prime(p)
+            p = q.threshold_prime(D)
             cert = q.certify_numeric(p, q.make_character(D))
             assert cert.verdict == "certified-positive", (D, p, cert.lower_bound)
+
+
+def test_criterion_12_envelope():
+    with criterion(12, "closed-form bounds dominate the numeric series", 10):
+        result = verify.envelope_suite()
+        assert result.passed, result.failures[:5]
+        assert result.checks == 74
 
 
 def test_criterion_2_frozen_numeric_snapshot():

@@ -429,7 +429,7 @@ class TestHybridDTail:
         # the minimiser of the smooth part, searched once per shape, gives
         # the tail a search from each d_max gave, also where the d = D term
         # falls inside the Abel range (d_max < D <= d1), as at D = 403
-        p = q.next_prime(math.floor(q.nonsplit_threshold(D)))
+        p = q.threshold_prime(D)
         d_maxes = [*range(1, 100), *range(100, 1601, 37), D - 1, D, D + 1]
         splits = 0
         for m, N in ((1, p * p), (1, p), (p, p)):

@@ -1,5 +1,6 @@
 """Component groups, Smith normal form and the reduction-value table."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -7,10 +8,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qcbounds as q
-from qcbounds.compgroup import integer_determinant, generator_names
+from qcbounds import compgroup
+from qcbounds.compgroup import _rho_candidates, _rho_value, generator_names, integer_determinant
 from qcbounds.errors import UnsupportedPrime, UnsupportedRamification
 
 F = Fraction
+
+
+def admissible(lo, hi):
+    return [p for p in range(lo, hi) if q.is_prime(p) and (p == 11 or p > 13)]
 
 
 class TestSupersingularCounts:
@@ -49,6 +55,20 @@ class TestRelationMatrix:
     def test_generator_names(self):
         assert generator_names(11) == ["Zbar", "Ebar", "Gbar"]
         assert generator_names(37) == ["Zbar", "Cbar_s1", "Cbar_s2", "Cbar_s3"]
+
+    def test_digest_of_every_matrix_below_5000(self):
+        # the rows as the hand-indexed (Z), (Z'), C_s, E and G blocks wrote
+        # them: sha256 of repr(sorted({(p, e): matrix}.items())), hashed one
+        # item at a time (the whole repr would take over a gigabyte)
+        keys = [(p, e) for p in admissible(11, 5000) for e in (1, 2, 3, 5)]
+        assert len(keys) == 2656
+        digest = hashlib.sha256(b"[")
+        for i, key in enumerate(keys):
+            item = repr((key, q.relation_matrix(*key)))
+            digest.update((", " + item if i else item).encode())
+        digest.update(b"]")
+        expected = "f7c2f5d7350d7d4567ea2af5d95061c839ea968d19bae1ccb264365a289dc02f"
+        assert digest.hexdigest() == expected
 
 
 class TestSmithNormalForm:
@@ -149,10 +169,43 @@ class TestRhoValues:
             q.rho_value_set(37, 3)
 
     def test_other_representatives(self):
-        # a second prime in each residue class gives the same cell
-        for p in (61, 43, 47, 73):
+        # every prime above 13 in a residue class gives the same cell
+        for p in admissible(17, 10**4):
             for e in (1, 2):
-                assert set(q.rho_value_set(p, e).values) == RHO_CELLS[(p % 12, e)]
+                assert set(q.rho_value_set(p, e).values) == RHO_CELLS[(p % 12, e)], (p, e)
+
+    def test_builds_no_group(self, monkeypatch):
+        def no_group(*args):
+            raise AssertionError("rho_value_set built a component group")
+
+        monkeypatch.setattr(compgroup, "component_group", no_group)
+        monkeypatch.setattr(compgroup, "smith_normal_form", no_group)
+        for p in (11, 17, 4001, 10007):
+            for e in (1, 2):
+                q.rho_value_set(p, e)
+        assert q.two_torsion_obstruction(17) is True
+
+    @pytest.mark.parametrize("e", [1, 2])
+    def test_every_value_holds_in_the_group(self, e):
+        # the reference: each candidate x = mult*gen with value a/b
+        # satisfies b*x = a*Zbar in component_group's Smith-normal-form
+        # coordinates, and the certified values are rho_value_set's
+        for p in admissible(11, 700):
+            counts = q.supersingular_counts(p)
+            group = q.component_group(p, e)
+            images = group.generator_images
+            z = images["Zbar"]
+            values = set()
+            for gen, mult in _rho_candidates(counts.I, counts.R, counts.S_prime, e):
+                val = _rho_value(gen, mult, e)
+                if gen == "Zbar'":
+                    x = group.zero()
+                else:
+                    x = group.scale(mult, images["Cbar_s1" if gen == "Cbar" else gen])
+                a, b = val.numerator, val.denominator
+                assert group.scale(b, x) == group.scale(a, z), (p, e, gen, mult)
+                values.add(val)
+            assert q.rho_value_set(p, e).values == values, (p, e)
 
 
 class TestTwoTorsion:

@@ -113,6 +113,16 @@ class TestMainThresholds:
         assert q.nonsplit_threshold(4) == pytest.approx(98.0259, abs=1e-3)
         assert q.nonsplit_threshold(15) == pytest.approx(266.471, abs=1e-2)
 
+    def test_threshold_prime(self):
+        for D in q.fundamental_discriminants(3, 403):
+            p = q.next_prime(math.floor(q.nonsplit_threshold(D)))
+            while D % p == 0:
+                p = q.next_prime(p)
+            assert q.threshold_prime(D) == p, D
+        assert [q.threshold_prime(D) for D in (3, 4, 15, 24, 403)] == [73, 101, 269, 353, 1361]
+        # 25796 = 4 * 6449, and 6449 is the first prime above its threshold
+        assert math.floor(q.nonsplit_threshold(25796)) < 6449 < q.threshold_prime(25796) == 6451
+
 
 def sieve_contradiction_search(case, d_limit):
     """The sweep over every 2 <= d <= d_limit that the closed form replaces."""

@@ -474,7 +474,7 @@ def near_threshold(draw):
     """A fundamental D in 3..60 and one of the first four admissible primes
     from its nonsplit threshold on."""
     D = draw(st.sampled_from(q.fundamental_discriminants(3, 60)))
-    p = q.next_prime(math.floor(q.nonsplit_threshold(D)))
+    p = q.threshold_prime(D)
     for _ in range(draw(st.integers(0, 3))):
         p = q.next_prime(p)
     while D % p == 0:
