@@ -4,8 +4,10 @@ Kronecker symbols, the odd quadratic character of an imaginary quadratic
 field, Kloosterman sums S(m,n;c) = sum over units v mod c of
 e^(2*pi*i*(m*v + n*vbar)/c), Gauss sums and the standard multiplicative
 functions.  Everything here is exact integer work except for the final
-complex accumulation of exponential sums, which is done in doubles with
-the angle reduced mod c in integer arithmetic first.
+complex accumulation of exponential sums, which is done in doubles: the
+phase of each term is reduced mod c in integer arithmetic, and its cosine
+and sine are read from a table of the c points k * (2*pi/c) on the unit
+circle, so no angle is ever evaluated outside [0, 2*pi).
 """
 
 from __future__ import annotations
@@ -232,40 +234,68 @@ def _units_and_inverses(c: int) -> tuple[np.ndarray, np.ndarray]:
     arrays: the table of the numpy path, which every kernel and array call takes.
 
     The inverses are v^(phi(c)-1) mod c, by vectorized square-and-multiply
-    (phi(c) is the number of units).
+    (phi(c) is the number of units).  A modulus whose table does not fit in
+    memory is a DomainError, like one past the int64 limit.
     """
     import numpy as np
 
     if c >= _MAX_TABLE_MODULUS:
         raise DomainError(f"modulus {c} too large for a unit table")
-    v = np.arange(1, c, dtype=np.int64)
-    units = v[np.gcd(v, c) == 1]
-    invs = np.ones_like(units)
-    power = units.copy()
-    e = units.size - 1
-    while e > 0:  # e = -1 when c = 1 (no units)
-        if e & 1:
-            invs = invs * power % c
-        power = power * power % c
-        e >>= 1
+    try:
+        v = np.arange(1, c, dtype=np.int64)
+        units = v[np.gcd(v, c) == 1]
+        invs = np.ones_like(units)
+        power = units.copy()
+        e = units.size - 1
+        while e > 0:  # e = -1 when c = 1 (no units)
+            if e & 1:
+                invs = invs * power % c
+            power = power * power % c
+            e >>= 1
+    except MemoryError:
+        raise DomainError(f"modulus {c} too large for a unit table in memory") from None
     units.flags.writeable = False  # cached: every caller shares these arrays
     invs.flags.writeable = False
     return units, invs
 
 
+# Phase k mod c is the angle k * (_TWO_PI / c), the product formed in doubles from the
+# integer k in [0, c): both cosine tables below tabulate exactly these angles, so the
+# pure and numpy paths read the same bits wherever libm's cos and np.cos agree.
+
+
 @lru_cache(maxsize=16)
 def _pure_tables(c: int) -> tuple[tuple[tuple[int, int], ...], tuple[float, ...]]:
     """The pure path's pairs (v, vbar) over the units v mod c, (0, 0) alone when c = 1,
-    and cos(k * 2*pi/c) for k mod c as numpy forms it (10 MB near c = 2^16)."""
+    and the cosine of phase k for k mod c (10 MB near c = 2^16)."""
     return (tuple((v, pow(v, -1, c)) for v in range(c) if math.gcd(v, c) == 1),
             tuple(math.cos(k * (_TWO_PI / c)) for k in range(c)))
 
 
-def _kloosterman_angles(m: int | np.ndarray, n: int | np.ndarray, c: int) -> np.ndarray:
-    """The angles 2*pi*(m*v + n*vbar)/c over the units v mod c, on a last
-    axis after the broadcast shape of m and n.  m and n are reduced mod c
-    before any int64 product.  The one unit mod 1 is 0, so S(m,n;1) = 1.
-    Only the numpy path forms them; the pure one reads their cosines."""
+@lru_cache(maxsize=16)
+def _phase_table(c: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cosine and sine of phase k mod c for k = 0..2c-1, as read-only float64
+    arrays: two turns, so the sum of two residues mod c indexes them with no
+    further reduction.  Like the unit table, one that does not fit in memory
+    is a DomainError."""
+    import numpy as np
+
+    try:
+        angles = np.arange(c, dtype=np.float64) * (_TWO_PI / c)
+        cos, sin = np.cos(angles), np.sin(angles)
+        cos, sin = np.concatenate((cos, cos)), np.concatenate((sin, sin))
+    except MemoryError:
+        raise DomainError(f"modulus {c} too large for a phase table in memory") from None
+    cos.flags.writeable = False  # cached: every caller shares these arrays
+    sin.flags.writeable = False
+    return cos, sin
+
+
+def _phase_indices(m: int | np.ndarray, n: int | np.ndarray, c: int) -> np.ndarray:
+    """(m*v mod c) + (n*vbar mod c) over the units v mod c, on a last axis
+    after the broadcast shape of m and n: the phases of S(m,n;c) as indices
+    into _phase_table(c).  m and n are reduced mod c before any int64
+    product.  The one unit mod 1 is 0, so S(m,n;1) = 1."""
     if c < 1:
         raise ValueError("modulus must be >= 1")
     import numpy as np
@@ -273,7 +303,8 @@ def _kloosterman_angles(m: int | np.ndarray, n: int | np.ndarray, c: int) -> np.
     units, invs = _units_and_inverses(c) if c > 1 else (np.zeros(1, np.int64),) * 2
     m = np.asarray(m % c, dtype=np.int64)[..., None]
     n = np.asarray(n % c, dtype=np.int64)[..., None]
-    return np.mod(m * units + n * invs, c) * (_TWO_PI / c)
+    # two reductions over the m and n axes alone, not one over their whole grid
+    return m * units % c + n * invs % c
 
 
 def _pairwise_sum(x: list[float]) -> float:
@@ -294,16 +325,21 @@ def kloosterman_direct(m: int | np.ndarray, n: int | np.ndarray, c: int) -> floa
 
     m and n are integers or integer arrays: arrays give their broadcast
     shape, integers a float.  The sum is real (v -> -v conjugates the
-    terms); the imaginary part of the accumulation is discarded.  Integers
-    with 1 <= c < 2^16 are summed without numpy, in numpy's bits (the same
-    angles, libm's cos, which np.cos equals, and _pairwise_sum's order).
+    terms); the imaginary part of the accumulation is discarded.
+
+    Each term's phase m*v + n*vbar is reduced mod c exactly, in integers,
+    and its cosine is looked up in a table of cos(k * (2*pi/c)), k mod c.
+    So every term is the correctly reduced angle's cosine, to libm's
+    accuracy, and the sum is a pairwise float64 sum of phi(c) such terms.
+    Integers with 1 <= c < 2^16 are summed without numpy, in numpy's bits
+    (the same table entries, libm's cos, which np.cos equals, and
+    _pairwise_sum's order).
     """
     if isinstance(m, int) and isinstance(n, int) and 0 < c < _PURE_MODULUS_MAX:
         pairs, cosines = _pure_tables(c)
         return _pairwise_sum([cosines[(m * v + n * w) % c] for v, w in pairs])
-    import numpy as np
-
-    s = np.cos(_kloosterman_angles(m, n, c)).sum(axis=-1)
+    k = _phase_indices(m, n, c)
+    s = _phase_table(c)[0][k].sum(axis=-1)
     return float(s) if s.ndim == 0 else s
 
 
@@ -312,10 +348,9 @@ def kloosterman_direct_complex(
 ) -> complex | np.ndarray:
     """Full complex accumulation of S(m,n;c), shaped like kloosterman_direct;
     used to test realness."""
-    import numpy as np
-
-    angles = _kloosterman_angles(m, n, c)
-    re, im = np.cos(angles).sum(axis=-1), np.sin(angles).sum(axis=-1)
+    k = _phase_indices(m, n, c)
+    cos, sin = _phase_table(c)
+    re, im = cos[k].sum(axis=-1), sin[k].sum(axis=-1)
     return complex(re, im) if re.ndim == 0 else re + 1j * im
 
 
@@ -342,7 +377,6 @@ def gauss_sum(chi: QuadraticCharacter) -> complex:
     import numpy as np
 
     D = chi.D
-    n = np.arange(D)
-    angles = n * (_TWO_PI / D)
+    cos, sin = _phase_table(D)
     vals = chi.table.astype(np.float64)
-    return complex((vals * np.cos(angles)).sum(), (vals * np.sin(angles)).sum())
+    return complex((vals * cos[:D]).sum(), (vals * sin[:D]).sum())

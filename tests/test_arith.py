@@ -9,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qcbounds as q
-from qcbounds.arith import _PURE_MODULUS_MAX, _units_and_inverses, kloosterman_direct_complex
+from qcbounds.arith import (
+    _PURE_MODULUS_MAX,
+    _phase_table,
+    _pure_tables,
+    _units_and_inverses,
+    kloosterman_direct_complex,
+)
 from qcbounds.errors import DomainError, NotFundamental
 
 
@@ -164,6 +170,17 @@ class TestKloosterman:
         for fn in (q.kloosterman_direct, q.kloosterman_fast):
             assert repr(fn(m, n, c)) == repr(float(fn(np.array([m % c]), n % c, c)[0]))
 
+    def test_tables_out_of_memory_are_domain_errors(self, monkeypatch):
+        # a modulus below the int64 limit can still ask for more memory than
+        # there is (2^31 - 1 wants 16 GiB); the allocation is faked to fail
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(np, "arange", no_memory)
+        for table in (_units_and_inverses, _phase_table):
+            with pytest.raises(DomainError, match="in memory"):
+                table.__wrapped__(1009)  # past the cache, which may hold 1009
+
     @pytest.mark.parametrize("m", [2 * 10**18 + 1, 10**19 + 1, 10**30 + 1, -(10**30) - 1])
     def test_huge_arguments_reduce_mod_c(self, m):
         # m * v would overflow int64 (or not convert at all) before reduction
@@ -174,6 +191,65 @@ class TestKloosterman:
             assert kloosterman_direct_complex(m, m, c) == kloosterman_direct_complex(
                 m % c, m % c, c
             )
+
+
+class TestPhaseTable:
+    """The table lookups against the angle formula they replaced: each
+    phase m*v + n*vbar reduced mod c, times 2*pi/c, through np.cos and
+    np.sin.  The values must agree by repr."""
+
+    @staticmethod
+    def old_direct(m, n, c):
+        units = [v for v in range(c) if math.gcd(v, c) == 1]
+        v = np.array(units, dtype=np.int64)
+        vbar = np.array([pow(u, -1, c) for u in units], dtype=np.int64)
+        m, n = np.asarray(m % c)[..., None], np.asarray(n % c)[..., None]
+        angles = np.mod(m * v + n * vbar, c) * (2 * math.pi / c)
+        return np.cos(angles).sum(axis=-1), np.sin(angles).sum(axis=-1)
+
+    def old_fast(self, m, n, c):
+        out = 1.0
+        for p, a in q.factorize(c) or [(1, 1)]:
+            pa = p**a
+            rbar = pow(c // pa, -1, pa)
+            out *= self.old_direct(rbar * (m % pa), rbar * (n % pa), pa)[0]
+        return out
+
+    def check(self, m, n, c):
+        re, im = self.old_direct(m, n, c)
+        assert repr(q.kloosterman_direct(m, n, c).tolist()) == repr(re.tolist()), c
+        got = kloosterman_direct_complex(m, n, c)
+        assert repr(got.real.tolist()) == repr(re.tolist()), c
+        assert repr(got.imag.tolist()) == repr(im.tolist()), c
+        fast = self.old_fast(m, n, c)
+        assert repr(q.kloosterman_fast(m, n, c).tolist()) == repr(fast.tolist()), c
+
+    def test_weil_grid_matches_old_angles(self):
+        m = np.arange(1, 13)[:, None]
+        for c in range(1, 401):
+            self.check(m, m.T, c)
+
+    @pytest.mark.parametrize("c", [_PURE_MODULUS_MAX, _PURE_MODULUS_MAX + 1, 3 * 5 * 4999, 2**17])
+    def test_large_moduli_match_old_angles(self, c):
+        m = np.array([1, 7, 65535, 10**12 + 3])
+        self.check(m, np.array([[1], [12], [-5]]), c)
+
+    def test_gauss_sums_match_old_angles(self):
+        for D in q.fundamental_discriminants(3, 500):
+            chi = q.make_character(D)
+            angles = np.arange(D) * (2 * math.pi / D)
+            vals = chi.table.astype(np.float64)
+            old = complex((vals * np.cos(angles)).sum(), (vals * np.sin(angles)).sum())
+            assert repr(q.gauss_sum(chi)) == repr(old), D
+
+    @pytest.mark.parametrize("c", [1, 2, 12, 360, 9973, _PURE_MODULUS_MAX - 1])
+    def test_pure_cosines_are_the_table(self, c):
+        # one formula, cos(k * (2*pi/c)), behind both paths: the pure tuple
+        # equals the first turn of the numpy table bit for bit
+        cos, sin = _phase_table(c)
+        assert _pure_tables(c)[1] == tuple(cos[:c].tolist())
+        assert cos.size == sin.size == 2 * c
+        assert cos[c:].tolist() == cos[:c].tolist() and sin[c:].tolist() == sin[:c].tolist()
 
 
 class TestGaussSum:

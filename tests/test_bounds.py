@@ -17,7 +17,7 @@ from qcbounds.bounds import (
     WEIL_ONE,
     twisted_dft_all,
 )
-from qcbounds.errors import InvalidHint
+from qcbounds.errors import DomainError, InvalidHint
 
 
 tau = functools.cache(q.divisor_count)
@@ -198,6 +198,32 @@ class TestTrigSum:
         assert res.failures == ["F=1"] + [
             f"trig bound fails at F={F} by 1.00e+00" for F in range(2, 301)
         ]
+
+    def test_against_mpmath(self):
+        # every sine is a reduced table entry, so the float sum stays within
+        # a few ulps of the 30-digit value (the unreduced angle pi*K*g/F did not)
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(18)
+        # K = F - 1 and K = F (exactly 0) are where pi*K*g/F ran largest
+        cases = [(1, 2), (7, 1), (150, 300), (239, 240), (292, 293), (293, 293), (600, 300)]
+        cases += [(int(K), int(F))
+                  for F in rng.integers(2, 301, 40) for K in rng.integers(0, F + 1, 2)]
+        with mpmath.workdps(30):
+            for K, F in cases:
+                exact = mpmath.fsum(abs(mpmath.sinpi(mpmath.mpf(K * g) / F))
+                                    / mpmath.sinpi(mpmath.mpf(g) / F) for g in range(1, F))
+                got = q.trig_sum_direct(K, F)
+                assert got == pytest.approx(float(exact), rel=1e-13, abs=0), (K, F)
+                assert q.trig_sum_direct(np.array([K]), F)[0] == got
+
+    def test_integer_k_only(self):
+        # K picks a table entry: a fractional K has none, and is refused
+        # rather than truncated; an integer of any size reduces mod F first
+        for K in (2.5, 3.0, np.array([1.0, 2.0]), np.array([True]), "3", None):
+            with pytest.raises(DomainError):
+                q.trig_sum_direct(K, 7)
+        assert q.trig_sum_direct(10**30 + 3, 7) == q.trig_sum_direct(10**30 % 7 + 3, 7)
+        assert q.trig_sum_direct(np.uint8(3), 7) == q.trig_sum_direct(np.int64(-4), 7)
 
     def test_inequality_small_grid(self):
         for F in range(1, 80):

@@ -35,6 +35,19 @@ class TestExitCodes:
         assert main(["kloosterman", "1", "1", str(1 << 31), "--quiet"]) == 2
         assert main(["kloosterman", "1", "1", str(1 << 31), "--fast", "--quiet"]) == 2
 
+    def test_modulus_out_of_memory_exits_two(self, monkeypatch, capsys):
+        # 2^31 - 1 passes the int64 limit but its unit table wants 16 GiB:
+        # the allocation is faked to fail, as it would, without asking for it
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(np, "arange", no_memory)
+        for fast in ([], ["--fast"]):
+            assert main(["kloosterman", "1", "1", "2147483647", "--json", *fast]) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and err.count("\n") == 1
+            assert err.startswith("error: modulus 2147483647")
+
     def test_j_invariant_underflow_exits_two(self, capsys):
         # Delta(tau) underflows to 0 this close to the real line
         assert main(["j-invariant", "--re", "0", "--im", "0.001", "--quiet"]) == 2
