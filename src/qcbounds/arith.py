@@ -191,7 +191,10 @@ class QuadraticCharacter:
     """Odd quadratic Dirichlet character of conductor D, with -D fundamental.
 
     A single value is one Kronecker symbol; the vectorized paths read the
-    full period, a table of signed bytes built on first use.
+    full period, a table of signed bytes built on first use.  The
+    character is completely multiplicative, so the table takes a Kronecker
+    symbol only at the primes below D and multiplies through a
+    smallest-prime-factor sieve everywhere else.
     """
 
     D: int
@@ -203,7 +206,17 @@ class QuadraticCharacter:
     def table(self) -> np.ndarray:
         import numpy as np
 
-        return np.array([self(n) for n in range(self.D)], dtype=np.int8)
+        D = self.D
+        # spf[n]: smallest prime factor of a composite n, 0 at 0, 1 and the
+        # primes.  Descending q leaves the smallest divisor q <= sqrt(n).
+        spf = [0] * D
+        for q in range(math.isqrt(D - 1), 1, -1):
+            spf[q * q::q] = [q] * len(range(q * q, D, q))
+        chi = [0, 1] + [0] * (D - 2)  # chi(0) = 0 for D > 1
+        for n in range(2, D):
+            q = spf[n]
+            chi[n] = chi[q] * chi[n // q] if q else kronecker(-D, n)
+        return np.array(chi, dtype=np.int8)
 
     def values(self, n: np.ndarray) -> np.ndarray:
         """Vectorized evaluation at an integer array."""

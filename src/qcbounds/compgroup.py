@@ -12,14 +12,20 @@ each blown-up chain C_{s,i} = i*C_s first leaves generators
     (G)   Zbar = 3e*Gbar        (when j = 0 is supersingular)
 
 whose cokernel is Z/(n e) x (Z/e)^(S-2), n the numerator of (p-1)/12.
-The Smith normal form realizes the group exactly.  The tabulated
+The Smith normal form realizes the group exactly: its diagonal gives the
+invariant factors and its left transform the generator images.  The
+elimination records its column steps instead of building the right
+transform, which is replayed from them on first read, so component_group,
+which never reads it, never builds it.  The tabulated
 reduction values rho(g(P)) need no Smith normal form: each comes from
 the chain multiplicities k in (C_s, E, G) = (1, 2, 3) alone (_CHAIN).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -47,17 +53,17 @@ def supersingular_counts(p: int) -> SupersingularCounts:
     _check_prime(p)
     I = 1 if p % 4 == 3 else 0
     R = 1 if p % 3 == 2 else 0
-    s_prime = Fraction(p - 1, 12) - Fraction(I, 2) - Fraction(R, 3)
-    if s_prime.denominator != 1 or s_prime < 0:
+    s_prime, rem = divmod(p - 1 - 6 * I - 4 * R, 12)
+    if rem or s_prime < 0:
         raise PostconditionFailed(f"mass formula failed at p = {p}")
-    return SupersingularCounts(p, int(s_prime) + I + R, int(s_prime), I, R)
+    return SupersingularCounts(p, s_prime + I + R, s_prime, I, R)
 
 
 def eisenstein_n(p: int) -> int:
     """Numerator of (p-1)/12, the order of the cuspidal subgroup."""
     if not is_prime(p):
         raise UnsupportedPrime(f"{p} is not prime")
-    return Fraction(p - 1, 12).numerator
+    return (p - 1) // math.gcd(p - 1, 12)
 
 
 # Multiplicity k of each collapsed chain end, by the first four letters of
@@ -93,10 +99,40 @@ def relation_matrix(p: int, e: int) -> list[list[int]]:
     return rows
 
 
-class SNFResult(NamedTuple):
-    diagonal: list[int]
-    left: list[list[int]]
-    right: list[list[int]]
+class SNFResult:
+    """diagonal, left and right of a Smith normal form; right is built on
+    first read by replaying the recorded column steps on the identity."""
+
+    def __init__(self, diagonal: list[int], left: list[list[int]], n_cols: int,
+                 col_steps: list[tuple[int, int, int, int, int, int]]) -> None:
+        self.diagonal = diagonal
+        self.left = left
+        self._n_cols = n_cols
+        self._col_steps = col_steps
+
+    @cached_property
+    def right(self) -> list[list[int]]:
+        cols = _eye(self._n_cols)  # the columns of right, as lists
+        pivot = None  # (t, the nonzero (k, cols[t][k])) while column t is unchanged
+        for t, j, x, y, u, v in self._col_steps:
+            if y:  # a swap or a gcd step rewrites columns t and j
+                cols[t], cols[j] = (
+                    [x * a + y * b for a, b in zip(cols[t], cols[j])],
+                    [u * a + v * b for a, b in zip(cols[t], cols[j])],
+                )
+                pivot = None
+                continue
+            # A plain step (x = v = 1) adds u * column t to column j > t;
+            # only the nonzero entries of column t can change an entry.
+            if pivot is None or pivot[0] != t:
+                pivot = t, [(k, a) for k, a in enumerate(cols[t]) if a]
+            col = cols[j]
+            for k, a in pivot[1]:
+                col[k] += u * a
+        return [list(row) for row in zip(*cols)]
+
+    def __iter__(self):
+        return iter((self.diagonal, self.left, self.right))
 
 
 def _eye(n: int) -> list[list[int]]:
@@ -126,11 +162,25 @@ def smith_normal_form(mat: Sequence[Sequence[int]]) -> SNFResult:
     """Exact Smith normal form: left * mat * right is diagonal with
     d1 | d2 | ..., left and right unimodular.
 
-    The pivot is the smallest nonzero entry of the working submatrix.
-    Every entry in its column (row) is cleared by one 2x2 unimodular step
-    on two rows (columns), so the pivot only ever shrinks to a gcd and
-    the entries of left and right stay small (at most 62 bits on the
-    pinned 5x5 test matrices with entries in [-30, 30]).
+    The pivot is the smallest nonzero entry of the working submatrix, the
+    first in (row, column) order among equals.  Every entry in its column
+    (row) is cleared by one 2x2 unimodular step on two rows (columns), so
+    the pivot only ever shrinks to a gcd and the entries of left and right
+    stay small (at most 62 bits on the pinned 5x5 test matrices with
+    entries in [-30, 30]).
+
+    Row steps update the matrix and left.  Column steps update the matrix
+    only and are recorded as (t, j, x, y, u, v), a column swap as
+    (t, j, 0, 1, 1, 0); right replays them on the identity when it is
+    first read, so a caller that needs only the diagonal and left (as
+    component_group does) never builds it.  The elimination skips work
+    that cannot change an entry: rows above the pivot, zero in every
+    working column; and a plain column step (the pivot divides the entry)
+    while the pivot's column is clear below it, which only zeroes the
+    entry.  It also skips searches whose outcome is known: every entry
+    left is a multiple of the last pivot, so the pivot search stops at
+    the first entry of that size, and a pivot equal to it needs no
+    divisibility scan.
     """
     A = [[int(x) for x in row] for row in mat]
     r = len(A)
@@ -138,7 +188,7 @@ def smith_normal_form(mat: Sequence[Sequence[int]]) -> SNFResult:
     if any(len(row) != c for row in A):
         raise ValueError("ragged matrix")
     L = _eye(r)
-    R = _eye(c)
+    steps: list[tuple[int, int, int, int, int, int]] = []
 
     def row_step(t: int, i: int) -> None:  # zero A[i][t] against the pivot
         x, y, u, v = _gcd_step(A[t][t], A[i][t])
@@ -148,25 +198,31 @@ def smith_normal_form(mat: Sequence[Sequence[int]]) -> SNFResult:
                 M[t] = [x * a + y * b for a, b in zip(top, low)]
             M[i] = [u * a + v * b for a, b in zip(top, low)]
 
-    def col_step(t: int, j: int) -> None:  # zero A[t][j] against the pivot
-        x, y, u, v = _gcd_step(A[t][t], A[t][j])
-        for M in (A, R):
-            for row in M:
-                a, b = row[t], row[j]
-                if y:
-                    row[t] = x * a + y * b
-                row[j] = u * a + v * b
+    def col_step(t: int, j: int, x: int, y: int, u: int, v: int) -> None:
+        steps.append((t, j, x, y, u, v))
+        for i in range(t, r):
+            row = A[i]
+            a, b = row[t], row[j]
+            row[t] = x * a + y * b
+            row[j] = u * a + v * b
 
+    floor = 1  # the last pivot, which divides every entry left to eliminate
     for t in range(min(r, c)):
-        entries = [(abs(A[i][j]), i, j) for i in range(t, r) for j in range(t, c) if A[i][j]]
-        if not entries:
+        # First smallest |entry| in (row, column) order; nothing beats floor.
+        best, pi = 0, -1
+        for i in range(t, r):
+            m = min(map(abs, filter(None, A[i][t:])), default=0)
+            if m and (not best or m < best):
+                best, pi = m, i
+                if m == floor:
+                    break
+        if pi < 0:
             break
-        _, pi, pj = min(entries)
         A[t], A[pi] = A[pi], A[t]
         L[t], L[pi] = L[pi], L[t]
-        for M in (A, R):
-            for row in M:
-                row[t], row[pj] = row[pj], row[t]
+        pj = next(j for j in range(t, c) if abs(A[t][j]) == best)
+        if pj != t:
+            col_step(t, pj, 0, 1, 1, 0)
         if A[t][t] < 0:
             A[t] = [-a for a in A[t]]
             L[t] = [-a for a in L[t]]
@@ -175,23 +231,37 @@ def smith_normal_form(mat: Sequence[Sequence[int]]) -> SNFResult:
             for i in range(t + 1, r):
                 if A[i][t]:
                     row_step(t, i)
+            clear = True  # column t is zero below the pivot
+            top = A[t]
             for j in range(t + 1, c):
-                if A[t][j]:
-                    col_step(t, j)
-            if any(A[i][t] for i in range(t + 1, r)):
+                if top[j]:
+                    x, y, u, v = _gcd_step(top[t], top[j])
+                    if clear and not y:
+                        steps.append((t, j, x, y, u, v))
+                        top[j] = 0
+                        continue
+                    col_step(t, j, x, y, u, v)
+                    if y:
+                        clear = not any(A[i][t] for i in range(t + 1, r))
+            if not clear:
                 continue  # a gcd step on columns refilled column t
             # Divisibility: the pivot must divide the remaining submatrix.
             # Adding an offending row brings its entry into row t, and the
-            # next column step shrinks the pivot to a gcd with it.
-            bad = next((i for i in range(t + 1, r) for j in range(t + 1, c)
-                        if A[i][j] % A[t][t]), None)
+            # next column step shrinks the pivot to a gcd with it.  Every
+            # entry is a multiple of floor, so a pivot equal to it passes.
+            d = top[t]
+            if d == floor:
+                break
+            bad = next((i for i in range(t + 1, r)
+                        if any(map(d.__rmod__, filter(None, A[i][t + 1:])))), None)
             if bad is None:
                 break
             A[t] = [a + b for a, b in zip(A[t], A[bad])]
             L[t] = [a + b for a, b in zip(L[t], L[bad])]
+        floor = A[t][t]
 
     diagonal = [A[i][i] for i in range(min(r, c))]
-    return SNFResult(diagonal, L, R)
+    return SNFResult(diagonal, L, c, steps)
 
 
 def integer_determinant(mat: Sequence[Sequence[int]]) -> int:
@@ -281,7 +351,8 @@ def component_group(p: int, e: int) -> ComponentGroup:
     g = len(names)
     # Group = Z^g / (row space of M) = coker of the transposed matrix.
     At = [[M[i][j] for i in range(len(M))] for j in range(g)]
-    diag, left, _right = smith_normal_form(At)
+    snf = smith_normal_form(At)
+    diag, left = snf.diagonal, snf.left
     if len(diag) < g or any(d == 0 for d in diag):
         raise PostconditionFailed("component group came out infinite")
     keep = [i for i in range(g) if diag[i] > 1]
@@ -339,18 +410,21 @@ def _rho_candidates(I: int, R: int, s_prime: int, e: int) -> list[tuple[str, int
     return cands
 
 
-def _rho_value(gen: str, mult: int, e: int) -> Fraction:
-    """Formal fraction of Zbar forced by the chain relation Zbar = k*e*gen."""
+def _rho_value(gen: str, mult: int, e: int) -> tuple[int, int]:
+    """Formal fraction a/b of Zbar forced by the chain relation
+    Zbar = k*e*gen, as the pair (a, b) in lowest terms with b > 0."""
     if gen == "Zbar'":
-        return Fraction(0)
+        return 0, 1
     if gen == "Zbar":
-        return Fraction(mult)
-    return Fraction(mult, _CHAIN[gen] * e)
+        return mult, 1
+    b = _CHAIN[gen] * e
+    g = math.gcd(mult, b)
+    return mult // g, b // g
 
 
-def _rho_values(p: int, e: int) -> set[Fraction]:
-    """The values of rho_value_set, which the two-torsion sweep reads too."""
-    counts = supersingular_counts(p)
+def _rho_values(counts: SupersingularCounts, e: int) -> set[tuple[int, int]]:
+    """The values of rho_value_set as reduced pairs (a, b), which the
+    two-torsion sweep reads too."""
     return {
         _rho_value(gen, mult, e)
         for gen, mult in _rho_candidates(counts.I, counts.R, counts.S_prime, e)
@@ -373,7 +447,8 @@ def rho_value_set(p: int, e: int) -> RhoValueSet:
     """
     if e not in (1, 2):
         raise UnsupportedRamification("reduction values are tabulated for e in {1, 2}")
-    return RhoValueSet(p % 12, e, frozenset(_rho_values(p, e)))
+    values = _rho_values(supersingular_counts(p), e)
+    return RhoValueSet(p % 12, e, frozenset(Fraction(a, b) for a, b in values))
 
 
 def two_torsion_obstruction(p: int) -> bool:
@@ -381,13 +456,13 @@ def two_torsion_obstruction(p: int) -> bool:
     subgroup?  True iff n is even and some tabulated value a/b is
     compatible with x = (n/2)*Zbar, i.e. a = b*n/2 mod n.  Over p < 10^4
     this holds exactly for p in {17, 41}."""
-    _check_prime(p)
+    counts = supersingular_counts(p)
     n = eisenstein_n(p)
     if n % 2 != 0:
         return False
     half = n // 2
     for e in (1, 2):
-        for val in _rho_values(p, e):
-            if (val.numerator - val.denominator * half) % n == 0:
+        for a, b in _rho_values(counts, e):
+            if (a - b * half) % n == 0:
                 return True
     return False

@@ -71,19 +71,22 @@ def kloosterman_row(m: int, c: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _sqrt_table(p: int) -> tuple[np.ndarray, np.ndarray]:
+def _sqrt_table(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Read-only int64 tables for an odd prime p, indexed by x = 0..p-1:
-    a square root of x where x is a nonzero square mod p (0 elsewhere),
-    and the inverse of 2x mod p (0 at x = 0)."""
+    a square root r of x where x is a nonzero square mod p (0 elsewhere),
+    the inverse of 2x mod p (0 at x = 0), and for the first Hensel step
+    (r*r - x)/p and the inverse of 2r mod p (0 where r = 0)."""
     r = np.arange(1, (p + 1) // 2, dtype=np.int64)
     root = np.zeros(p, dtype=np.int64)
     root[(r * r) % p] = r
     units, invs = _units_and_inverses(p)
     inv2 = np.zeros(p, dtype=np.int64)
     inv2[units] = invs * ((p + 1) // 2) % p
-    root.flags.writeable = False
-    inv2.flags.writeable = False
-    return root, inv2
+    x = np.arange(p, dtype=np.int64)
+    tables = (root, inv2, (root * root - x) // p, inv2[root])
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def _salie(p: int, a: int, y: np.ndarray) -> np.ndarray:
@@ -92,18 +95,25 @@ def _salie(p: int, a: int, y: np.ndarray) -> np.ndarray:
 
     The sum vanishes unless y is a unit square, so only the unit squares
     (about half the terms) are evaluated.  A root w of y is read from the
-    table mod p and lifted one p-adic digit per Hensel step; then
-    S = 2 p^(a/2) cos(4 pi w/p^a) for even a, with the
+    table mod p and lifted one p-adic digit per Hensel step; the first
+    step reads y = y1*p + y0 with one divmod and the tables of
+    (r*r - y0)/p and 1/(2r) at y0, so a = 2 needs no other division.
+    Then S = 2 p^(a/2) cos(4 pi w/p^a) for even a, with the
     Legendre-symbol/sine variant for odd a.
     """
     q = p**a
-    root, inv2 = _sqrt_table(p)
+    root, inv2, lift, inv2root = _sqrt_table(p)
     out = np.zeros(y.shape)
-    w = root[y % p]
+    y1, y0 = np.divmod(y, p)
+    w = root[y0]
     squares = np.flatnonzero(w)
-    w, y = w[squares], y[squares]
-    pe = 1
-    for _ in range(a - 1):  # w^2 = y mod p*pe  ->  w^2 = y mod p^2*pe
+    y0 = y0[squares]
+    # (y - w*w)/p = y1 - (r*r - y0)/p: w^2 = y mod p  ->  w^2 = y mod p^2
+    w = w[squares] + p * ((y1[squares] - lift[y0]) * inv2root[y0] % p)
+    if a > 2:
+        y = y[squares]
+    pe = p
+    for _ in range(a - 2):  # w^2 = y mod p*pe  ->  w^2 = y mod p^2*pe
         pe *= p
         w += pe * ((y - w * w) // pe % p * inv2[w % p] % p)
     amp = 2.0 * p ** (a / 2.0)

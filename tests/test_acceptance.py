@@ -82,7 +82,7 @@ def test_criterion_7_runge():
 
 
 def test_criterion_8_component_groups():
-    with criterion(8, "component groups, rho table, two-torsion sweep", 30):
+    with criterion(8, "component groups, rho table, two-torsion sweep", 10):
         result = verify.compgroup_suite(seed=verify.DEFAULT_SEED)
         assert result.passed, result.failures[:5]
         assert result.checks == 433

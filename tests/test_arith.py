@@ -58,6 +58,14 @@ class TestCharacter:
         assert list(q.make_character(3).table) == [0, 1, -1]
         assert list(q.make_character(4).table) == [0, 1, 0, -1]
 
+    def test_sieved_table_matches_kronecker_loop(self):
+        # the table multiplies chi through a smallest-prime-factor sieve;
+        # the reference is one Kronecker symbol per residue
+        for D in q.fundamental_discriminants(3, 2000):
+            table = q.make_character(D).table
+            expect = np.array([q.kronecker(-D, n) for n in range(D)], dtype=np.int8)
+            assert table.dtype == np.int8 and np.array_equal(table, expect), D
+
     def test_not_fundamental(self):
         for D in (1, 2, 5, 6, 9, 12, 16, 25, 28):
             with pytest.raises(NotFundamental):

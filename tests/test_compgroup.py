@@ -1,6 +1,7 @@
 """Component groups, Smith normal form and the reduction-value table."""
 
 import hashlib
+import math
 from fractions import Fraction
 
 import pytest
@@ -71,6 +72,79 @@ class TestRelationMatrix:
         assert digest.hexdigest() == expected
 
 
+def reference_snf(mat):
+    """The oracle for smith_normal_form's (diagonal, left, right): the same
+    pivots and steps, each applied to the matrix, left and right together
+    over every row, with no step skipped and no step recorded."""
+
+    def gcd_step(a, b):
+        if b % a == 0:
+            return 1, 0, -(b // a), 1
+        g, x0, y0, x1, y1 = a, 1, 0, 0, 1
+        h = b
+        while h:
+            q, rem = divmod(g, h)
+            g, h = h, rem
+            x0, x1 = x1, x0 - q * x1
+            y0, y1 = y1, y0 - q * y1
+        if g < 0:
+            g, x0, y0 = -g, -x0, -y0
+        return x0, y0, -(b // g), a // g
+
+    A = [[int(x) for x in row] for row in mat]
+    r = len(A)
+    c = len(A[0]) if r else 0
+    L = [[int(i == j) for j in range(r)] for i in range(r)]
+    R = [[int(i == j) for j in range(c)] for i in range(c)]
+
+    def row_step(t, i):
+        x, y, u, v = gcd_step(A[t][t], A[i][t])
+        for M in (A, L):
+            top, low = M[t], M[i]
+            if y:
+                M[t] = [x * a + y * b for a, b in zip(top, low)]
+            M[i] = [u * a + v * b for a, b in zip(top, low)]
+
+    def col_step(t, j):
+        x, y, u, v = gcd_step(A[t][t], A[t][j])
+        for M in (A, R):
+            for row in M:
+                a, b = row[t], row[j]
+                if y:
+                    row[t] = x * a + y * b
+                row[j] = u * a + v * b
+
+    for t in range(min(r, c)):
+        entries = [(abs(A[i][j]), i, j) for i in range(t, r) for j in range(t, c) if A[i][j]]
+        if not entries:
+            break
+        _, pi, pj = min(entries)
+        A[t], A[pi] = A[pi], A[t]
+        L[t], L[pi] = L[pi], L[t]
+        for M in (A, R):
+            for row in M:
+                row[t], row[pj] = row[pj], row[t]
+        if A[t][t] < 0:
+            A[t] = [-a for a in A[t]]
+            L[t] = [-a for a in L[t]]
+        while True:
+            for i in range(t + 1, r):
+                if A[i][t]:
+                    row_step(t, i)
+            for j in range(t + 1, c):
+                if A[t][j]:
+                    col_step(t, j)
+            if any(A[i][t] for i in range(t + 1, r)):
+                continue
+            bad = next((i for i in range(t + 1, r) for j in range(t + 1, c)
+                        if A[i][j] % A[t][t]), None)
+            if bad is None:
+                break
+            A[t] = [a + b for a, b in zip(A[t], A[bad])]
+            L[t] = [a + b for a, b in zip(L[t], L[bad])]
+    return [A[i][i] for i in range(min(r, c))], L, R
+
+
 class TestSmithNormalForm:
     def test_coprime_diagonal(self):
         assert q.smith_normal_form([[2, 0], [0, 3]]).diagonal == [1, 6]
@@ -98,6 +172,7 @@ class TestSmithNormalForm:
         rng = np.random.default_rng(seed)
         M = rng.integers(-30, 31, size=(rows, cols)).tolist()
         snf = q.smith_normal_form(M)
+        assert tuple(snf) == reference_snf(M)
         # left * M * right is the diagonal
         prod = [
             [
@@ -120,6 +195,29 @@ class TestSmithNormalForm:
         assert abs(integer_determinant(snf.right)) == 1
         nonzero = [d for d in snf.diagonal if d != 0]
         assert all(nonzero[i + 1] % nonzero[i] == 0 for i in range(len(nonzero) - 1))
+
+
+    def test_equals_reference_on_every_relation_matrix_below_1000(self):
+        # the matrix component_group factors: the transposed relations
+        for p in admissible(11, 1000):
+            for e in (1, 2, 3, 5):
+                At = [list(col) for col in zip(*q.relation_matrix(p, e))]
+                assert tuple(q.smith_normal_form(At)) == reference_snf(At), (p, e)
+
+    def test_right_is_replayed_on_first_read_only(self, monkeypatch):
+        # component_group reads the diagonal and left, never right
+        results = []
+        snf = compgroup.smith_normal_form
+
+        def keep(mat):
+            results.append(snf(mat))
+            return results[-1]
+
+        monkeypatch.setattr(compgroup, "smith_normal_form", keep)
+        q.component_group(997, 2)
+        (result,) = results
+        assert "right" not in vars(result)
+        assert result.right is result.right  # built once, then kept
 
 
 class TestComponentGroup:
@@ -197,14 +295,14 @@ class TestRhoValues:
             z = images["Zbar"]
             values = set()
             for gen, mult in _rho_candidates(counts.I, counts.R, counts.S_prime, e):
-                val = _rho_value(gen, mult, e)
+                a, b = _rho_value(gen, mult, e)
+                assert b > 0 and math.gcd(a, b) == 1, (gen, mult, e)  # lowest terms
                 if gen == "Zbar'":
                     x = group.zero()
                 else:
                     x = group.scale(mult, images["Cbar_s1" if gen == "Cbar" else gen])
-                a, b = val.numerator, val.denominator
                 assert group.scale(b, x) == group.scale(a, z), (p, e, gen, mult)
-                values.add(val)
+                values.add(F(a, b))
             assert q.rho_value_set(p, e).values == values, (p, e)
 
 

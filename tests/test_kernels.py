@@ -108,3 +108,35 @@ def test_salie_matches_direct(p, a):
     y = np.arange(q, dtype=np.int64)
     direct = kloosterman_direct(1, y, q)
     assert np.allclose(kernels._salie(p, a, y), direct, rtol=0.0, atol=1e-9)
+
+
+
+def _salie_generic_lift(p, a, y):
+    """The reference: _salie lifting every p-adic digit by the generic
+    Hensel step, with no tables for the first one."""
+    q = p**a
+    root, inv2 = kernels._sqrt_table(p)[:2]
+    out = np.zeros(y.shape)
+    w = root[y % p]
+    squares = np.flatnonzero(w)
+    w, y = w[squares], y[squares]
+    pe = 1
+    for _ in range(a - 1):
+        pe *= p
+        w += pe * ((y - w * w) // pe % p * inv2[w % p] % p)
+    amp = 2.0 * p ** (a / 2.0)
+    ang = ((2 * w) % q) * (2.0 * math.pi / q)
+    if a % 2 == 0:
+        out[squares] = amp * np.cos(ang)
+        return out
+    sign = np.where(root[w % p] != 0, amp, -amp)
+    out[squares] = sign * np.cos(ang) if p % 4 == 1 else -sign * np.sin(ang)
+    return out
+
+
+@pytest.mark.parametrize("p,a", [(3, 2), (3, 5), (7, 3), (13, 2), (13, 3), (101, 2), (269, 2), (997, 2)])
+def test_salie_is_bit_identical_to_generic_lift(p, a):
+    # the tabled first step lifts to the same integer w, so every value
+    # is the same double
+    y = np.arange(p**a, dtype=np.int64)
+    assert kernels._salie(p, a, y).tobytes() == _salie_generic_lift(p, a, y).tobytes()
