@@ -24,9 +24,11 @@ the chain multiplicities k in (C_s, E, G) = (1, 2, 3) alone (_CHAIN).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import repeat
 from typing import NamedTuple, Sequence
 
 from .arith import is_prime
@@ -306,29 +308,36 @@ class ComponentGroup:
         return out
 
     def add(self, x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple((a + b) % d for a, b, d in zip(x, y, self.invariant_factors))
+        return tuple(map(operator.mod, map(operator.add, x, y), self.invariant_factors))
 
     def scale(self, k: int, x: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple((k * a) % d for a, d in zip(x, self.invariant_factors))
+        return tuple(map(operator.mod, map(operator.mul, repeat(k), x), self.invariant_factors))
 
     def zero(self) -> tuple[int, ...]:
         return tuple(0 for _ in self.invariant_factors)
 
     def element_order(self, x: tuple[int, ...]) -> int:
-        k = 1
-        acc = x
-        while any(acc):
-            acc = self.add(acc, x)
-            k += 1
-        return k
+        return math.lcm(*(d // math.gcd(a, d) for a, d in zip(x, self.invariant_factors)))
 
-    def cyclic_subgroup(self, x: tuple[int, ...]) -> set[tuple[int, ...]]:
-        out = {self.zero()}
-        acc = x
-        while any(acc):
-            out.add(acc)
-            acc = self.add(acc, x)
-        return out
+    def discrete_log(self, x: tuple[int, ...], y: tuple[int, ...]) -> int | None:
+        """The least k >= 0 with k*x = y, or None when y is not in <x>.
+
+        k is known modulo m from the coordinates already read; coordinate
+        i then asks k + m*t for t with (m*x_i)*t = y_i - k*x_i mod d_i,
+        solvable iff g = gcd(m*x_i, d_i) divides the right side, and fixes
+        t modulo d_i/g.  So m ends as the order of x, and k moves (one
+        modular inverse) at most log2 of that order times."""
+        k, m = 0, 1
+        for a, b, d in zip(x, y, self.invariant_factors):
+            c = (b - k * a) % d
+            g = math.gcd(m * a, d)
+            if c % g:
+                return None
+            if c:
+                q = d // g
+                k += m * (c // g * pow(m * a // g, -1, q) % q)
+            m *= d // g
+        return k
 
 
 def _closed_form_factors(p: int, e: int) -> list[int]:
@@ -371,10 +380,9 @@ def component_group(p: int, e: int) -> ComponentGroup:
     z = images["Zbar"]
     if group.element_order(z) != n:
         raise PostconditionFailed("image of Zbar does not have order n")
-    z_span = group.cyclic_subgroup(z)
     total = group.zero()
     for name in names:
-        if group.scale(e, images[name]) not in z_span:
+        if group.discrete_log(z, group.scale(e, images[name])) is None:
             raise PostconditionFailed(f"e * {name} escapes <Zbar>")
         if name != "Zbar":
             total = group.add(total, images[name])

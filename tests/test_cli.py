@@ -2,6 +2,8 @@
 
 import importlib
 import json
+import multiprocessing
+import os
 import subprocess
 import sys
 import time
@@ -12,6 +14,7 @@ import pytest
 from qcbounds import compgroup, runge, verify
 from qcbounds.arith import kloosterman_direct
 from qcbounds.cli import main
+from qcbounds.errors import DomainError, PostconditionFailed
 
 CLI = [sys.executable, "-m", "qcbounds.cli"]
 
@@ -388,18 +391,82 @@ class TestVerifyCommand:
         monkeypatch.setattr(verify, "SUITES", {n: stub(n) for n in verify.SUITES})
         return calls
 
+    @pytest.fixture
+    def one_cpu(self, monkeypatch):
+        """run_suite sees one usable CPU, so it runs every suite in this process."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+    @pytest.fixture
+    def two_cpus(self, monkeypatch):
+        """run_suite sees two usable CPUs, so 'all' runs in forked workers."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
     @pytest.mark.parametrize("suite", ["all", "runge", "compgroup"])
-    def test_seed_reaches_the_randomized_suites(self, suite, stub_suites, capsys):
+    def test_seed_reaches_the_randomized_suites(self, suite, stub_suites, one_cpu, capsys):
+        # the stubs record their calls in this process, so the suites must run here
         assert main(["verify", "--suite", suite, "--seed", "7", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["inputs"]["seed"] == 7
         names = verify.SUITES if suite == "all" else [suite]
         assert stub_suites == [(n, (7,) if n in ("runge", "compgroup") else ()) for n in names]
 
-    def test_run_suite_times_every_suite(self, stub_suites):
+    def test_seed_reaches_the_randomized_suites_in_workers(self, monkeypatch, two_cpus):
+        # a forked worker cannot append to a list here, so each stub reports
+        # its arguments and its process in the result it returns
+        def stub(name):
+            return lambda *args: verify.SuiteResult(name, failures=[repr(args), str(os.getpid())])
+
+        monkeypatch.setattr(verify, "SUITES", {n: stub(n) for n in verify.SUITES})
+        results = verify.run_suite("all", seed=7)
+        assert [(r.name, r.failures[0]) for r in results] == [
+            (n, repr((7,) if n in ("runge", "compgroup") else ())) for n in verify.SUITES]
+        assert str(os.getpid()) not in {r.failures[1] for r in results}
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", ["one_cpu", "two_cpus"])
+    def test_run_suite_times_every_suite(self, cpus, stub_suites, request):
         # bench's verify.<suite>.s reads elapsed_s, which run_suite alone sets
+        request.getfixturevalue(cpus)
         results = verify.run_suite("all")
         assert [r.name for r in results] == list(verify.SUITES)
         assert all(r.elapsed_s > 0 for r in results)
+
+    def test_workers_return_what_the_loop_returns(self, monkeypatch):
+        def run(cpus):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+            return [(r.name, r.checks, r.passed, r.failures) for r in verify.run_suite("all")]
+
+        assert run({0, 1}) == run({0})
+        assert multiprocessing.active_children() == []
+
+    def test_suite_error_reaches_the_parent(self, stub_suites, two_cpus, monkeypatch, capsys):
+        def broken(*args):
+            raise PostconditionFailed("twisted broke")
+
+        monkeypatch.setitem(verify.SUITES, "twisted", broken)
+        with pytest.raises(PostconditionFailed, match="^twisted broke$"):
+            verify.run_suite("all")
+        assert multiprocessing.active_children() == []
+        assert main(["verify", "--suite", "all", "--json"]) == 2
+        captured = capsys.readouterr()
+        assert "twisted broke" in captured.err and captured.out == ""
+        assert multiprocessing.active_children() == []
+
+    def test_one_cpu_forks_nothing(self, stub_suites, one_cpu, monkeypatch):
+        def no_fork():
+            raise AssertionError("run_suite forked with one usable CPU")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert [r.name for r in verify.run_suite("all")] == list(verify.SUITES)
+        assert [name for name, _ in stub_suites] == list(verify.SUITES)
+
+    def test_arguments_are_checked_before_any_fork(self, stub_suites, two_cpus, monkeypatch):
+        def no_fork():
+            raise AssertionError("run_suite forked before checking its arguments")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        with pytest.raises(DomainError, match="max_c must be >= 1"):
+            verify.run_suite("all", max_c=0)
+        assert stub_suites == []
 
 
 class TestPairingCommand:

@@ -241,6 +241,22 @@ class TestComponentGroup:
             g = q.component_group(p, e)
             assert g.element_order(g.generator_images["Zbar"]) == q.eisenstein_n(p)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_order_and_log_match_repeated_addition(self, data):
+        # the reference walks the multiples of x one addition at a time
+        factors = data.draw(st.lists(st.sampled_from([2, 3, 4, 5, 6, 8, 9, 12, 36]), max_size=4))
+        group = compgroup.ComponentGroup(0, 0, factors, {})
+        x = tuple(data.draw(st.integers(0, d - 1)) for d in factors)
+        y = tuple(data.draw(st.integers(0, d - 1)) for d in factors)
+        if data.draw(st.booleans()):
+            y = group.scale(data.draw(st.integers(0, 100)), x)
+        multiples = [group.zero()]
+        while group.add(multiples[-1], x) != group.zero():
+            multiples.append(group.add(multiples[-1], x))
+        assert group.element_order(x) == len(multiples)
+        assert group.discrete_log(x, y) == (multiples.index(y) if y in multiples else None)
+
 
 RHO_CELLS = {
     (1, 1): {F(0), F(2)},
