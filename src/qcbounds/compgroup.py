@@ -14,11 +14,9 @@ each blown-up chain C_{s,i} = i*C_s first leaves generators
 whose cokernel is Z/(n e) x (Z/e)^(S-2), n the numerator of (p-1)/12.
 The Smith normal form realizes the group exactly: its diagonal gives the
 invariant factors and its left transform the generator images.  The
-elimination records its column steps instead of building the right
-transform, which is replayed from them on first read, so component_group,
-which never reads it, never builds it.  The tabulated
-reduction values rho(g(P)) need no Smith normal form: each comes from
-the chain multiplicities k in (C_s, E, G) = (1, 2, 3) alone (_CHAIN).
+tabulated reduction values rho(g(P)) need no Smith normal form: each
+comes from the chain multiplicities k in (C_s, E, G) = (1, 2, 3) alone
+(_CHAIN).
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from itertools import repeat
 from typing import NamedTuple, Sequence
@@ -101,40 +98,10 @@ def relation_matrix(p: int, e: int) -> list[list[int]]:
     return rows
 
 
-class SNFResult:
-    """diagonal, left and right of a Smith normal form; right is built on
-    first read by replaying the recorded column steps on the identity."""
-
-    def __init__(self, diagonal: list[int], left: list[list[int]], n_cols: int,
-                 col_steps: list[tuple[int, int, int, int, int, int]]) -> None:
-        self.diagonal = diagonal
-        self.left = left
-        self._n_cols = n_cols
-        self._col_steps = col_steps
-
-    @cached_property
-    def right(self) -> list[list[int]]:
-        cols = _eye(self._n_cols)  # the columns of right, as lists
-        pivot = None  # (t, the nonzero (k, cols[t][k])) while column t is unchanged
-        for t, j, x, y, u, v in self._col_steps:
-            if y:  # a swap or a gcd step rewrites columns t and j
-                cols[t], cols[j] = (
-                    [x * a + y * b for a, b in zip(cols[t], cols[j])],
-                    [u * a + v * b for a, b in zip(cols[t], cols[j])],
-                )
-                pivot = None
-                continue
-            # A plain step (x = v = 1) adds u * column t to column j > t;
-            # only the nonzero entries of column t can change an entry.
-            if pivot is None or pivot[0] != t:
-                pivot = t, [(k, a) for k, a in enumerate(cols[t]) if a]
-            col = cols[j]
-            for k, a in pivot[1]:
-                col[k] += u * a
-        return [list(row) for row in zip(*cols)]
-
-    def __iter__(self):
-        return iter((self.diagonal, self.left, self.right))
+class SNFResult(NamedTuple):
+    diagonal: list[int]
+    left: list[list[int]]
+    right: list[list[int]]
 
 
 def _eye(n: int) -> list[list[int]]:
@@ -171,15 +138,13 @@ def smith_normal_form(mat: Sequence[Sequence[int]]) -> SNFResult:
     stay small (at most 62 bits on the pinned 5x5 test matrices with
     entries in [-30, 30]).
 
-    Row steps update the matrix and left.  Column steps update the matrix
-    only and are recorded as (t, j, x, y, u, v), a column swap as
-    (t, j, 0, 1, 1, 0); right replays them on the identity when it is
-    first read, so a caller that needs only the diagonal and left (as
-    component_group does) never builds it.  The elimination skips work
-    that cannot change an entry: rows above the pivot, zero in every
-    working column; and a plain column step (the pivot divides the entry)
-    while the pivot's column is clear below it, which only zeroes the
-    entry.  It also skips searches whose outcome is known: every entry
+    Row steps update the matrix and left, column steps the matrix and
+    right.  The elimination skips work that cannot change an entry: rows
+    above the pivot, zero in every working column; in the matrix, a plain
+    column step (the pivot divides the entry) while the pivot's column is
+    clear below it, which only zeroes the entry; and in right, the zero
+    entries of the pivot's column, which a plain step adds to another
+    column.  It also skips searches whose outcome is known: every entry
     left is a multiple of the last pivot, so the pivot search stops at
     the first entry of that size, and a pivot equal to it needs no
     divisibility scan.
@@ -190,7 +155,8 @@ def smith_normal_form(mat: Sequence[Sequence[int]]) -> SNFResult:
     if any(len(row) != c for row in A):
         raise ValueError("ragged matrix")
     L = _eye(r)
-    steps: list[tuple[int, int, int, int, int, int]] = []
+    cols = _eye(c)  # the columns of right
+    support: list[tuple[int, int]] | None = None  # nonzero (k, cols[t][k]), t the pivot
 
     def row_step(t: int, i: int) -> None:  # zero A[i][t] against the pivot
         x, y, u, v = _gcd_step(A[t][t], A[i][t])
@@ -200,13 +166,26 @@ def smith_normal_form(mat: Sequence[Sequence[int]]) -> SNFResult:
                 M[t] = [x * a + y * b for a, b in zip(top, low)]
             M[i] = [u * a + v * b for a, b in zip(top, low)]
 
-    def col_step(t: int, j: int, x: int, y: int, u: int, v: int) -> None:
-        steps.append((t, j, x, y, u, v))
-        for i in range(t, r):
+    def col_step(t: int, j: int, x: int, y: int, u: int, v: int, stop: int) -> None:
+        nonlocal support
+        for i in range(t, stop):  # the step leaves rows stop.. of A as they are
             row = A[i]
             a, b = row[t], row[j]
             row[t] = x * a + y * b
             row[j] = u * a + v * b
+        if y:  # a gcd step rewrites columns t and j
+            cols[t], cols[j] = (
+                [x * a + y * b for a, b in zip(cols[t], cols[j])],
+                [u * a + v * b for a, b in zip(cols[t], cols[j])],
+            )
+            support = None
+            return
+        # A plain step (x = v = 1) adds u * column t to column j > t.
+        if support is None:
+            support = [(k, a) for k, a in enumerate(cols[t]) if a]
+        col = cols[j]
+        for k, a in support:
+            col[k] += u * a
 
     floor = 1  # the last pivot, which divides every entry left to eliminate
     for t in range(min(r, c)):
@@ -220,11 +199,14 @@ def smith_normal_form(mat: Sequence[Sequence[int]]) -> SNFResult:
                     break
         if pi < 0:
             break
+        support = None  # of the last pivot's column
         A[t], A[pi] = A[pi], A[t]
         L[t], L[pi] = L[pi], L[t]
         pj = next(j for j in range(t, c) if abs(A[t][j]) == best)
         if pj != t:
-            col_step(t, pj, 0, 1, 1, 0)
+            for i in range(t, r):
+                A[i][t], A[i][pj] = A[i][pj], A[i][t]
+            cols[t], cols[pj] = cols[pj], cols[t]
         if A[t][t] < 0:
             A[t] = [-a for a in A[t]]
             L[t] = [-a for a in L[t]]
@@ -238,11 +220,7 @@ def smith_normal_form(mat: Sequence[Sequence[int]]) -> SNFResult:
             for j in range(t + 1, c):
                 if top[j]:
                     x, y, u, v = _gcd_step(top[t], top[j])
-                    if clear and not y:
-                        steps.append((t, j, x, y, u, v))
-                        top[j] = 0
-                        continue
-                    col_step(t, j, x, y, u, v)
+                    col_step(t, j, x, y, u, v, t + 1 if clear and not y else r)
                     if y:
                         clear = not any(A[i][t] for i in range(t + 1, r))
             if not clear:
@@ -263,7 +241,7 @@ def smith_normal_form(mat: Sequence[Sequence[int]]) -> SNFResult:
         floor = A[t][t]
 
     diagonal = [A[i][i] for i in range(min(r, c))]
-    return SNFResult(diagonal, L, c, steps)
+    return SNFResult(diagonal, L, [list(row) for row in zip(*cols)])
 
 
 def integer_determinant(mat: Sequence[Sequence[int]]) -> int:
@@ -360,8 +338,7 @@ def component_group(p: int, e: int) -> ComponentGroup:
     g = len(names)
     # Group = Z^g / (row space of M) = coker of the transposed matrix.
     At = [[M[i][j] for i in range(len(M))] for j in range(g)]
-    snf = smith_normal_form(At)
-    diag, left = snf.diagonal, snf.left
+    diag, left, _right = smith_normal_form(At)
     if len(diag) < g or any(d == 0 for d in diag):
         raise PostconditionFailed("component group came out infinite")
     keep = [i for i in range(g) if diag[i] > 1]
@@ -462,8 +439,14 @@ def rho_value_set(p: int, e: int) -> RhoValueSet:
 def two_torsion_obstruction(p: int) -> bool:
     """Can g(P) reduce onto the unique 2-torsion point of the cuspidal
     subgroup?  True iff n is even and some tabulated value a/b is
-    compatible with x = (n/2)*Zbar, i.e. a = b*n/2 mod n.  Over p < 10^4
-    this holds exactly for p in {17, 41}."""
+    compatible with x = (n/2)*Zbar, i.e. a = b*n/2 mod n.
+
+    This holds exactly for p in {17, 41}, among all primes.  Every
+    tabulated pair has 0 <= a <= 5 and b in {1, 2, 3}, and a = 0 only
+    with b = 1 (Zbar').  For b = 2 the condition needs n | a, so n <= 5;
+    for odd b it needs a = n/2 mod n, so n/2 <= a and n <= 10.  Since
+    n >= (p-1)/12, no p > 121 obstructs, and a sweep of the primes up
+    to 121 finds 17 and 41 alone."""
     counts = supersingular_counts(p)
     n = eisenstein_n(p)
     if n % 2 != 0:

@@ -89,9 +89,8 @@ def qcurve_case_bounds(deg_K: int, h_F: float) -> QCurveCaseBounds:
     if deg_K < 1:
         raise ValueError("field degree must be >= 1")
     m = max(h_F, HEIGHT_FLOOR)
-    borel = SERRE_CONSTANT * deg_K**2 * (m + 4.0 * math.log(deg_K)) ** 2
     cartan = 4.0 * SERRE_CONSTANT * deg_K**2 * (m + 4.0 * math.log(2 * deg_K)) ** 2
-    return QCurveCaseBounds(borel, cartan)
+    return QCurveCaseBounds(serre_uniform_bound(deg_K, h_F), cartan)
 
 
 def exceptional_bound(deg_K: int) -> int:
@@ -158,8 +157,7 @@ def contradiction_search(case: str, d_limit: int = 10**6) -> ContradictionSweep:
         raise DomainError(
             f"the Runge height bound exceeds {HEIGHT_FLOOR} at d_limit = {d_limit}"
         )
+    bounds = qcurve_case_bounds(2, HEIGHT_FLOOR)
     if case == "borel":
-        bound = SERRE_CONSTANT * 4.0 * (HEIGHT_FLOOR + 4.0 * math.log(2.0)) ** 2
-        return ContradictionSweep(bound / 2, 2)
-    bound = 4.0 * SERRE_CONSTANT * 4.0 * (HEIGHT_FLOOR + 4.0 * math.log(4.0)) ** 2
-    return ContradictionSweep(math.sqrt(bound / 2), 2)
+        return ContradictionSweep(bounds.borel_dp / 2, 2)
+    return ContradictionSweep(math.sqrt(bounds.cartan_dp2 / 2), 2)

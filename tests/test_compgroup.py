@@ -204,20 +204,19 @@ class TestSmithNormalForm:
                 At = [list(col) for col in zip(*q.relation_matrix(p, e))]
                 assert tuple(q.smith_normal_form(At)) == reference_snf(At), (p, e)
 
-    def test_right_is_replayed_on_first_read_only(self, monkeypatch):
-        # component_group reads the diagonal and left, never right
-        results = []
-        snf = compgroup.smith_normal_form
-
-        def keep(mat):
-            results.append(snf(mat))
-            return results[-1]
-
-        monkeypatch.setattr(compgroup, "smith_normal_form", keep)
-        q.component_group(997, 2)
-        (result,) = results
-        assert "right" not in vars(result)
-        assert result.right is result.right  # built once, then kept
+    def test_digest_on_the_relation_matrices_at_2003_and_4001(self):
+        # right's plain column steps touch only the nonzero entries of the
+        # pivot's column, which matters most on the largest matrices; the
+        # reference takes too long there, so a sha256 of
+        # repr((diagonal, left, right)) pins them instead
+        expected = {
+            2003: "5524066401b53e6d7b535647646ad6744c393ae32eb108f5d7d32bfe78371c66",
+            4001: "bf07b87545b52f7ba47193d782cab4f8892be617e0753f14c569d56633488d69",
+        }
+        for p, digest in expected.items():
+            At = [list(col) for col in zip(*q.relation_matrix(p, 2))]
+            snf = q.smith_normal_form(At)
+            assert hashlib.sha256(repr(tuple(snf)).encode()).hexdigest() == digest, p
 
 
 class TestComponentGroup:
@@ -335,3 +334,30 @@ class TestTwoTorsion:
             if q.is_prime(p) and (p == 11 or p > 13) and q.two_torsion_obstruction(p)
         ]
         assert trues == [17, 41]
+
+    def test_no_prime_above_121_obstructs(self):
+        # the lemma of two_torsion_obstruction's docstring, on the pairs
+        # a/b the table gives for every (I, R, S' > 0) and e in {1, 2}
+        pairs = {
+            _rho_value(gen, mult, e)
+            for I in (0, 1)
+            for R in (0, 1)
+            for s_prime in (0, 1)
+            for e in (1, 2)
+            for gen, mult in _rho_candidates(I, R, s_prime, e)
+        }
+        # a = b*n/2 (mod n) needs n | 2a: with a = 0 it needs b even,
+        # and otherwise n <= 2|a|
+        assert all(b % 2 for a, b in pairs if a == 0)
+        obstructing = {
+            n
+            for a, b in pairs
+            if a
+            for n in range(2, 2 * abs(a) + 1, 2)
+            if (a - b * n // 2) % n == 0
+        }
+        assert obstructing == {2, 4, 8, 10}
+        # n = num((p-1)/12) >= (p-1)/12
+        p_max = 12 * max(obstructing) + 1
+        assert p_max == 121
+        assert not [p for p in admissible(p_max + 1, 10**5) if q.two_torsion_obstruction(p)]
