@@ -13,8 +13,7 @@ circle, so no angle is ever evaluated outside [0, 2*pi).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, reduce
 from operator import add
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -186,15 +185,35 @@ def is_fundamental_negative(D: int) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class QuadraticCharacter:
+@lru_cache(maxsize=64)
+def _character_table(D: int) -> np.ndarray:
+    """chi(n) for n = 0..D-1 as a read-only int8 array, shared by every
+    character of conductor D.  The character is completely
+    multiplicative, so the table takes a Kronecker symbol only at the
+    primes below D and multiplies through a smallest-prime-factor sieve
+    everywhere else."""
+    import numpy as np
+
+    # spf[n]: smallest prime factor of a composite n, 0 at 0, 1 and the
+    # primes.  Descending q leaves the smallest divisor q <= sqrt(n).
+    spf = [0] * D
+    for q in range(math.isqrt(D - 1), 1, -1):
+        spf[q * q::q] = [q] * len(range(q * q, D, q))
+    chi = [0, 1] + [0] * (D - 2)  # chi(0) = 0 for D > 1
+    for n in range(2, D):
+        q = spf[n]
+        chi[n] = chi[q] * chi[n // q] if q else kronecker(-D, n)
+    table = np.array(chi, dtype=np.int8)
+    table.flags.writeable = False  # cached: every caller shares this array
+    return table
+
+
+class QuadraticCharacter(NamedTuple):
     """Odd quadratic Dirichlet character of conductor D, with -D fundamental.
 
     A single value is one Kronecker symbol; the vectorized paths read the
-    full period, a table of signed bytes built on first use.  The
-    character is completely multiplicative, so the table takes a Kronecker
-    symbol only at the primes below D and multiplies through a
-    smallest-prime-factor sieve everywhere else.
+    full period, a table of signed bytes built on first use
+    (_character_table).
     """
 
     D: int
@@ -202,21 +221,9 @@ class QuadraticCharacter:
     def __call__(self, n: int) -> int:
         return kronecker(-self.D, n % self.D)
 
-    @cached_property
+    @property
     def table(self) -> np.ndarray:
-        import numpy as np
-
-        D = self.D
-        # spf[n]: smallest prime factor of a composite n, 0 at 0, 1 and the
-        # primes.  Descending q leaves the smallest divisor q <= sqrt(n).
-        spf = [0] * D
-        for q in range(math.isqrt(D - 1), 1, -1):
-            spf[q * q::q] = [q] * len(range(q * q, D, q))
-        chi = [0, 1] + [0] * (D - 2)  # chi(0) = 0 for D > 1
-        for n in range(2, D):
-            q = spf[n]
-            chi[n] = chi[q] * chi[n // q] if q else kronecker(-D, n)
-        return np.array(chi, dtype=np.int8)
+        return _character_table(self.D)
 
     def values(self, n: np.ndarray) -> np.ndarray:
         """Vectorized evaluation at an integer array."""

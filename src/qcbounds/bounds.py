@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -30,8 +29,7 @@ WEIL_ONE = "prime-divides-one-of-mn"
 WEIL_BOTH = "prime-divides-both"
 
 
-@dataclass(frozen=True)
-class WeilCase:
+class WeilCase(NamedTuple):
     tag: str | np.ndarray
     bound_value: float | np.ndarray
 

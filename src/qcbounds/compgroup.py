@@ -23,13 +23,14 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import repeat
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .arith import is_prime
 from .errors import PostconditionFailed, UnsupportedPrime, UnsupportedRamification
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def _check_prime(p: int) -> None:
@@ -268,8 +269,7 @@ def integer_determinant(mat: Sequence[Sequence[int]]) -> int:
     return sign * A[-1][-1]
 
 
-@dataclass(frozen=True)
-class ComponentGroup:
+class ComponentGroup(NamedTuple):
     """Finite abelian group as an invariant-factor chain, with the images
     of the named dual-graph generators in those coordinates."""
 
@@ -432,6 +432,8 @@ def rho_value_set(p: int, e: int) -> RhoValueSet:
     """
     if e not in (1, 2):
         raise UnsupportedRamification("reduction values are tabulated for e in {1, 2}")
+    from fractions import Fraction
+
     values = _rho_values(supersingular_counts(p), e)
     return RhoValueSet(p % 12, e, frozenset(Fraction(a, b) for a, b in values))
 

@@ -12,7 +12,6 @@ contradiction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .arith import is_fundamental_negative, next_prime
@@ -26,8 +25,7 @@ CARTAN_THRESHOLD = 1e7
 EXCEPTIONAL_THRESHOLD = 67
 
 
-@dataclass(frozen=True)
-class ThresholdReport:
+class ThresholdReport(NamedTuple):
     discriminant: int
     borel: float
     split_cartan: float

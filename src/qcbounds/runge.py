@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .arith import is_prime
@@ -27,16 +26,28 @@ _TRUNCATION_EPS = 1e-16
 _MAX_REDUCTION_STEPS = 10_000
 
 
-@dataclass(frozen=True)
-class UpperHalfPoint:
+class _Point(NamedTuple):
     re: float
     im: float
 
-    def __post_init__(self) -> None:
-        if not self.im > 0:
+
+class UpperHalfPoint(_Point):
+    """A point re + i*im with im > 0, both parts finite; anything else is
+    a DomainError.  The checks sit in a subclass because a NamedTuple body
+    cannot define __new__."""
+
+    __slots__ = ()
+
+    def __new__(cls, re: float, im: float) -> "UpperHalfPoint":
+        if not im > 0:
             raise DomainError("point must lie in the upper half-plane")
-        if not (math.isfinite(self.re) and math.isfinite(self.im)):
+        if not (math.isfinite(re) and math.isfinite(im)):
             raise DomainError("the real and imaginary parts must be finite")
+        return super().__new__(cls, re, im)
+
+    @classmethod
+    def _make(cls, iterable) -> "UpperHalfPoint":  # _replace builds through here: check it too
+        return cls(*iterable)
 
     @property
     def z(self) -> complex:
@@ -56,8 +67,7 @@ CUSP_INFINITY = "c_infinity"
 CUSP_ZERO = "c_zero"
 
 
-@dataclass(frozen=True)
-class CuspLocation:
+class CuspLocation(NamedTuple):
     cusp: str
     tau: UpperHalfPoint
     gamma: tuple[tuple[int, int], tuple[int, int]]

@@ -54,7 +54,6 @@ without it.
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -133,27 +132,23 @@ class NumericResult(NamedTuple):
     error_bound: float
 
 
-def _n_cutoff(prefactor: float, x: float) -> int:
-    """Smallest n with prefactor * e^(-(n+1)x)/(1-e^(-x)) below 1e-15."""
-    geom = 1.0 - math.exp(-x)
-    n = math.log(prefactor / (_N_TAIL_EPS * geom)) / x
-    return max(8, int(n) + 1)
+def _libm(f: Callable[[float], float], v: np.ndarray) -> np.ndarray:
+    """f, math.exp or math.log, over a float array.  numpy's *, / and sqrt
+    round as Python's do, but np.exp and np.log are not libm's (np.exp
+    differs from math.exp on about 5% of inputs, np.log from math.log on
+    about 0.01%), so the error model maps math's over the floats."""
+    import numpy as np
+
+    return np.array(list(map(f, v.tolist())), dtype=np.float64)
 
 
-def _sa_prefactor(m: int, c: int, tau: int) -> float:
-    """The n-tail prefactor of S_A(c), given tau = tau(c)."""
-    g = math.sqrt(math.gcd(m, c))
-    return _TWO_PI * math.sqrt(m) / c * g * tau * math.sqrt(c)
+def _prefactors(m: int, q: np.ndarray, s: float, tau: np.ndarray) -> np.ndarray:
+    """The n-tail prefactors 2 pi sqrt(m)/(q s) sqrt(gcd(m, q)) tau sqrt(q)
+    of the moduli q, given tau = tau(q): S_A(c) at q = c and s = 1, S_B(d)
+    at q = d and s = sqrt(N)."""
+    import numpy as np
 
-
-def _sb_prefactor(m: int, d: int, N: int, tau: int) -> float:
-    """The n-tail prefactor of S_B(d), given tau = tau(d)."""
-    g = math.sqrt(math.gcd(m, d))
-    return _TWO_PI * math.sqrt(m) / (d * math.sqrt(N)) * g * tau * math.sqrt(d)
-
-
-def _n_tail(prefactor: float, x: float, n_max: int) -> float:
-    return prefactor * math.exp(-(n_max + 1) * x) / (1.0 - math.exp(-x))
+    return _TWO_PI * math.sqrt(m) / (q * s) * np.sqrt(np.gcd(m, q)) * tau * np.sqrt(q)
 
 
 class _Terms(NamedTuple):
@@ -161,35 +156,47 @@ class _Terms(NamedTuple):
     and the running sum of the n-tails at k divided by q: n_err[j] covers
     the first j moduli, so n_err[0] = 0.  Nothing here evaluates a term."""
 
-    moduli: Sequence[int]
+    moduli: list[int]
     cutoffs: list[int]
     n_err: list[float]
 
 
-def _terms(moduli: Sequence[int], prefactors: list[float], x: float) -> _Terms:
-    cutoffs = [_n_cutoff(f, x) for f in prefactors]
-    tails = [_n_tail(f, x, k) / q for q, f, k in zip(moduli, prefactors, cutoffs)]
-    return _Terms(moduli, cutoffs, list(itertools.accumulate(tails, initial=0.0)))
+def _terms(moduli: np.ndarray, prefactors: np.ndarray, x: float) -> _Terms:
+    """Each modulus's cutoff k, the smallest n >= 8 with n-tail
+    prefactor e^(-(n+1)x)/(1-e^(-x)) below 1e-15, and that tail at k, in
+    array passes that round as a loop over the moduli would: astype
+    truncates like int(), and cumsum adds in order like accumulate."""
+    import numpy as np
+
+    geom = 1.0 - math.exp(-x)
+    n = _libm(math.log, prefactors / (_N_TAIL_EPS * geom)) / x
+    cutoffs = np.maximum(n.astype(np.int64) + 1, 8)
+    tails = prefactors * _libm(math.exp, -(cutoffs + 1) * x) / geom / moduli
+    n_err = np.concatenate(([0.0], np.cumsum(tails)))
+    return _Terms(moduli.tolist(), cutoffs.tolist(), n_err.tolist())
 
 
 def _a_terms(m: int, N: int, p: int, x: float, t_max: int) -> _Terms:
     """A's moduli c = t N, t <= t_max.  tau(c) = tau(u) (j + a + 1) for
     t = p^j u and N = p^a, with tau(u) read from a sieve: trial division
     of c would run up to p."""
-    tau = divisor_counts(t_max).tolist()
-    prefactors = []
-    for t in range(1, t_max + 1):
-        u, j = t, 1 if N == p else 2
-        while u % p == 0:
-            u, j = u // p, j + 1
-        prefactors.append(_sa_prefactor(m, t * N, tau[u] * (j + 1)))
-    return _terms(range(N, (t_max + 1) * N, N), prefactors, x)
+    import numpy as np
+
+    t = np.arange(1, t_max + 1)
+    u, j = t.copy(), np.full(t_max, 1 if N == p else 2)
+    while (hit := u % p == 0).any():
+        u[hit] //= p
+        j[hit] += 1
+    c = t * N
+    return _terms(c, _prefactors(m, c, 1.0, divisor_counts(t_max)[u] * (j + 1)), x)
 
 
 def _b_terms(m: int, N: int, x: float, d_max: int) -> _Terms:
-    tau = divisor_counts(d_max).tolist()
-    moduli = [d for d in range(1, d_max + 1) if math.gcd(d, N) == 1]
-    return _terms(moduli, [_sb_prefactor(m, d, N, tau[d]) for d in moduli], x)
+    import numpy as np
+
+    d = np.arange(1, d_max + 1)
+    d = d[np.gcd(d, N) == 1]
+    return _terms(d, _prefactors(m, d, math.sqrt(N), divisor_counts(d_max)[d]), x)
 
 
 def _model(
@@ -205,6 +212,8 @@ def _model(
     bounds.hybrid_d_tail.  The cost counts the n-terms the series sums
     (A's only those coprime to D, a share phi(D)/D of each cutoff;
     A(1,p^2)'s at _SALIE_TERM_COST each) plus _MODULUS_COST a modulus."""
+    import numpy as np
+
     from .bounds import hybrid_d_tail, tail_bounds
 
     D = chi.D
@@ -219,9 +228,9 @@ def _model(
         terms, share = _b_terms(m, N, x, caps[-1]), 1.0
         counts = [bisect.bisect_right(terms.moduli, d) for d in caps]
         tails = [hybrid_d_tail(D, m, N, d).total for d in caps]
-    cost = [0.0, *itertools.accumulate(k * share + _MODULUS_COST for k in terms.cutoffs)]
+    cost = np.concatenate(([0.0], np.cumsum(np.multiply(terms.cutoffs, share) + _MODULUS_COST)))
     errors = [terms.n_err[j] + tail for j, tail in zip(counts, tails)]
-    return terms, [cost[j] for j in counts], errors
+    return terms, cost[counts].tolist(), errors
 
 
 def _given_caps(t_max: int | None, d_max: int | None) -> bool:

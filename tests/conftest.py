@@ -1,26 +1,57 @@
 """Shared test helpers."""
 
+import math
+
 import pytest
 
 from qcbounds import trace
 from qcbounds.arith import divisor_count
 
 
+# The engine's error model (trace._terms) computes these per modulus in
+# array passes; the tests take them one modulus at a time in scalar math,
+# the reference the arrays must match bit for bit.
+
+
+def sa_prefactor(m, c, tau):
+    """The n-tail prefactor of S_A(c), given tau = tau(c)."""
+    g = math.sqrt(math.gcd(m, c))
+    return trace._TWO_PI * math.sqrt(m) / c * g * tau * math.sqrt(c)
+
+
+def sb_prefactor(m, d, N, tau):
+    """The n-tail prefactor of S_B(d), given tau = tau(d)."""
+    g = math.sqrt(math.gcd(m, d))
+    return trace._TWO_PI * math.sqrt(m) / (d * math.sqrt(N)) * g * tau * math.sqrt(d)
+
+
+def n_cutoff(prefactor, x):
+    """Smallest n >= 8 with prefactor * e^(-(n+1)x)/(1-e^(-x)) below 1e-15."""
+    geom = 1.0 - math.exp(-x)
+    n = math.log(prefactor / (trace._N_TAIL_EPS * geom)) / x
+    return max(8, int(n) + 1)
+
+
+def n_tail(prefactor, x, n_max):
+    """The n-tail bound of a modulus summed over n <= n_max."""
+    return prefactor * math.exp(-(n_max + 1) * x) / (1.0 - math.exp(-x))
+
+
 def partial_series(kind, m, chi, N, q, n_max):
     """S_A(q) (kind "A", q = c a multiple of N) or S_B(q) (kind "B", q = d
     coprime to N) summed over n <= n_max, and its n-tail bound past n_max,
-    through the per-modulus code the certificates run: the n-grid, the
-    partial sum of one modulus and its n-tail prefactor."""
+    through the per-modulus code the certificates run: the n-grid and the
+    partial sum of one modulus."""
     x = trace._x(chi.D, N)
     if kind == "A":
         grid = trace._n_grid(chi, x, n_max, coprime=True)
         value = trace._sa_partial(m, trace._level_prime(N), N, q, grid, grid.n.size)
-        prefactor = trace._sa_prefactor(m, q, divisor_count(q))
+        prefactor = sa_prefactor(m, q, divisor_count(q))
     else:
         grid = trace._n_grid(chi, x, n_max, coprime=False)
         value = trace._sb_partial(m, N, q, grid, n_max)
-        prefactor = trace._sb_prefactor(m, q, N, divisor_count(q))
-    return value, trace._n_tail(prefactor, x, n_max)
+        prefactor = sb_prefactor(m, q, N, divisor_count(q))
+    return value, n_tail(prefactor, x, n_max)
 
 
 @pytest.fixture

@@ -66,6 +66,13 @@ class TestCharacter:
             expect = np.array([q.kronecker(-D, n) for n in range(D)], dtype=np.int8)
             assert table.dtype == np.int8 and np.array_equal(table, expect), D
 
+    def test_table_is_shared_and_read_only(self):
+        # every character of conductor D reads one cached table
+        table = q.make_character(23).table
+        assert q.make_character(23).table is table
+        with pytest.raises(ValueError):
+            table[1] = 0
+
     def test_not_fundamental(self):
         for D in (1, 2, 5, 6, 9, 12, 16, 25, 28):
             with pytest.raises(NotFundamental):

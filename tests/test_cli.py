@@ -171,6 +171,25 @@ class TestColdStart:
             "    assert 'numpy' not in sys.modules, argv\n"
         )
 
+    def test_cheap_commands_skip_dataclasses_and_fractions(self):
+        # certify loads dataclasses for trace.Certificate
+        argvs = [argv for argv in self.NUMPY_FREE if argv[0] != "certify"]
+        self.run_python(
+            "import sys\n"
+            "from qcbounds.cli import main\n"
+            f"for argv in {argvs!r}:\n"
+            "    assert main(argv + ['--quiet']) == 0, argv\n"
+            "    assert not {'dataclasses', 'fractions'} & set(sys.modules), argv\n"
+        )
+
+    def test_closed_form_modules_skip_dataclasses_and_fractions(self):
+        out = self.run_python(
+            "import sys\n"
+            "import qcbounds.arith, qcbounds.isogeny, qcbounds.runge, qcbounds.compgroup\n"
+            "print(sorted({'dataclasses', 'fractions'} & set(sys.modules)))"
+        )
+        assert out.strip() == "[]"
+
     @pytest.mark.parametrize("fast", [[], ["--fast"]])
     def test_kloosterman_above_crossover_takes_array_value(self, fast, capsys):
         c = (1 << 16) + 1  # prime, so --fast sums it directly too

@@ -16,6 +16,28 @@ def pt(re, im):
     return UpperHalfPoint(re, im)
 
 
+class TestUpperHalfPoint:
+    @pytest.mark.parametrize("re,im", [
+        (0.0, 0.0), (0.0, -1.0), (math.nan, 1.0), (0.0, math.nan),
+        (math.inf, 1.0), (-math.inf, 1.0), (0.0, math.inf),
+    ])
+    def test_rejects_points_off_the_open_half_plane(self, re, im):
+        with pytest.raises(DomainError):
+            UpperHalfPoint(re, im)
+
+    def test_replace_checks_the_new_point(self):
+        with pytest.raises(DomainError):
+            pt(0.3, 1.1)._replace(im=0.0)
+        assert pt(0.3, 1.1)._replace(re=0.5) == pt(0.5, 1.1)
+
+    def test_fields_cannot_be_reassigned(self):
+        tau = pt(0.3, 1.1)
+        for field in ("re", "im"):
+            with pytest.raises(AttributeError):
+                setattr(tau, field, 2.0)
+        assert tau.z == complex(0.3, 1.1)
+
+
 class TestDelta:
     def test_periodicity(self):
         d1 = q.delta(pt(0.3, 1.1))

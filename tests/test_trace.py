@@ -1,6 +1,8 @@
 """Trace-formula series, closed-form bounds and nonvanishing certificates."""
 
+import bisect
 import inspect
+import itertools
 import math
 
 import numpy as np
@@ -17,6 +19,8 @@ from qcbounds.errors import (
 )
 from qcbounds.bounds import tail_bounds
 from qcbounds.kernels import kloosterman_row, series_kloosterman
+
+from conftest import n_cutoff, n_tail, sa_prefactor, sb_prefactor
 
 CHI3 = q.make_character(3)
 CHI4 = q.make_character(4)
@@ -121,8 +125,8 @@ def full_grid_A(m, chi, N, t_max):
     value = size = err = 0.0
     cutoffs = []
     for c in range(N, (t_max + 1) * N, N):
-        f = trace._sa_prefactor(m, c, q.divisor_count(c))
-        k = trace._n_cutoff(f, x)
+        f = sa_prefactor(m, c, q.divisor_count(c))
+        k = n_cutoff(f, x)
         cutoffs.append(k)
         n = np.arange(1, k + 1)
         w = chi.values(n) / np.sqrt(n) * np.exp(-n * x)
@@ -130,7 +134,7 @@ def full_grid_A(m, chi, N, t_max):
         terms = w * j1 * series_kloosterman(m, p, N, c // N, n) / c
         value += terms.sum()
         size += np.abs(terms).sum()
-        err += trace._n_tail(f, x, k) / c
+        err += n_tail(f, x, k) / c
     err += 2.0 * chi.D / N * tail_bounds(t_max + 1).tau_tail
     return value, size, err, cutoffs
 
@@ -454,15 +458,15 @@ def former_default_error(p, chi):
         x = 2 * math.pi / (D * math.sqrt(N))
         a = 0.0
         for c in range(N, 241 * N, N):
-            f = trace._sa_prefactor(m, c, q.divisor_count(c))
-            a += trace._n_tail(f, x, trace._n_cutoff(f, x)) / c
+            f = sa_prefactor(m, c, q.divisor_count(c))
+            a += n_tail(f, x, n_cutoff(f, x)) / c
         a += 2.0 * D / N * tail_bounds(241).tau_tail
         d_max = q.hybrid_d_cap(D, m, N, 800)
         b = 0.0
         for d in range(1, d_max + 1):
             if math.gcd(d, N) == 1:
-                f = trace._sb_prefactor(m, d, N, q.divisor_count(d))
-                b += trace._n_tail(f, x, trace._n_cutoff(f, x)) / d
+                f = sb_prefactor(m, d, N, q.divisor_count(d))
+                b += n_tail(f, x, n_cutoff(f, x)) / d
         b += q.hybrid_d_tail(D, m, N, d_max).total
         pairings.append(8 * math.pi**2 * math.sqrt(m) * (a + b / math.sqrt(N)))
     e1, e2, e3 = pairings
@@ -502,6 +506,30 @@ class TestPlanner:
         caps = [(cert.components[f"A{s} t_max"], cert.components[f"B{s} d_max"])
                 for s in ("(1,p^2)", "(1,p)", "(p,p)")]
         assert caps == plan.caps
+
+    @pytest.mark.parametrize("D, p", [(3, 73), (15, 271), (31, 431)])
+    def test_model_is_a_scalar_loop_bit_for_bit(self, D, p):
+        # _model's array passes against one pass of scalar math per modulus
+        chi = q.make_character(D)
+        for m, N in ((1, p * p), (1, p), (p, p)):
+            x = trace._x(D, N)
+            for kind, caps in (("A", [0, 7, 240]), ("B", [1, 7, 1600])):
+                terms, cost, _ = trace._model(kind, m, N, chi, caps)
+                if kind == "A":
+                    moduli = list(range(N, 241 * N, N))
+                    f = [sa_prefactor(m, c, q.divisor_count(c)) for c in moduli]
+                    share = q.euler_phi(D) / D * (1.0 if N == p else trace._SALIE_TERM_COST)
+                else:
+                    moduli = [d for d in range(1, 1601) if math.gcd(d, N) == 1]
+                    f = [sb_prefactor(m, d, N, q.divisor_count(d)) for d in moduli]
+                    share = 1.0
+                cutoffs = [n_cutoff(v, x) for v in f]
+                tails = (n_tail(v, x, k) / c for v, k, c in zip(f, cutoffs, moduli))
+                n_err = list(itertools.accumulate(tails, initial=0.0))
+                assert repr(terms) == repr(trace._Terms(moduli, cutoffs, n_err))
+                acc = [0.0, *itertools.accumulate(k * share + trace._MODULUS_COST for k in cutoffs)]
+                counts = caps if kind == "A" else [bisect.bisect_right(moduli, d) for d in caps]
+                assert repr(cost) == repr([acc[j] for j in counts])
 
     def test_bare_pairing_is_planned(self):
         m, N = 1, 271
