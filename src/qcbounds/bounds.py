@@ -169,7 +169,11 @@ class TailBounds(NamedTuple):
 def tail_bounds(lam: int) -> TailBounds:
     """Closed forms: sum_{n<=lam} 1/n <= log(lam)+1,
     sum_{n<=lam} log(n)/n <= log(lam)^2/2,
-    sum_{n>=lam} tau(n)/n^(3/2) <= (2 log(lam) + 7)/sqrt(lam)."""
+    sum_{n>=lam} tau(n)/n^(3/2) <= (2 log(lam) + 7)/sqrt(lam).
+
+    The log(n)/n bound fails for 2 <= lam <= 20 (by up to 0.11) and holds
+    at lam = 1 and for 21 <= lam <= 1000, as the tails suite pins.  Only
+    the tau-tail bounds a truncated series."""
     if lam < 1:
         raise ValueError("lambda must be >= 1")
     ll = math.log(lam)

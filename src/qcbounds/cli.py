@@ -67,10 +67,25 @@ def _print(text: str) -> None:
         os.close(devnull)
 
 
-def _emit(args, command: str, inputs: dict, result, certified=None, mode=None,
-          elapsed_ms: int = 0) -> None:
+def _common_parser() -> argparse.ArgumentParser:
+    """The global flags every subcommand takes."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--json", action="store_true", help="machine-readable output")
+    common.add_argument("--quiet", action="store_true", help="suppress chatter")
+    common.add_argument("--out", metavar="PATH",
+                        help="also write the JSON record to PATH")
+    return common
+
+
+def _emit(args, result, certified=None, mode=None, elapsed_ms: int = 0,
+          inputs: dict | None = None) -> None:
+    """Report a command's result; by default the record's inputs are the
+    subcommand's own arguments, in parser order."""
     if args.json:
-        record = {"command": command, "inputs": inputs, "result": result}
+        if inputs is None:
+            skip = {"command", "func", *vars(_common_parser().parse_args([]))}
+            inputs = {k: v for k, v in vars(args).items() if k not in skip}
+        record = {"command": args.command, "inputs": inputs, "result": result}
         if certified is not None:
             record["certified"] = certified
         if mode is not None:
@@ -82,42 +97,31 @@ def _emit(args, command: str, inputs: dict, result, certified=None, mode=None,
             with open(args.out, "w") as fh:
                 fh.write(text + "\n")
     elif not args.quiet:
-        _print(f"{command}: {result}")
+        _print(f"{args.command}: {result}")
         if certified is not None:
             _print(f"certified: {certified} (mode {mode}, {elapsed_ms} ms)")
     elif certified is not None:
         _print(str(certified))
 
 
-def _tau_point(args):
-    from .runge import UpperHalfPoint
-    return UpperHalfPoint(args.re, args.im)
-
-
-def _matrix_list(mat) -> list[list[int]]:
-    return [list(row) for row in mat]
-
-
 def _cmd_kloosterman(args) -> int:
     from .arith import kloosterman_direct, kloosterman_fast
     fn = kloosterman_fast if args.fast else kloosterman_direct
-    value = fn(args.m, args.n, args.c)
-    _emit(args, "kloosterman", {"m": args.m, "n": args.n, "c": args.c, "fast": args.fast},
-          {"value": value})
+    _emit(args, {"value": fn(args.m, args.n, args.c)})
     return 0
 
 
 def _cmd_gauss_sum(args) -> int:
     from .arith import gauss_sum, make_character
     g = gauss_sum(make_character(args.D))
-    _emit(args, "gauss-sum", {"D": args.D}, {"value": g, "modulus": abs(g)})
+    _emit(args, {"value": g, "modulus": abs(g)})
     return 0
 
 
 def _cmd_character(args) -> int:
     from .arith import make_character
     chi = make_character(args.D)
-    _emit(args, "character", {"D": args.D, "n": args.n}, {"value": chi(args.n)})
+    _emit(args, {"value": chi(args.n)})
     return 0
 
 
@@ -135,16 +139,10 @@ def _cmd_certify(args) -> int:
               "components": cert.components}
     if cert.diagnostic:
         result["diagnostic"] = cert.diagnostic
-    _emit(
-        args,
-        "certify",
-        # rel_tol is a fixed echo of a removed option: the benchmark pins these bytes
-        {"disc": args.disc, "prime": args.prime, "mode": args.mode, "rel_tol": 1e-6},
-        result,
-        certified=cert.certified,
-        mode=cert.mode,
-        elapsed_ms=elapsed,
-    )
+    # rel_tol is a fixed echo of a removed option: the benchmark pins these bytes
+    inputs = {"disc": args.disc, "prime": args.prime, "mode": args.mode, "rel_tol": 1e-6}
+    _emit(args, result, certified=cert.certified, mode=cert.mode, elapsed_ms=elapsed,
+          inputs=inputs)
     return 0 if cert.certified else 1
 
 
@@ -153,79 +151,72 @@ def _cmd_pairing(args) -> int:
     from .arith import make_character
     chi = make_character(args.disc)
     res = trace.pairing_numeric(args.m, args.level, chi)
-    _emit(args, "pairing", {"m": args.m, "level": args.level, "disc": args.disc},
-          {"value": res.value, "error_bound": res.error_bound})
+    _emit(args, {"value": res.value, "error_bound": res.error_bound})
     return 0
 
 
 def _cmd_threshold(args) -> int:
     from . import isogeny
-    _emit(args, "threshold", {"disc": args.disc},
-          {"nonsplit_threshold": isogeny.nonsplit_threshold(args.disc)})
+    _emit(args, {"nonsplit_threshold": isogeny.nonsplit_threshold(args.disc)})
     return 0
 
 
 def _cmd_thresholds(args) -> int:
     from . import isogeny
     rep = isogeny.main_thresholds(args.disc)
-    _emit(args, "thresholds", {"disc": args.disc},
-          {"borel": rep.borel, "split_cartan": rep.split_cartan,
-           "nonsplit_cartan": rep.nonsplit_cartan, "exceptional": rep.exceptional})
+    _emit(args, {"borel": rep.borel, "split_cartan": rep.split_cartan,
+                 "nonsplit_cartan": rep.nonsplit_cartan, "exceptional": rep.exceptional})
     return 0
 
 
 def _cmd_runge_bound(args) -> int:
     from . import runge
-    _emit(args, "runge-bound", {"prime": args.prime},
-          {"log_j_bound": runge.runge_j_bound(args.prime)})
+    _emit(args, {"log_j_bound": runge.runge_j_bound(args.prime)})
     return 0
 
 
 def _cmd_reduce_tau(args) -> int:
     from . import runge
-    tau = _tau_point(args)
+    tau = runge.UpperHalfPoint(args.re, args.im)
     if args.prime:
         loc = runge.locate_near_cusp(tau, args.prime)
         result = {"cusp": loc.cusp, "re": loc.tau.re, "im": loc.tau.im,
-                  "gamma": _matrix_list(loc.gamma)}
+                  "gamma": [list(row) for row in loc.gamma]}
     else:
         red, gamma = runge.reduce_to_fundamental_domain(tau)
-        result = {"re": red.re, "im": red.im, "gamma": _matrix_list(gamma)}
-    _emit(args, "reduce-tau", {"re": args.re, "im": args.im, "prime": args.prime}, result)
+        result = {"re": red.re, "im": red.im, "gamma": [list(row) for row in gamma]}
+    _emit(args, result)
     return 0
 
 
 def _cmd_unit_g(args) -> int:
     from . import runge
-    val = runge.unit_g(_tau_point(args), args.prime)
-    _emit(args, "unit-g", {"re": args.re, "im": args.im, "prime": args.prime},
-          {"value": val, "log_abs": runge.log_abs_unit_g(_tau_point(args), args.prime)})
+    tau = runge.UpperHalfPoint(args.re, args.im)
+    _emit(args, {"value": runge.unit_g(tau, args.prime),
+                 "log_abs": runge.log_abs_unit_g(tau, args.prime)})
     return 0
 
 
 def _cmd_j_invariant(args) -> int:
     from . import runge
-    val = runge.j_invariant(_tau_point(args))
-    _emit(args, "j-invariant", {"re": args.re, "im": args.im}, {"value": val})
+    _emit(args, {"value": runge.j_invariant(runge.UpperHalfPoint(args.re, args.im))})
     return 0
 
 
 def _cmd_component_group(args) -> int:
     from . import compgroup
     group = compgroup.component_group(args.prime, args.ram)
-    _emit(args, "component-group", {"prime": args.prime, "ram": args.ram},
-          {"invariant_factors": group.invariant_factors,
-           "order": group.order,
-           "generator_images": {k: list(v) for k, v in group.generator_images.items()}})
+    _emit(args, {"invariant_factors": group.invariant_factors,
+                 "order": group.order,
+                 "generator_images": {k: list(v) for k, v in group.generator_images.items()}})
     return 0
 
 
 def _cmd_rho_table(args) -> int:
     from . import compgroup
     rs = compgroup.rho_value_set(args.prime, args.ram)
-    values = sorted(rs.values)
-    _emit(args, "rho-table", {"prime": args.prime, "ram": args.ram},
-          {"p_class": rs.p_class, "e": rs.e, "values": [str(v) for v in values]})
+    _emit(args, {"p_class": rs.p_class, "e": rs.e,
+                 "values": [str(v) for v in sorted(rs.values)]})
     return 0
 
 
@@ -246,18 +237,13 @@ def _cmd_verify(args) -> int:
                 _print(f"    {msg}")
     if args.json:
         seed = verify.DEFAULT_SEED if args.seed is None else args.seed
-        _emit(args, "verify", {"suite": args.suite, "seed": seed, "max_c": args.max_c},
-              {"suites": summary, "all_passed": all_passed})
+        _emit(args, {"suites": summary, "all_passed": all_passed},
+              inputs={"suite": args.suite, "seed": seed, "max_c": args.max_c})
     return 0 if all_passed else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument("--quiet", action="store_true", help="suppress chatter")
-    common.add_argument("--out", metavar="PATH",
-                        help="also write the JSON record to PATH")
-
+    common = _common_parser()
     parser = argparse.ArgumentParser(
         prog="qcbounds",
         description="Explicit exponential-sum, trace-formula, Runge and "
@@ -266,83 +252,73 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
+    def add_parser(name, func, **kwargs):
+        s = sub.add_parser(name, parents=[common], **kwargs)
+        s.set_defaults(func=func)
+        return s
 
-    s = add_parser("kloosterman", help="S(m,n;c)")
+    s = add_parser("kloosterman", _cmd_kloosterman, help="S(m,n;c)")
     s.add_argument("m", type=int)
     s.add_argument("n", type=int)
     s.add_argument("c", type=int)
     s.add_argument("--fast", action="store_true",
                    help="factored evaluation instead of direct enumeration")
-    s.set_defaults(func=_cmd_kloosterman)
 
-    s = add_parser("gauss-sum", help="G(chi_D) and its modulus")
+    s = add_parser("gauss-sum", _cmd_gauss_sum, help="G(chi_D) and its modulus")
     s.add_argument("D", type=int)
-    s.set_defaults(func=_cmd_gauss_sum)
 
-    s = add_parser("character", help="chi_D(n)")
+    s = add_parser("character", _cmd_character, help="chi_D(n)")
     s.add_argument("D", type=int)
     s.add_argument("n", type=int)
-    s.set_defaults(func=_cmd_character)
 
-    s = add_parser("certify", help="nonvanishing certificate for (D, p)")
+    s = add_parser("certify", _cmd_certify, help="nonvanishing certificate for (D, p)")
     s.add_argument("--disc", type=int, required=True)
     s.add_argument("--prime", type=int, required=True)
     s.add_argument("--mode", choices=["closed-form", "numeric"], default="closed-form")
-    s.set_defaults(func=_cmd_certify)
 
-    s = add_parser("pairing", help="numeric (a_m, L_chi)_N with error bound")
+    s = add_parser("pairing", _cmd_pairing, help="numeric (a_m, L_chi)_N with error bound")
     s.add_argument("--m", type=int, required=True)
     s.add_argument("--level", type=int, required=True)
     s.add_argument("--disc", type=int, required=True)
-    s.set_defaults(func=_cmd_pairing)
 
-    s = add_parser("threshold", help="nonsplit-Cartan threshold 50 D^(1/4) log D")
+    s = add_parser("threshold", _cmd_threshold, help="nonsplit-Cartan threshold 50 D^(1/4) log D")
     s.add_argument("--disc", type=int, required=True)
-    s.set_defaults(func=_cmd_threshold)
 
-    s = add_parser("thresholds", help="all four per-case prime thresholds")
+    s = add_parser("thresholds", _cmd_thresholds, help="all four per-case prime thresholds")
     s.add_argument("--disc", type=int, required=True)
-    s.set_defaults(func=_cmd_thresholds)
 
-    s = add_parser("runge-bound", help="2 pi sqrt(p) + 6 log p + 8")
+    s = add_parser("runge-bound", _cmd_runge_bound, help="2 pi sqrt(p) + 6 log p + 8")
     s.add_argument("--prime", type=int, required=True)
-    s.set_defaults(func=_cmd_runge_bound)
 
-    s = add_parser("reduce-tau", help="fundamental-domain reduction / cusp location")
+    s = add_parser("reduce-tau", _cmd_reduce_tau,
+                   help="fundamental-domain reduction / cusp location")
     s.add_argument("--re", type=float, required=True)
     s.add_argument("--im", type=float, required=True)
     s.add_argument("--prime", type=int, default=0)
-    s.set_defaults(func=_cmd_reduce_tau)
 
-    s = add_parser("unit-g", help="modular unit g(tau) = Delta(tau)/Delta(p tau)")
+    s = add_parser("unit-g", _cmd_unit_g, help="modular unit g(tau) = Delta(tau)/Delta(p tau)")
     s.add_argument("--re", type=float, required=True)
     s.add_argument("--im", type=float, required=True)
     s.add_argument("--prime", type=int, required=True)
-    s.set_defaults(func=_cmd_unit_g)
 
-    s = add_parser("j-invariant", help="j(tau)")
+    s = add_parser("j-invariant", _cmd_j_invariant, help="j(tau)")
     s.add_argument("--re", type=float, required=True)
     s.add_argument("--im", type=float, required=True)
-    s.set_defaults(func=_cmd_j_invariant)
 
-    s = add_parser("component-group", help="component group of J0(p), ramification e")
+    s = add_parser("component-group", _cmd_component_group,
+                   help="component group of J0(p), ramification e")
     s.add_argument("--prime", type=int, required=True)
     s.add_argument("--ram", type=int, required=True)
-    s.set_defaults(func=_cmd_component_group)
 
-    s = add_parser("rho-table", help="possible reduction values rho(g(P))")
+    s = add_parser("rho-table", _cmd_rho_table, help="possible reduction values rho(g(P))")
     s.add_argument("--prime", type=int, required=True)
     s.add_argument("--ram", type=int, required=True)
-    s.set_defaults(func=_cmd_rho_table)
 
-    s = add_parser("verify", help="run verification sweeps")
+    s = add_parser("verify", _cmd_verify, help="run verification sweeps")
     s.add_argument("--suite", required=True, help="a suite name, or all")
     s.add_argument("--max-c", type=int, default=None, dest="max_c")
     s.add_argument("--seed", type=int, default=None,
                    help="seed of the runge and compgroup suites (default: the suite default)")
-    s.set_defaults(func=_cmd_verify)
 
     return parser
 

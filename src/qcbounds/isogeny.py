@@ -82,13 +82,10 @@ class QCurveCaseBounds(NamedTuple):
 
 
 def qcurve_case_bounds(deg_K: int, h_F: float) -> QCurveCaseBounds:
-    """Reducible case: d(E) p <= 10^7 deg^2 (max(h_F,985) + 4 log deg)^2.
-    Cartan case: d(E) p^2 <= 4*10^7 deg^2 (max(h_F,985) + 4 log(2 deg))^2."""
-    if deg_K < 1:
-        raise ValueError("field degree must be >= 1")
-    m = max(h_F, HEIGHT_FLOOR)
-    cartan = 4.0 * SERRE_CONSTANT * deg_K**2 * (m + 4.0 * math.log(2 * deg_K)) ** 2
-    return QCurveCaseBounds(serre_uniform_bound(deg_K, h_F), cartan)
+    """Reducible case: d(E) p <= 10^7 deg^2 (max(h_F,985) + 4 log deg)^2,
+    the Serre bound at degree deg.  Cartan case: d(E) p^2 <= 4*10^7 deg^2
+    (max(h_F,985) + 4 log(2 deg))^2, the Serre bound at degree 2 deg."""
+    return QCurveCaseBounds(serre_uniform_bound(deg_K, h_F), serre_uniform_bound(2 * deg_K, h_F))
 
 
 def exceptional_bound(deg_K: int) -> int:

@@ -598,6 +598,18 @@ def certify_nonvanishing(p: int, chi: QuadraticCharacter) -> Certificate:
     The assembled form is only claimed for D >= 15; below that the
     verdict is always indeterminate, with a diagnostic that points to
     the numeric mode (certify_numeric, `certify --mode numeric`).
+
+    Lemma: the verdict is certified-positive for every D >= 15 and every
+    prime p >= p* = 50 D^(1/4) log D not dividing D.  For p >= p* >= 266
+    the first term is 19/20, and log^2 p/p^2, log p/p^2, 1/p^2 and the
+    tau term all fall in p (p >= 3), so the bound is at least its value
+    at the real p*.  There sqrt(D)/p*^2 = 1/(2500 log^2 D), so the main
+    term is (294 + 416 r + 227 r^2)/2500 with r = log p*/log D = 1/4
+    + (log 50 + log log D)/log D, falling in D; and tau(D) <= 2 sqrt(D)
+    bounds the tau term by 4 pi (1/p* + 1/(p*-1)), falling in D.  So the
+    bound is at least g(D) = 19/20 minus those two, which rises in D from
+    g(15) = 0.00847, far above the margin and the rounding.  Below p*
+    nothing is claimed: (15, 257) is indeterminate.
     """
     _check_certify_args(p, chi)
     D = chi.D

@@ -184,7 +184,13 @@ def runge_suite(seed: int = DEFAULT_SEED) -> SuiteResult:
     """Functional equations of the modular unit at 50 random points,
     deviation bounds and the |q| invariant on 200 reduced points, the two
     estimate-chain inequalities for p <= 10^4, the j-invariant/q
-    comparison at 200 points and |J1(x)| <= x/2 at 10^5 points."""
+    comparison at 200 points and |J1(x)| <= x/2 at 10^5 points.
+
+    Beyond the grid: near zero, 2 pi p/sqrt(p-1) - 2 pi sqrt(p) = 2 pi
+    sqrt(p)/(sqrt(p-1)(sqrt(p) + sqrt(p-1))) <= pi sqrt(p)/(p-1), so the
+    margin is at least 7 - pi sqrt(p)/(p-1) - 6 log p/(p-1), 0.98 at p = 3
+    and rising in p.  Near infinity the left side falls and the right side
+    rises from p = 2, where the chain holds."""
     res = SuiteResult("runge")
     rng = np.random.default_rng(seed)
 
@@ -334,7 +340,10 @@ def _matmul(a, b):
 
 def certify_grid_suite() -> SuiteResult:
     """Nonvanishing certificates at the fundamental discriminants
-    15 <= D <= 403, plus the final-threshold consistency checks."""
+    15 <= D <= 403, plus the final-threshold consistency checks.
+
+    The lemma in trace.certify_nonvanishing's docstring extends the grid
+    to every D >= 15 and every prime p >= 50 D^(1/4) log D."""
     res = SuiteResult("certify-grid")
     for D in fundamental_discriminants(15, 403):
         chi = make_character(D)

@@ -47,6 +47,13 @@ class TestKronecker:
         delta = -15
         assert q.kronecker(delta, a * b) == q.kronecker(delta, a) * q.kronecker(delta, b)
 
+    def test_negative_n_splits_off_the_sign_character(self):
+        # (a | -n) = (a | -1)(a | n), with (a | -1) = -1 exactly when a < 0
+        for a in range(-40, 41):
+            assert q.kronecker(a, -1) == (-1 if a < 0 else 1)
+            for n in range(1, 61):
+                assert q.kronecker(a, -n) == q.kronecker(a, -1) * q.kronecker(a, n), (a, n)
+
     def test_period(self):
         for D in (3, 4, 7, 8):
             vals = [q.kronecker(-D, n) for n in range(3 * D)]

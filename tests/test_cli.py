@@ -4,6 +4,7 @@ import importlib
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import time
@@ -321,6 +322,7 @@ class TestEveryCommandJson:
         ["runge-bound", "--prime", "11"],
         ["reduce-tau", "--re", "0.3", "--im", "0.08"],
         ["reduce-tau", "--re", "0.3", "--im", "0.08", "--prime", "5"],
+        ["reduce-tau", "--prime", "5", "--im", "0.08", "--re", "0.3"],  # inputs keep parser order
         ["unit-g", "--re", "0.0", "--im", "1.5", "--prime", "7"],
         ["j-invariant", "--re", "0.0", "--im", "1.0"],
         ["component-group", "--prime", "11", "--ram", "2"],
@@ -337,10 +339,49 @@ class TestEveryCommandJson:
 
     @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
     def test_stdout_parses(self, argv, capsys):
-        # _to_json writes JSON by hand; every record must still parse
+        # _to_json writes JSON by hand; every record must still parse, and
+        # its inputs are the subcommand's own arguments in parser order
+        from qcbounds.cli import build_parser
+
         assert main([*argv, "--json"]) in (0, 1)
         record = json.loads(capsys.readouterr().out)
         assert record["command"] == argv[0]
+        [sub] = [a for a in build_parser()._actions if a.dest == "command"]
+        own = [a.dest for a in sub.choices[argv[0]]._actions
+               if a.dest not in ("help", "json", "quiet", "out")]
+        inputs = record["inputs"]
+        if argv[0] == "certify":
+            own.append("rel_tol")
+            assert inputs["rel_tol"] == 1e-6
+        if argv[0] == "verify":
+            assert list(inputs) == ["suite", "seed", "max_c"] and sorted(own) == sorted(inputs)
+            assert inputs["seed"] == verify.DEFAULT_SEED == 12345
+        else:
+            assert list(inputs) == own
+
+
+class TestTextOutput:
+    """Without --json or --quiet each command prints its name and result."""
+
+    def test_cheap_command(self, capsys):
+        assert main(["runge-bound", "--prime", "11"]) == 0
+        assert capsys.readouterr().out == "runge-bound: {'log_j_bound': 43.22633978897885}\n"
+
+    def test_certify_reports_verdict_mode_and_time(self, capsys):
+        assert main(["certify", "--disc", "15", "--prime", "271"]) == 0
+        first, second = capsys.readouterr().out.splitlines()
+        assert first.startswith("certify: {'verdict': 'certified-positive', ")
+        assert re.fullmatch(r"certified: True \(mode closed-form, \d+ ms\)", second)
+
+    def test_verify_reports_each_suite(self, capsys):
+        assert main(["verify", "--suite", "trig"]) == 0
+        out = capsys.readouterr().out
+        assert re.fullmatch(r"\[PASS\] trig: 45449 checks, 0 failures \(\d+\.\ds\)\n", out)
+
+    def test_quiet_prints_only_a_verdict(self, capsys):
+        assert main(["runge-bound", "--prime", "11", "--quiet"]) == 0
+        assert main(["certify", "--disc", "15", "--prime", "271", "--quiet"]) == 0
+        assert capsys.readouterr().out == "True\n"
 
 
 class TestDeterminism:

@@ -67,6 +67,13 @@ class TestQCurveCaseBounds:
         # deg^2 = 4 is part of the displayed bound (the paper's Corollary
         # carries [K:Q]^2 in both cases)
         assert b2.cartan_dp2 == pytest.approx(16e7 * (985 + 4 * math.log(4)) ** 2)
+        # the Cartan case is the Serre bound at degree 2 deg, bit for bit
+        # equal to its expanded form 4*10^7 deg^2 (max(h_F,985) + 4 log(2 deg))^2
+        for h in (0.0, 1.5, 500.0, 985.0, 1200.0, 3700.0, 5000.0, 1e6):
+            for deg in range(1, 200):
+                expanded = (4.0 * SERRE_CONSTANT * deg**2
+                            * (max(h, HEIGHT_FLOOR) + 4.0 * math.log(2 * deg)) ** 2)
+                assert q.qcurve_case_bounds(deg, h).cartan_dp2 == expanded, (deg, h)
 
     def test_monotone(self):
         for deg in (1, 2, 3):

@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -256,6 +257,39 @@ class TestDeviations:
     def test_runge_suite_seeds(self, seed):
         res = runge_suite(seed=seed)
         assert res.passed, res.failures[:5]
+
+
+class TestEstimateChains:
+    """The two chains behind the Runge bound hold for every p >= 3 (the
+    lemma in runge_suite's docstring), not only on the suite's p <= 10^4."""
+
+    SAMPLES = sorted({3, 4, 5, 10, 97, 10_001} | {int(10 ** (k / 4)) for k in range(17, 49)})
+
+    @staticmethod
+    def margin_bound(p):
+        return 7 - mpmath.pi * mpmath.sqrt(p) / (p - 1) - 6 * mpmath.log(p) / (p - 1)
+
+    def test_near_zero_margin_is_at_least_its_bound(self):
+        # the margin subtracts two terms of size 2 pi sqrt(p) that agree to
+        # within pi/sqrt(p): evaluate it at 50 digits
+        with mpmath.workdps(50):
+            bounds = []
+            for p in map(mpmath.mpf, self.SAMPLES):
+                margin = (2 * mpmath.pi * mpmath.sqrt(p) + 6 * mpmath.log(p) + 7
+                          - 2 * mpmath.pi * p / mpmath.sqrt(p - 1)
+                          - 6 * p * mpmath.log(p) / (p - 1))
+                bounds.append(self.margin_bound(p))
+                assert margin >= bounds[-1], p
+            assert bounds == sorted(bounds) and 0.98 < bounds[0] < 0.99 and bounds[-1] < 7
+
+    def test_near_infinity_sides_are_monotone(self):
+        lhs = [(25.0 * 0.005 + 12.0 * math.log(p)) / (p - 1) for p in [2, *self.SAMPLES]]
+        rhs = [2.0 * math.pi * math.sqrt(p) for p in [2, *self.SAMPLES]]
+        assert lhs == sorted(lhs, reverse=True) and rhs == sorted(rhs)
+        assert lhs[0] <= rhs[0]
+
+    def test_runge_suite_keeps_its_checks(self):
+        assert runge_suite().checks == 122_899
 
 
 class TestRungeBound:

@@ -601,6 +601,69 @@ class TestCertificates:
             assert cert.components[f"{shape} d_max"] == 300
 
 
+def lemma_g(D, lib=math):
+    """g(D) of certify_nonvanishing's lemma: its lower bound at p* with the
+    first term 19/20 and tau(D) <= 2 sqrt(D); lib is math or mpmath.iv.
+    The float 0.95 lies below 19/20, so the interval stays a lower bound."""
+    ld = lib.log(D)
+    p_star = 50 * lib.sqrt(lib.sqrt(D)) * ld
+    r = lib.log(p_star) / ld
+    main = (294 + 416 * r + 227 * r * r) / 2500
+    return 0.95 - main - 4 * lib.pi * (1 / p_star + 1 / (p_star - 1))
+
+
+class TestClosedFormLemma:
+    """certify_nonvanishing is certified-positive for every D >= 15 and
+    every prime p >= 50 D^(1/4) log D (the lemma in its docstring)."""
+
+    GRID = [(D, q.threshold_prime(D)) for D in q.fundamental_discriminants(15, 403)]
+
+    def test_g15_in_interval_arithmetic(self):
+        from mpmath import iv
+
+        assert lemma_g(iv.mpf(15), iv).a >= 0.008
+        assert lemma_g(15) == pytest.approx(0.00847, abs=1e-5)
+
+    def test_g_rises_in_D(self):
+        values = [lemma_g(10 ** (k / 100)) for k in range(118, 3001)]
+        assert all(a < b for a, b in zip(values, values[1:]))
+
+    def test_lower_bound_dominates_g(self):
+        assert len(self.GRID) == 118
+        larger = [
+            (D, p) for D in q.fundamental_discriminants(404, 200_000)[::4001]
+            for p in (q.threshold_prime(D), q.next_prime(int(10 * q.nonsplit_threshold(D))),
+                      q.next_prime(10**9 + D))
+        ]
+        for D, p in self.GRID + larger:
+            if D % p == 0:
+                continue
+            cert = q.certify_nonvanishing(p, q.make_character(D))
+            assert cert.certified and cert.lower_bound >= lemma_g(D), (D, p)
+
+    def test_weighted_components_within_assembled_form(self):
+        # 2 pi times the six component bounds, weighted as the new-plus
+        # pairing weighs its series, stay below abel_main + tau_term
+        ratios = []
+        for D, p in self.GRID:
+            comp = q.certify_nonvanishing(p, q.make_character(D)).components
+            shapes = zip(((1, p * p), (1, p), (p, p)), ("(1,p^2)", "(1,p)", "(p,p)"))
+            errors = [trace._pairing_error(m, N, comp[f"A{k}"], comp[f"B{k}"])
+                      for (m, N), k in shapes]
+            weighted = trace._new_plus_error(p, *errors) / (4 * math.pi)
+            ratios.append(weighted / (comp["abel_main"] + comp["tau_term"]))
+        assert max(ratios) == pytest.approx(0.861, abs=1e-3)
+
+    @pytest.mark.parametrize("D, p", [(15, 257), (24, 313), (403, 887)])
+    def test_prime_below_threshold_is_indeterminate(self, D, p):
+        # the largest prime below p* that is not certified; nothing is
+        # claimed below p*, and the primes between it and p* certify
+        assert p < q.nonsplit_threshold(D)
+        cert = q.certify_nonvanishing(p, q.make_character(D))
+        assert cert.verdict == "indeterminate" and cert.diagnostic is None
+        assert cert.lower_bound <= 1e-6
+
+
 class TestNonsplitThreshold:
     def test_values(self):
         assert q.nonsplit_threshold(3) == pytest.approx(72.2928, abs=1e-3)
