@@ -18,10 +18,14 @@ supported: (m, N) = (1, p^2), (1, p) and (p, p).  A and B share one
 accumulator over their moduli (_modulus_series), and every S_A and S_B
 takes its weighted J1 factor w_n J1(beta sqrt(n)), w_n = chi(n)/sqrt(n)
 e^(-nx) and beta = 4 pi sqrt(m)/c (or /(d sqrt(N))), from _weighted_j1:
-one bessel_j1 call per modulus on a shared n-grid, written into the
-grid's own buffer, so a certificate does not allocate and free a
-k-long array per modulus.  A's grid holds only the n coprime to D,
-where chi(n) != 0; B's holds every n (see _n_grid).
+one segmented bessel_j1 call per block of consecutive moduli whose
+cutoffs sum to at most _BLOCK (a longer cutoff is a block of its own),
+on a shared n-grid, the moduli's arguments and values side by side in
+the grid's own buffers.  So a certificate pays numpy's fixed cost per
+call once a block, not once a modulus, and allocates no k-long array
+per modulus; each value is bit for bit what a call per modulus gives.
+A's grid holds only the n coprime to D, where chi(n) != 0; B's holds
+every n (see _n_grid).
 
 Two modes coexist.  The closed-form certificate evaluates the explicit
 lower bound
@@ -54,6 +58,7 @@ without it.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -92,9 +97,12 @@ _D_TOP = 1600
 # The planner's cost model, in units of one n-term of a series (about
 # 11 ns on a 2-CPU VM, J1 and its Kloosterman factor included): an A(1,p^2)
 # term, whose Kloosterman factor takes the per-term closed form, costs
-# about 90 ns; one modulus costs about 100-150 us beyond its terms (its
-# numpy calls and cold row builds).  Fitted to A_numeric/B_numeric timings
-# on six (D, p) pairs from 3 to 31.
+# about 90 ns; one modulus cost about 100-150 us beyond its terms (its
+# numpy calls and cold row builds) when it made a bessel_j1 call of its
+# own.  Fitted to A_numeric/B_numeric timings on six (D, p) pairs from 3
+# to 31.  A modulus costs less now that a block of them shares one J1
+# call, but both constants are kept as they are, so that every plan, and
+# with it every cap, value and error bound, stays the same.
 _SALIE_TERM_COST = 8.0
 _MODULUS_COST = 10_000.0
 
@@ -247,11 +255,18 @@ def _given_caps(t_max: int | None, d_max: int | None) -> bool:
     return True
 
 
+# The J1 arguments of consecutive moduli share one bessel_j1 call until
+# their cutoffs would pass this many; a longer cutoff is a block by
+# itself.  2^13 and 2^14 measured alike; at 2^16 a block no longer fits in
+# the cache, and numeric-certify slowed by 8%.
+_BLOCK = 8192
+
+
 class _NGrid(NamedTuple):
     """The n <= n_max of a series, sqrt(n), the weight
     w_n = chi(n)/sqrt(n) e^(-nx) of every S_A and S_B, and room for one
-    modulus's J1 arguments (x) and values (j1), so that no modulus
-    allocates its own.
+    block of moduli's J1 arguments (x) and values (j1), side by side, so
+    that no modulus allocates its own.
 
     A's grid keeps only the n coprime to D, where w_n != 0.  B's keeps
     every n, because _sb_sum folds its terms by position; see _n_grid."""
@@ -265,7 +280,8 @@ class _NGrid(NamedTuple):
 
 def _n_grid(chi: QuadraticCharacter, x: float, n_max: int, coprime: bool) -> _NGrid:
     """The grid n = 1..n_max, or with `coprime` only its n with
-    gcd(n, D) = 1.  B's grid stays full: a reshape folds it by residue at
+    gcd(n, D) = 1, and block buffers of max(grid size, _BLOCK) floats.
+    B's grid stays full: a reshape folds it by residue at
     0.5 ns an element, where a fold of a compressed grid costs 1.8-2.6 ns
     (scatter back) or 13 ns (np.bincount), and a compressed B made every
     numeric-certify certificate slower, prime D by 8-60%."""
@@ -278,37 +294,77 @@ def _n_grid(chi: QuadraticCharacter, x: float, n_max: int, coprime: bool) -> _NG
         n, chi_n = n[keep], chi_n[keep]
     nf = n.astype(np.float64)
     root = np.sqrt(nf)
-    return _NGrid(n, root, chi_n / root * np.exp(-nf * x), np.empty(n.size), np.empty(n.size))
+    room = max(n.size, _BLOCK)
+    return _NGrid(n, root, chi_n / root * np.exp(-nf * x), np.empty(room), np.empty(room))
 
 
-def _weighted_j1(grid: _NGrid, beta: float, k: int) -> np.ndarray:
-    """w_n J1(beta sqrt(n)) for the first k n of the grid, the J1 factor
-    of one modulus: a view of grid.j1, valid until the next modulus."""
-    # These helpers run once per modulus, so they import modules, not names:
-    # `from .bessel import bessel_j1` costs about 2 us a call, 3% of a
-    # certificate over its three helpers; `from . import bessel` costs half.
+def _blocks(counts: list[int]) -> list[tuple[int, int]]:
+    """Consecutive runs [lo, hi) of the moduli whose counts sum to at most
+    _BLOCK, each as long as it can be; a count above _BLOCK is a run of
+    its own."""
+    runs, lo, size = [], 0, 0
+    for i, k in enumerate(counts):
+        if i > lo and size + k > _BLOCK:
+            runs.append((lo, i))
+            lo, size = i, 0
+        size += k
+    return runs + [(lo, len(counts))] if counts else runs
+
+
+def _weighted_j1(grid: _NGrid, betas: list[float], counts: list[int]) -> list[np.ndarray]:
+    """w_n J1(beta sqrt(n)) over the first k n of the grid for each
+    (beta, k) of a block of moduli, in one bessel_j1 call: the arguments
+    and values of the moduli lie side by side in grid.x and grid.j1, and
+    each modulus gets a view of its own values, valid until the next
+    block."""
+    # These helpers run once per modulus or block, so they import modules,
+    # not names: `from .bessel import bessel_j1` costs about 2 us a call;
+    # `from . import bessel` costs half.
     import numpy as np
 
     from . import bessel
 
-    v = bessel.bessel_j1(np.multiply(grid.root[:k], beta, out=grid.x[:k]), out=grid.j1[:k])
-    v *= grid.w[:k]
-    return v
+    ends = list(itertools.accumulate(counts))
+    for beta, k, end in zip(betas, counts, ends):
+        np.multiply(grid.root[:k], beta, out=grid.x[end - k:end])
+    bessel.bessel_j1(grid.x[: ends[-1]], out=grid.j1[: ends[-1]], ends=ends)
+    views = []
+    for k, end in zip(counts, ends):
+        v = grid.j1[end - k:end]
+        v *= grid.w[:k]
+        views.append(v)
+    return views
 
 
-def _sa_partial(m: int, p: int, N: int, c: int, grid: _NGrid, k: int) -> float:
-    """S_A(c) summed over the first k n of the grid."""
+def _sa_beta(m: int, c: int) -> float:
+    """The J1 scale of S_A(c): its argument is beta sqrt(n)."""
+    return 4.0 * math.pi * math.sqrt(m) / c
+
+
+def _sb_beta(m: int, N: int, d: int) -> float:
+    """The J1 scale of S_B(d): its argument is beta sqrt(n)."""
+    return 4.0 * math.pi * math.sqrt(m) / (d * math.sqrt(N))
+
+
+def _sa_sum(m: int, p: int, N: int, c: int, n: np.ndarray, v: np.ndarray) -> float:
+    """S_A(c) from its weighted J1 factor v over the grid points n, which
+    it multiplies in place by the Kloosterman factor."""
     from . import kernels
 
-    v = _weighted_j1(grid, 4.0 * math.pi * math.sqrt(m) / c, k)
-    v *= kernels.series_kloosterman(m, p, N, c // N, grid.n[:k])
+    v *= kernels.series_kloosterman(m, p, N, c // N, n)
     return float(v.sum())
 
 
+def _sa_partial(m: int, p: int, N: int, c: int, grid: _NGrid, k: int) -> float:
+    """S_A(c) summed over the first k n of the grid: a block of one."""
+    [v] = _weighted_j1(grid, [_sa_beta(m, c)], [k])
+    return _sa_sum(m, p, N, c, grid.n[:k], v)
+
+
 def _sb_partial(m: int, N: int, d: int, grid: _NGrid, k: int) -> float:
-    """S_B(d) summed over n <= k."""
-    beta = 4.0 * math.pi * math.sqrt(m) / (d * math.sqrt(N))
-    return _sb_sum(m, N, d, _weighted_j1(grid, beta, k))
+    """S_B(d) summed over n <= k: a block of one."""
+    [v] = _weighted_j1(grid, [_sb_beta(m, N, d)], [k])
+    return _sb_sum(m, N, d, v)
 
 
 def _sb_sum(m: int, N: int, d: int, v: np.ndarray) -> float:
@@ -332,15 +388,18 @@ def _sb_sum(m: int, N: int, d: int, v: np.ndarray) -> float:
 
 
 def _modulus_series(
-    chi: QuadraticCharacter, x: float, terms: _Terms,
-    partial: Callable[[_NGrid, int, int], float], error: float, coprime: bool,
+    chi: QuadraticCharacter, x: float, terms: _Terms, beta: Callable[[int], float],
+    finish: Callable[[int, np.ndarray, np.ndarray], float], error: float, coprime: bool,
 ) -> NumericResult:
     """sum_q S(q)/q over every modulus of `terms`: the one accumulator of
     A and B, returned with `error`, the series' error bound.
 
-    S(q) = partial(grid, q, j) is summed over the j grid points n <= k,
-    k the cutoff where the n-tail of modulus q drops below 1e-15; all
-    S(q) share one n-grid, coprime to D for A (see _n_grid)."""
+    S(q) = finish(q, n, v) is summed over the grid points n <= k, k the
+    cutoff where the n-tail of modulus q drops below 1e-15, given v, the
+    weighted J1 factor w_n J1(beta(q) sqrt(n)) there.  All S(q) share one
+    n-grid, coprime to D for A (see _n_grid); the J1 factors of a block of
+    consecutive moduli (_blocks) come from one _weighted_j1 call, and the
+    moduli are added in order."""
     import numpy as np
 
     if not terms.moduli:
@@ -348,8 +407,10 @@ def _modulus_series(
     grid = _n_grid(chi, x, max(terms.cutoffs), coprime)
     counts = np.searchsorted(grid.n, terms.cutoffs, side="right").tolist()
     acc = 0.0
-    for q, j in zip(terms.moduli, counts):
-        acc += partial(grid, q, j) / q
+    for lo, hi in _blocks(counts):
+        moduli, ks = terms.moduli[lo:hi], counts[lo:hi]
+        for q, k, v in zip(moduli, ks, _weighted_j1(grid, [beta(q) for q in moduli], ks)):
+            acc += finish(q, grid.n[:k], v) / q
     return NumericResult(acc, error)
 
 
@@ -366,8 +427,8 @@ def A_numeric(m: int, chi: QuadraticCharacter, N: int, *, t_max: int) -> Numeric
     p = _shape(m, N, chi)
     terms, _, [error] = _model("A", m, N, chi, [t_max])
     return _modulus_series(
-        chi, _x(chi.D, N), terms, lambda grid, c, k: _sa_partial(m, p, N, c, grid, k),
-        error, coprime=True,
+        chi, _x(chi.D, N), terms, lambda c: _sa_beta(m, c),
+        lambda c, n, v: _sa_sum(m, p, N, c, n, v), error, coprime=True,
     )
 
 
@@ -383,8 +444,8 @@ def B_numeric(m: int, chi: QuadraticCharacter, N: int, *, d_max: int) -> Numeric
     _shape(m, N, chi)
     terms, _, [error] = _model("B", m, N, chi, [d_max])
     return _modulus_series(
-        chi, _x(chi.D, N), terms, lambda grid, d, k: _sb_partial(m, N, d, grid, k),
-        error, coprime=False,
+        chi, _x(chi.D, N), terms, lambda d: _sb_beta(m, N, d),
+        lambda d, n, v: _sb_sum(m, N, d, v), error, coprime=False,
     )
 
 

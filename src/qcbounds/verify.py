@@ -453,9 +453,11 @@ SUITES = {
 
 
 # The pool takes the suites in this order, longest first, so the short ones
-# fill in beside the long one (in-process: envelope 0.57 s, weil 0.18,
-# compgroup 0.13, twisted 0.12, trig 0.07, runge 0.05, tails 0.04,
-# certify-grid 0.02).
+# fill in beside the long one (in-process, median of 3 on a 2-CPU VM:
+# envelope 0.50 s, weil 0.18, compgroup 0.14, twisted 0.18, trig 0.07,
+# runge 0.06, tails 0.05, certify-grid 0.02; compgroup and twisted are
+# within the machine's noise of each other).  Envelope no longer outlasts
+# the other seven together, so two workers finish about together.
 _LONGEST_FIRST = ("envelope", "weil", "compgroup", "twisted", "trig", "runge", "tails",
                   "certify-grid")
 

@@ -140,7 +140,7 @@ def test_criterion_11_numeric_certificates_at_planned_caps():
 
 
 def test_criterion_12_envelope():
-    with criterion(12, "closed-form bounds dominate the numeric series", 10):
+    with criterion(12, "closed-form bounds dominate the numeric series", 5):
         result = verify.envelope_suite()
         assert result.passed, result.failures[:5]
         assert result.checks == 74

@@ -6,9 +6,11 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qcbounds import bessel_j1
-from qcbounds.bessel import _CROSSOVER, _SERIES, _SERIES_TERMS, _horner
+from qcbounds.bessel import _CROSSOVER, _SERIES, _SERIES_TERMS, _horner, _series_depth
 from qcbounds.errors import DomainError
 
 EPS = 2.0**-53
@@ -160,3 +162,79 @@ def test_both_sides_of_crossover_against_mpmath():
         for x in np.linspace(11.5, 12.5, 41):
             err = abs(bessel_j1(float(x)) - float(mpmath.besselj(1, float(x))))
             assert err <= (1e-12 if x < _CROSSOVER else 1e-9), x
+
+
+# A segment is a list of floats in [0, 1) scaled to one of these tops: tiny
+# (shallow series), deep series, straddling the crossover, past it.
+_TOPS = (0.01, 1.0, 11.99, 40.0, 5e3)
+segments = st.lists(
+    st.tuples(st.sampled_from(_TOPS), st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=30)),
+    max_size=8,
+).map(lambda segs: [[top * f for f in fs] for top, fs in segs])
+
+
+def _joined(segs):
+    x = np.array([v for seg in segs for v in seg], dtype=np.float64)
+    ends = [int(e) for e in np.cumsum([len(seg) for seg in segs])]
+    return x, ends
+
+
+# empty segments, an unsorted segment straddling 12, an all-Hankel one, and
+# series depths that fall, rise and fall again
+MIXED = [[], [11.5, 0.3, 40.0, 7.0], [3000.0, 12.0, 25.0], [], [0.01, 0.002],
+         [9.0, 1.0], [0.5], [13.0, 11.99, 0.0]]
+
+
+@given(segments)
+@settings(max_examples=300, deadline=None)
+@example(MIXED)
+@example([])
+@example([[], []])
+@example([[5e3, 12.0], [0.0, 0.0], [11.999999]])
+def test_segments_equal_their_own_calls(segs):
+    x, ends = _joined(segs)
+    alone = [v for seg in segs for v in bessel_j1(np.array(seg, dtype=np.float64)).tolist()]
+    assert repr(bessel_j1(x, ends=ends).tolist()) == repr(alone)
+
+
+def test_mixed_example_covers_each_kind_of_segment():
+    depths = [_series_depth(max(v for v in seg if v < _CROSSOVER))
+              for seg in MIXED if any(v < _CROSSOVER for v in seg)]
+    assert [] in MIXED
+    assert any(seg != sorted(seg) and min(seg) < _CROSSOVER <= max(seg) for seg in MIXED)
+    assert any(seg and min(seg) >= _CROSSOVER for seg in MIXED)
+    assert any(a < b for a, b in zip(depths, depths[1:]))
+    assert any(a > b for a, b in zip(depths, depths[1:]))
+
+
+def test_segments_fill_out_which_may_be_x():
+    x, ends = _joined(MIXED)
+    expected = bessel_j1(x, ends=ends)
+    out = np.full(x.shape, np.nan)
+    assert bessel_j1(x, out=out, ends=ends) is out
+    assert np.array_equal(out, expected)
+    assert bessel_j1(x, out=x, ends=ends) is x
+    assert np.array_equal(x, expected)
+
+
+@pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf])
+@pytest.mark.parametrize("segment", range(len(MIXED)))
+def test_bad_argument_in_any_segment_rejected(segment, bad):
+    segs = [list(seg) for seg in MIXED]
+    segs[segment] = segs[segment] + [bad]
+    x, ends = _joined(segs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            bessel_j1(x, ends=ends)
+
+
+@pytest.mark.parametrize("x, ends", [
+    (np.ones(4), [1, 3]),  # stops short of len(x)
+    (np.ones(4), [3, 1, 4]),  # falls
+    (np.ones(4), [5]),  # runs past len(x)
+    (np.ones((2, 2)), [2, 4]),  # not 1-D
+])
+def test_ends_that_do_not_split_x_rejected(x, ends):
+    with pytest.raises(ValueError):
+        bessel_j1(x, ends=ends)

@@ -1,6 +1,7 @@
 """Trace-formula series, closed-form bounds and nonvanishing certificates."""
 
 import bisect
+import hashlib
 import inspect
 import itertools
 import math
@@ -90,31 +91,69 @@ class TestWeightedJ1:
         # bessel_j1's series below the crossover, its Hankel branch from 12 on
         x = 2 * math.pi / (23 * math.sqrt(349))
         beta = xmax / math.sqrt(k)
-        got = trace._weighted_j1(trace._n_grid(CHI23, x, k, coprime=False), beta, k)
+        [got] = trace._weighted_j1(trace._n_grid(CHI23, x, k, coprime=False), [beta], [k])
         n = np.arange(1, k + 1)
         w = CHI23.values(n) / np.sqrt(n) * np.exp(-n * x)
         terms = w * q.bessel_j1(beta * np.sqrt(n.astype(float)))
         assert np.abs(got - terms).sum() <= 1e-15 * np.abs(terms).sum()
 
-    def test_one_bessel_j1_call_per_modulus(self, monkeypatch):
-        # bench/tracer.py counts a series' terms by its bessel_j1 calls
+    def test_block_equals_its_moduli_one_at_a_time(self):
+        # a modulus's values do not depend on the moduli beside it: all
+        # series, straddling 12, all Hankel, an empty cutoff, falling and
+        # rising series depths
+        grid = trace._n_grid(CHI23, 0.01, 3000, coprime=False)
+        betas = [0.05, 1.0, 0.002, 0.3, 30.0, 0.2, 0.01]
+        counts = [2500, 700, 3000, 0, 40, 900, 1]
+        alone = [trace._weighted_j1(grid, [b], [k])[0].tolist() for b, k in zip(betas, counts)]
+        block = [v.tolist() for v in trace._weighted_j1(grid, betas, counts)]
+        assert repr(block) == repr(alone)
+
+    def test_one_bessel_j1_call_per_block(self, monkeypatch):
+        # bench/tracer.py counts a series' terms by its direct bessel_j1
+        # calls, which are blocks of moduli; the segments of the calls are
+        # the moduli's cutoffs on the grid, in order, so every term of every
+        # modulus is evaluated exactly once
         calls = []
         j1 = bessel.bessel_j1
         monkeypatch.setattr(
-            bessel, "bessel_j1", lambda x, out=None: calls.append(x.size) or j1(x, out=out)
+            bessel, "bessel_j1",
+            lambda x, out=None, ends=None: calls.append((x.size, ends)) or j1(x, out=out, ends=ends),
         )
-        q.A_numeric(1, CHI3, 49, t_max=5)
-        assert len(calls) == 5
-        calls.clear()
-        q.B_numeric(1, CHI3, 49, d_max=10)
-        assert len(calls) == 9  # d = 1..10 without 7
+        for kind, cap, moduli in (("A", 5, 5), ("B", 10, 9)):  # B: d = 1..10 without 7
+            calls.clear()
+            if kind == "A":
+                q.A_numeric(1, CHI3, 49, t_max=cap)
+            else:
+                q.B_numeric(1, CHI3, 49, d_max=cap)
+            terms, _, _ = trace._model(kind, 1, 49, CHI3, [cap])
+            counts = [k - k // 3 if kind == "A" else k for k in terms.cutoffs]
+            assert len(counts) == moduli
+            assert len(calls) == len(trace._blocks(counts))
+            assert sum(size for size, _ in calls) == sum(counts)
+            segments = [b - a for _, ends in calls for a, b in zip([0, *ends], ends)]
+            assert segments == counts
+
+    @pytest.mark.parametrize("counts, runs", [
+        ([], []),
+        ([8192], [(0, 1)]),
+        ([5000, 3192, 1], [(0, 2), (2, 3)]),
+        ([100, 9000, 100], [(0, 1), (1, 2), (2, 3)]),
+        ([20000, 10, 20], [(0, 1), (1, 3)]),
+        ([0, 8192, 0], [(0, 3)]),
+    ])
+    def test_blocks_fill_up_to_the_block_size(self, counts, runs):
+        assert trace._BLOCK == 8192
+        assert trace._blocks(counts) == runs
 
     def test_result_is_a_view_of_the_grid_buffer(self):
-        # each modulus writes its J1 values into the grid, not a fresh array
+        # a block writes its J1 values side by side into the grid, not into
+        # fresh arrays
         grid = trace._n_grid(CHI23, 0.01, 3000, coprime=False)
         for beta in (0.05, 1.0):  # all-series, then series and Hankel
-            v = trace._weighted_j1(grid, beta, 2500)
-            assert np.shares_memory(v, grid.j1)
+            views = trace._weighted_j1(grid, [beta, beta / 2, beta / 3], [2500, 3000, 1700])
+            assert all(np.shares_memory(v, grid.j1) for v in views)
+            assert [v.size for v in views] == [2500, 3000, 1700]
+            assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(views, 2))
 
 
 def full_grid_A(m, chi, N, t_max):
@@ -153,7 +192,8 @@ class TestCoprimeGrid:
         q.A_numeric(1, q.make_character(D), 49, t_max=4)
         [((_, _, n_max, _), grid)] = calls
         assert grid.n.tolist() == [n for n in range(1, n_max + 1) if math.gcd(n, D) == 1]
-        assert grid.root.size == grid.w.size == grid.j1.size == grid.n.size
+        assert grid.root.size == grid.w.size == grid.n.size
+        assert grid.x.size == grid.j1.size == max(grid.n.size, trace._BLOCK)
         assert np.all(grid.w != 0)
 
     @pytest.mark.parametrize("D,m,N,t_max", CASES)
@@ -163,10 +203,9 @@ class TestCoprimeGrid:
         assert any(k % D == 0 for k in cutoffs)
         assert any(math.gcd(k, D) == 1 for k in cutoffs)
         summed = []
-        sa_partial = trace._sa_partial
+        sa_sum = trace._sa_sum
         monkeypatch.setattr(
-            trace, "_sa_partial",
-            lambda *a: summed.append(a[-2].n[: a[-1]].tolist()) or sa_partial(*a),
+            trace, "_sa_sum", lambda *a: summed.append(a[-2].tolist()) or sa_sum(*a)
         )
         a = q.A_numeric(m, chi, N, t_max=t_max)
         # each modulus sums exactly the n <= k coprime to D
@@ -446,6 +485,28 @@ class TestNewPlusPairing:
             q.certify_numeric(3, CHI3)
         with pytest.raises(DividesDiscriminant):
             q.certify_numeric(5, CHI15)
+
+
+class TestNumericEngineBits:
+    def test_digest_of_the_envelope_grid_and_certificates(self):
+        # Every bit of the numeric engine's values, recorded from the engine
+        # that made one bessel_j1 call per modulus: the envelope suite's 72
+        # series at its explicit caps, its (15, 269) soundness certificate and
+        # numeric-certify's six threshold-prime certificates (D = 15..31).  A
+        # change that moves any value, error bound or cap changes the digest.
+        results = []
+        for p in (7, 11, 13, 73):
+            for D in (3, 4, 15):
+                chi = q.make_character(D)
+                for m, N in ((1, p * p), (1, p), (p, p)):
+                    results.append(q.A_numeric(m, chi, N, t_max=64))
+                    results.append(q.B_numeric(m, chi, N, d_max=200))
+        assert len(results) == 72
+        results.append(q.certify_numeric(269, CHI15, t_max=96, d_max=300))
+        for D in q.fundamental_discriminants(15, 31):
+            results.append(q.certify_numeric(q.threshold_prime(D), q.make_character(D)))
+        digest = hashlib.sha256(repr(results).encode()).hexdigest()
+        assert digest == "42289e3ae4de855df54fb5b1ca52ebe1848c2c0b6fd59d5847298b15989e6ffe"
 
 
 def former_default_error(p, chi):
