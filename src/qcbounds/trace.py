@@ -44,12 +44,16 @@ per d up to a d1 chosen to minimise the total, the Weil tau-tail
 beyond).  None of these bounds depends on an evaluated term.  _model
 composes every series error bound, for the evaluators A_numeric and
 B_numeric, which report it, and for a planner (_plan), which picks
-every series' cap before anything is evaluated:
-A's t_max and B's d_max for each shape, the cheapest caps on a
-geometric ladder whose error bound is no larger than the one the former
-fixed caps reached (t_max = 240, and B at bounds.hybrid_d_cap(...,
-800)).  A caller may instead pass both t_max and d_max, which every
-shape sums as given, with no plan; exactly one of them is an error.
+every series' cap and n-cutoffs before anything is evaluated, in two
+passes.  The first sums every modulus until its n-tail falls below
+1e-15 and takes A's t_max and B's d_max for each shape, the cheapest
+caps on a geometric ladder whose error bound E0 is no larger than the
+one the former fixed caps reached (t_max = 240, and B at
+bounds.hybrid_d_cap(..., 800)).  The second lets each series' weighted
+n-tails grow to 1e-3 E0, far fewer n-terms, and plans the caps again for
+E0, so a planned error bound is never above E0.  A caller may instead
+pass both t_max and d_max, which every shape sums as given, at the 1e-15
+cutoffs, with no plan; exactly one of them is an error.
 Only the numeric path loads numpy (with bessel, kernels and bounds),
 inside the functions that use it, so a closed-form certificate starts
 without it.
@@ -57,7 +61,6 @@ without it.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from collections.abc import Callable, Sequence
@@ -72,7 +75,12 @@ if TYPE_CHECKING:
 
 _TWO_PI = 2.0 * math.pi
 _EIGHT_PI_SQ = 8.0 * math.pi**2
+# Every modulus of a series is summed until its n-tail falls below an
+# allowance: _N_TAIL_EPS at explicit caps and in the planner's first pass,
+# which fixes the target; in its second pass, a larger allowance that keeps
+# each series' weighted n-tails within _N_TAIL_SHARE of that target (_plan).
 _N_TAIL_EPS = 1e-15
+_N_TAIL_SHARE = 1e-3
 _ROUND_INFLATE = 1.0 + 1e-12
 _ROUND_DEFLATE = 1.0 - 1e-12
 _CERT_MARGIN = 1e-6
@@ -101,8 +109,9 @@ _D_TOP = 1600
 # numpy calls and cold row builds) when it made a bessel_j1 call of its
 # own.  Fitted to A_numeric/B_numeric timings on six (D, p) pairs from 3
 # to 31.  A modulus costs less now that a block of them shares one J1
-# call, but both constants are kept as they are, so that every plan, and
-# with it every cap, value and error bound, stays the same.
+# call, but both constants stay: _plan's first pass fixes the target E0
+# of its second, and with these constants it makes the plan a one-pass
+# planner made, so no planned error bound is above that plan's.
 _SALIE_TERM_COST = 8.0
 _MODULUS_COST = 10_000.0
 
@@ -169,25 +178,27 @@ class _Terms(NamedTuple):
     n_err: list[float]
 
 
-def _terms(moduli: np.ndarray, prefactors: np.ndarray, x: float) -> _Terms:
+def _terms(
+    moduli: np.ndarray, prefactors: np.ndarray, x: float, *, tail_eps: float = _N_TAIL_EPS
+) -> _Terms:
     """Each modulus's cutoff k, the smallest n >= 8 with n-tail
-    prefactor e^(-(n+1)x)/(1-e^(-x)) below 1e-15, and that tail at k, in
+    prefactor e^(-(n+1)x)/(1-e^(-x)) below tail_eps, and that tail at k, in
     array passes that round as a loop over the moduli would: astype
     truncates like int(), and cumsum adds in order like accumulate."""
     import numpy as np
 
     geom = 1.0 - math.exp(-x)
-    n = _libm(math.log, prefactors / (_N_TAIL_EPS * geom)) / x
+    n = _libm(math.log, prefactors / (tail_eps * geom)) / x
     cutoffs = np.maximum(n.astype(np.int64) + 1, 8)
     tails = prefactors * _libm(math.exp, -(cutoffs + 1) * x) / geom / moduli
     n_err = np.concatenate(([0.0], np.cumsum(tails)))
     return _Terms(moduli.tolist(), cutoffs.tolist(), n_err.tolist())
 
 
-def _a_terms(m: int, N: int, p: int, x: float, t_max: int) -> _Terms:
-    """A's moduli c = t N, t <= t_max.  tau(c) = tau(u) (j + a + 1) for
-    t = p^j u and N = p^a, with tau(u) read from a sieve: trial division
-    of c would run up to p."""
+def _a_moduli(m: int, N: int, p: int, t_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """A's moduli c = t N, t <= t_max, and their n-tail prefactors.
+    tau(c) = tau(u) (j + a + 1) for t = p^j u and N = p^a, with tau(u) read
+    from a sieve: trial division of c would run up to p."""
     import numpy as np
 
     t = np.arange(1, t_max + 1)
@@ -196,49 +207,84 @@ def _a_terms(m: int, N: int, p: int, x: float, t_max: int) -> _Terms:
         u[hit] //= p
         j[hit] += 1
     c = t * N
-    return _terms(c, _prefactors(m, c, 1.0, divisor_counts(t_max)[u] * (j + 1)), x)
+    return c, _prefactors(m, c, 1.0, divisor_counts(t_max)[u] * (j + 1))
 
 
-def _b_terms(m: int, N: int, x: float, d_max: int) -> _Terms:
+def _b_moduli(m: int, N: int, d_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """B's moduli d <= d_max coprime to N, and their n-tail prefactors."""
     import numpy as np
 
     d = np.arange(1, d_max + 1)
     d = d[np.gcd(d, N) == 1]
-    return _terms(d, _prefactors(m, d, math.sqrt(N), divisor_counts(d_max)[d]), x)
+    return d, _prefactors(m, d, math.sqrt(N), divisor_counts(d_max)[d])
 
 
-def _model(
-    kind: str, m: int, N: int, chi: QuadraticCharacter, caps: list[int]
-) -> tuple[_Terms, list[float], list[float]]:
-    """The terms of series `kind` ("A" or "B") of (m, N) up to the last of
-    the ascending `caps`, and its cost and error bound at each cap, with no
-    term evaluated: the one error model of _plan, A_numeric and B_numeric.
+class _Series(NamedTuple):
+    """What the error model knows of series `kind` ("A" or "B") of (m, N)
+    before its n-cutoffs are set: the ascending caps, the moduli up to the
+    last of them with their n-tail prefactors, the decay rate x, the cost of
+    one n-term, and at each cap the number of moduli it sums and the
+    c- or d-tail it leaves."""
 
-    The error bound is the n-tails of the moduli up to the cap plus A's
-    Weil-induced c-tail past t_max N, (2D/N) tau_tail(t_max + 1) (14 D/N,
-    A_bound's Weil branch, at t_max = 0), or B's d-tail past d_max,
-    bounds.hybrid_d_tail.  The cost counts the n-terms the series sums
-    (A's only those coprime to D, a share phi(D)/D of each cutoff;
-    A(1,p^2)'s at _SALIE_TERM_COST each) plus _MODULUS_COST a modulus."""
-    import numpy as np
+    caps: list[int]
+    moduli: np.ndarray
+    prefactors: np.ndarray
+    x: float
+    share: float
+    counts: list[int]
+    tails: list[float]
 
+
+def _series(kind: str, m: int, N: int, chi: QuadraticCharacter, caps: list[int]) -> _Series:
+    """Series `kind` of (m, N) at the ascending `caps`, before its
+    n-cutoffs.  The tails past each cap are A's Weil-induced c-tail past
+    t_max N, (2D/N) tau_tail(t_max + 1) (14 D/N, A_bound's Weil branch, at
+    t_max = 0), and B's d-tail past d_max, bounds.hybrid_d_tail.  An
+    n-term costs one unit, A's only for the n coprime to D, a share
+    phi(D)/D of each cutoff, and A(1,p^2)'s _SALIE_TERM_COST each."""
     from .bounds import hybrid_d_tail, tail_bounds
 
     D = chi.D
     x = _x(D, N)
     if kind == "A":
         p = _level_prime(N)
-        terms, share = _a_terms(m, N, p, x, caps[-1]), euler_phi(D) / D
+        moduli, prefactors = _a_moduli(m, N, p, caps[-1])
+        share = euler_phi(D) / D
         if N != p:
             share *= _SALIE_TERM_COST
         counts, tails = caps, [2.0 * D / N * tail_bounds(t + 1).tau_tail for t in caps]
     else:
-        terms, share = _b_terms(m, N, x, caps[-1]), 1.0
-        counts = [bisect.bisect_right(terms.moduli, d) for d in caps]
+        moduli, prefactors = _b_moduli(m, N, caps[-1])
+        share = 1.0
+        counts = moduli.searchsorted(caps, side="right").tolist()
         tails = [hybrid_d_tail(D, m, N, d).total for d in caps]
-    cost = np.concatenate(([0.0], np.cumsum(np.multiply(terms.cutoffs, share) + _MODULUS_COST)))
-    errors = [terms.n_err[j] + tail for j, tail in zip(counts, tails)]
-    return terms, cost[counts].tolist(), errors
+    return _Series(caps, moduli, prefactors, x, share, counts, tails)
+
+
+def _at_cutoffs(series: _Series, tail_eps: float) -> tuple[_Terms, list[float], list[float]]:
+    """The terms of `series` with every n-tail below tail_eps, and its cost
+    and error bound at each cap: the error bound is the n-tails of the
+    moduli up to the cap plus the tail past it; the cost counts the n-terms
+    the series sums plus _MODULUS_COST a modulus."""
+    import numpy as np
+
+    terms = _terms(series.moduli, series.prefactors, series.x, tail_eps=tail_eps)
+    steps = np.multiply(terms.cutoffs, series.share) + _MODULUS_COST
+    cost = np.concatenate(([0.0], np.cumsum(steps)))
+    errors = [terms.n_err[j] + tail for j, tail in zip(series.counts, series.tails)]
+    return terms, cost[series.counts].tolist(), errors
+
+
+def _model(
+    kind: str, m: int, N: int, chi: QuadraticCharacter, caps: list[int],
+    *, tail_eps: float = _N_TAIL_EPS,
+) -> tuple[_Terms, list[float], list[float]]:
+    """The terms of series `kind` ("A" or "B") of (m, N) up to the last of
+    the ascending `caps`, each modulus cut off where its n-tail drops below
+    tail_eps, and its cost and error bound at each cap, with no term
+    evaluated: the one error model of _plan, A_numeric and B_numeric (see
+    _series and _at_cutoffs)."""
+    return _at_cutoffs(_series(kind, m, N, chi, caps), tail_eps)
 
 
 def _given_caps(t_max: int | None, d_max: int | None) -> bool:
@@ -395,7 +441,7 @@ def _modulus_series(
     A and B, returned with `error`, the series' error bound.
 
     S(q) = finish(q, n, v) is summed over the grid points n <= k, k the
-    cutoff where the n-tail of modulus q drops below 1e-15, given v, the
+    cutoff _terms set for modulus q, given v, the
     weighted J1 factor w_n J1(beta(q) sqrt(n)) there.  All S(q) share one
     n-grid, coprime to D for A (see _n_grid); the J1 factors of a block of
     consecutive moduli (_blocks) come from one _weighted_j1 call, and the
@@ -414,10 +460,13 @@ def _modulus_series(
     return NumericResult(acc, error)
 
 
-def A_numeric(m: int, chi: QuadraticCharacter, N: int, *, t_max: int) -> NumericResult:
+def A_numeric(
+    m: int, chi: QuadraticCharacter, N: int, *, t_max: int, tail_eps: float = _N_TAIL_EPS
+) -> NumericResult:
     """A(m,chi,N) = sum_{N|c} S_A(c)/c over the t_max moduli c = N..t_max N,
-    each summed over the n coprime to D only (chi(n) = 0 elsewhere); the
-    error bound (_model) aggregates the n-tails and the Weil-induced c-tail
+    each summed over the n coprime to D only (chi(n) = 0 elsewhere) up to
+    the cutoff where its n-tail drops below tail_eps; the error bound
+    (_model) aggregates the n-tails and the Weil-induced c-tail
     (2D/N) (2 log(t_max+1) + 7)/sqrt(t_max+1) of the moduli beyond.
     t_max = 0 leaves A unevaluated: the value 0 and the whole c-tail
     14 D/N, which is A_bound's Weil branch.
@@ -425,16 +474,19 @@ def A_numeric(m: int, chi: QuadraticCharacter, N: int, *, t_max: int) -> Numeric
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
     p = _shape(m, N, chi)
-    terms, _, [error] = _model("A", m, N, chi, [t_max])
+    terms, _, [error] = _model("A", m, N, chi, [t_max], tail_eps=tail_eps)
     return _modulus_series(
         chi, _x(chi.D, N), terms, lambda c: _sa_beta(m, c),
         lambda c, n, v: _sa_sum(m, p, N, c, n, v), error, coprime=True,
     )
 
 
-def B_numeric(m: int, chi: QuadraticCharacter, N: int, *, d_max: int) -> NumericResult:
-    """B(m,chi,N) = sum_{(d,N)=1} S_B(d)/d over d <= d_max; each S_B(d) is
-    folded by residue mod d and dotted once with its row (_sb_sum).  The
+def B_numeric(
+    m: int, chi: QuadraticCharacter, N: int, *, d_max: int, tail_eps: float = _N_TAIL_EPS
+) -> NumericResult:
+    """B(m,chi,N) = sum_{(d,N)=1} S_B(d)/d over d <= d_max, each S_B(d) up
+    to the cutoff where its n-tail drops below tail_eps, folded by residue
+    mod d and dotted once with its row (_sb_sum).  The
     moduli beyond d_max are bounded (_model) by bounds.hybrid_d_tail: the
     Abel (Polya-Vinogradov) bound per d up to the d1 that minimises the
     total, the Weil-induced |S_B(d)| <= D sqrt(m) tau(d)/sqrt(d) beyond d1
@@ -442,7 +494,7 @@ def B_numeric(m: int, chi: QuadraticCharacter, N: int, *, d_max: int) -> Numeric
     if d_max < 1:
         raise ValueError("d_max must be >= 1")
     _shape(m, N, chi)
-    terms, _, [error] = _model("B", m, N, chi, [d_max])
+    terms, _, [error] = _model("B", m, N, chi, [d_max], tail_eps=tail_eps)
     return _modulus_series(
         chi, _x(chi.D, N), terms, lambda d: _sb_beta(m, N, d),
         lambda d, n, v: _sb_sum(m, N, d, v), error, coprime=False,
@@ -450,10 +502,12 @@ def B_numeric(m: int, chi: QuadraticCharacter, N: int, *, d_max: int) -> Numeric
 
 
 class _Plan(NamedTuple):
-    """(t_max, d_max) for each (m, N) shape, and the error bound they give."""
+    """(t_max, d_max) for each (m, N) shape, the error bound they give,
+    and the n-tail allowance per modulus of A and of B for each shape."""
 
     caps: list[tuple[int, int]]
     error: float
+    tail_eps: list[tuple[float, float]]
 
 
 def _ladder(top: int) -> list[int]:
@@ -466,41 +520,52 @@ def _ladder(top: int) -> list[int]:
     return caps + [top]
 
 
-def _plan(
+class _Ladders(NamedTuple):
+    """The planner's candidates: every series' ladder of caps (_Series, in
+    `total`'s order), the index of its former fixed cap, and its weight in
+    `total`."""
+
+    series: list[_Series]
+    former: list[int]
+    weights: list[float]
+
+
+def _ladders(
     chi: QuadraticCharacter, shapes: Sequence[tuple[int, int]],
     total: Callable[[list[float]], float],
-) -> _Plan:
-    """Caps for the A and B series of every (m, N) in `shapes`, chosen
-    before any term is evaluated.
-
-    `total` maps the series' error bounds, ordered A, B of the first
-    shape, then A, B of the next, to the reported error bound; it is
-    linear, so its value at a unit vector is that series' weight.  Every
-    series chooses from a geometric ladder of caps (A's from 0,
-    "unevaluated", to 240; B's from 1 to 1600), and the target is the
-    error bound of the former fixed caps.  The plan is the Lagrangian
-    one: each series takes the cap that minimises cost + lam * weighted
-    error, for the smallest lam whose exact total meets the target.
-    Every cap's error and cost come from _model.
-    """
-    import numpy as np
-
+) -> _Ladders:
+    """A's ladder from 0, "unevaluated", to 240 and B's from 1 to 1600 for
+    every (m, N) in `shapes`, each with the former fixed cap added."""
     from .bounds import hybrid_d_cap
 
-    ladders, costs, errs, former = [], [], [], []
+    series, former = [], []
     for m, N in shapes:
         for kind, former_cap, ladder in (
             ("A", _FORMER_T_MAX, [0, *_ladder(_T_TOP)]),
             ("B", hybrid_d_cap(chi.D, m, N, _FORMER_D_REF), _ladder(_D_TOP)),
         ):
             caps = sorted({*ladder, former_cap})
-            _, cost, err = _model(kind, m, N, chi, caps)
-            ladders.append(caps)
-            costs.append(np.array(cost))
-            errs.append(err)
+            series.append(_series(kind, m, N, chi, caps))
             former.append(caps.index(former_cap))
-    weights = [total([float(i == j) for j in range(len(errs))]) for i in range(len(errs))]
-    weighted = [w * np.array(e) for w, e in zip(weights, errs)]
+    weights = [total([float(i == j) for j in range(len(series))]) for i in range(len(series))]
+    return _Ladders(series, former, weights)
+
+
+def _pass(
+    ladders: _Ladders, total: Callable[[list[float]], float], tail_eps: list[float],
+    target: float | None = None,
+) -> _Plan | None:
+    """One planning pass, every series' moduli cut off at its allowance in
+    `tail_eps`: the Lagrangian plan, in which each series takes the cap
+    that minimises cost + lam * weighted error, for the smallest lam whose
+    exact total meets `target`; None if no lam does.  With no target it
+    aims at the former fixed caps' error, and falls back on those caps."""
+    import numpy as np
+
+    models = [_at_cutoffs(s, eps) for s, eps in zip(ladders.series, tail_eps)]
+    costs = [np.array(cost) for _, cost, _ in models]
+    errs = [err for _, _, err in models]
+    weighted = [w * np.array(e) for w, e in zip(ladders.weights, errs)]
 
     def pick(lam: float) -> list[int]:
         return [int(np.argmin(c + lam * e)) for c, e in zip(costs, weighted)]
@@ -510,14 +575,16 @@ def _plan(
 
     # A larger lam never raises a series' error.  Once lam is large enough
     # for the errors alone to decide, every series takes its least error,
-    # which is no more than at its former cap, so the upward search stops;
-    # falling back on the former caps only guards that against rounding.
-    target = error(former)
+    # so the upward search stops.  The former caps meet their own error, so
+    # only rounding could send the first pass to its fallback.
+    fallback = ladders.former if target is None else None
+    if target is None:
+        target = error(ladders.former)
     best, lo, hi = pick(0.0), 0.0, 1.0
     if error(best) > target:
         while error(pick(hi)) > target and hi < 1e60:
             lo, hi = hi, 16.0 * hi
-        best = pick(hi) if error(pick(hi)) <= target else former
+        best = pick(hi) if error(pick(hi)) <= target else fallback
         for _ in range(40):
             mid = math.sqrt(lo * hi) if lo else hi / 16.0
             idx = pick(mid)
@@ -525,8 +592,47 @@ def _plan(
                 hi, best = mid, idx
             else:
                 lo = mid
-    caps = [ladder[i] for ladder, i in zip(ladders, best)]
-    return _Plan(list(zip(caps[::2], caps[1::2])), error(best))
+    if best is None:
+        return None
+    caps = [s.caps[i] for s, i in zip(ladders.series, best)]
+    return _Plan(
+        list(zip(caps[::2], caps[1::2])), error(best), list(zip(tail_eps[::2], tail_eps[1::2]))
+    )
+
+
+def _plan(
+    chi: QuadraticCharacter, shapes: Sequence[tuple[int, int]],
+    total: Callable[[list[float]], float],
+) -> _Plan:
+    """Caps and n-cutoffs for the A and B series of every (m, N) in
+    `shapes`, chosen before any term is evaluated.
+
+    `total` maps the series' error bounds, ordered A, B of the first
+    shape, then A, B of the next, to the reported error bound; it is
+    linear, so its value at a unit vector is that series' weight.  Every
+    series chooses from a geometric ladder of caps (_ladders), and every
+    cap's error and cost come from _model.  Each of two passes (_pass) is
+    the Lagrangian plan for its target.
+
+    Pass 1 cuts every modulus off at an n-tail of _N_TAIL_EPS and aims at
+    the error bound of the former fixed caps (t_max = 240, and B at
+    bounds.hybrid_d_cap(..., 800)); its error is E0.  Pass 2 gives each
+    series an n-tail allowance per modulus,
+    eps = max(_N_TAIL_EPS, _N_TAIL_SHARE E0/(w sum 1/q)), w its weight and
+    the sum over its moduli up to its ladder's top, so that its weighted
+    n-tails stay within _N_TAIL_SHARE E0 at every cap, and plans again with
+    target E0: fewer n-terms, bought back with larger caps.  If no pass-2
+    plan meets E0, pass 1's plan is the plan.  So a plan's error is at
+    most E0.
+    """
+    ladders = _ladders(chi, shapes, total)
+    first = _pass(ladders, total, [_N_TAIL_EPS] * len(ladders.series))
+    allowances = [
+        max(_N_TAIL_EPS, _N_TAIL_SHARE * first.error / (w * float((1.0 / s.moduli).sum())))
+        for w, s in zip(ladders.weights, ladders.series)
+    ]
+    second = _pass(ladders, total, allowances, first.error)
+    return first if second is None else second
 
 
 def A_bound(m: int, chi: QuadraticCharacter, N: int) -> float:
@@ -566,13 +672,24 @@ def pairing_numeric(
     d_max: int | None = None,
 ) -> NumericResult:
     """Assemble (a_m, L_chi)_N from the A and B series, at the caller's
-    t_max and d_max or, given neither, at caps planned (_plan) before
-    either series is evaluated.  Exactly one cap is a ValueError."""
+    t_max and d_max or, given neither, at caps and n-cutoffs planned
+    (_plan) before either series is evaluated.  Exactly one cap is a
+    ValueError."""
     _shape(m, N, chi)
-    if not _given_caps(t_max, d_max):
-        [(t_max, d_max)] = _plan(chi, [(m, N)], lambda e: _pairing_error(m, N, *e)).caps
-    a = A_numeric(m, chi, N, t_max=t_max)
-    b = B_numeric(m, chi, N, d_max=d_max)
+    if _given_caps(t_max, d_max):
+        return _pairing(m, N, chi, (t_max, d_max), (_N_TAIL_EPS, _N_TAIL_EPS))
+    plan = _plan(chi, [(m, N)], lambda e: _pairing_error(m, N, *e))
+    return _pairing(m, N, chi, plan.caps[0], plan.tail_eps[0])
+
+
+def _pairing(
+    m: int, N: int, chi: QuadraticCharacter, caps: tuple[int, int], tail_eps: tuple[float, float]
+) -> NumericResult:
+    """(a_m, L_chi)_N at the caps (t_max, d_max), A's and B's moduli cut
+    off at the n-tail allowances `tail_eps`."""
+    (t_max, d_max), (a_eps, b_eps) = caps, tail_eps
+    a = A_numeric(m, chi, N, t_max=t_max, tail_eps=a_eps)
+    b = B_numeric(m, chi, N, d_max=d_max, tail_eps=b_eps)
     lead = 4.0 * math.pi * chi(m) * math.exp(-m * _x(chi.D, N))
     scale = _EIGHT_PI_SQ * math.sqrt(m)
     value = lead - scale * (a.value + chi(N) / math.sqrt(N) * b.value)
@@ -597,8 +714,9 @@ def _new_plus_error(p: int, e1: float, e2: float, e3: float) -> float:
     return e1 + p / w * e2 + e3 / w
 
 
-def _new_plus_plan(p: int, chi: QuadraticCharacter) -> _Plan:
-    """The caps of the six series of the new-plus pairing at p."""
+def _new_plus_total(p: int) -> Callable[[list[float]], float]:
+    """The new-plus pairing's error bound from its six series' bounds,
+    ordered A, B of (1, p^2), then of (1, p), then of (p, p)."""
     shapes = _new_plus_shapes(p)
 
     def total(e: list[float]) -> float:
@@ -606,7 +724,12 @@ def _new_plus_plan(p: int, chi: QuadraticCharacter) -> _Plan:
             _pairing_error(m, N, e[2 * i], e[2 * i + 1]) for i, (m, N) in enumerate(shapes)
         ))
 
-    return _plan(chi, shapes, total)
+    return total
+
+
+def _new_plus_plan(p: int, chi: QuadraticCharacter) -> _Plan:
+    """The caps and n-cutoffs of the six series of the new-plus pairing at p."""
+    return _plan(chi, _new_plus_shapes(p), _new_plus_total(p))
 
 
 @dataclass(frozen=True)
@@ -711,8 +834,9 @@ def certify_numeric(
 
     minus its truncation error bound, divided by 4 pi.
 
-    Explicit t_max and d_max serve all three pairings; given neither, the
-    caps of the six series are planned together (_plan).  Exactly one cap
+    Explicit t_max and d_max serve all three pairings, every modulus cut
+    off at an n-tail of _N_TAIL_EPS; given neither, the caps and n-cutoffs
+    of the six series are planned together (_plan).  Exactly one cap
     is a ValueError.  Besides value and error_bound, the components name
     the t_max and d_max used for each shape and split B(1,p^2)'s d-tail
     into its Abel and Weil parts, both in units of error_bound (8 pi^2/p
@@ -720,11 +844,14 @@ def certify_numeric(
     from .bounds import hybrid_d_tail
 
     _check_certify_args(p, chi)
-    caps = [(t_max, d_max)] * 3 if _given_caps(t_max, d_max) else _new_plus_plan(p, chi).caps
+    if _given_caps(t_max, d_max):
+        caps, tail_eps = [(t_max, d_max)] * 3, [(_N_TAIL_EPS, _N_TAIL_EPS)] * 3
+    else:
+        caps, _, tail_eps = _new_plus_plan(p, chi)
     w = p * p - 1
     p1, p2, p3 = (
-        pairing_numeric(m, N, chi, t_max=t, d_max=d)
-        for (m, N), (t, d) in zip(_new_plus_shapes(p), caps)
+        _pairing(m, N, chi, shape_caps, eps)
+        for (m, N), shape_caps, eps in zip(_new_plus_shapes(p), caps, tail_eps)
     )
     value = p1.value - p / w * p2.value + chi(p) / w * p3.value
     error = _new_plus_error(p, p1.error_bound, p2.error_bound, p3.error_bound)

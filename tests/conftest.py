@@ -25,10 +25,10 @@ def sb_prefactor(m, d, N, tau):
     return trace._TWO_PI * math.sqrt(m) / (d * math.sqrt(N)) * g * tau * math.sqrt(d)
 
 
-def n_cutoff(prefactor, x):
-    """Smallest n >= 8 with prefactor * e^(-(n+1)x)/(1-e^(-x)) below 1e-15."""
+def n_cutoff(prefactor, x, eps=trace._N_TAIL_EPS):
+    """Smallest n >= 8 with prefactor * e^(-(n+1)x)/(1-e^(-x)) below eps."""
     geom = 1.0 - math.exp(-x)
-    n = math.log(prefactor / (trace._N_TAIL_EPS * geom)) / x
+    n = math.log(prefactor / (eps * geom)) / x
     return max(8, int(n) + 1)
 
 

@@ -132,11 +132,21 @@ def test_criterion_10_displayed_constants():
 
 
 def test_criterion_11_numeric_certificates_at_planned_caps():
-    with criterion(11, "numeric certificates at planned caps for 15 <= D <= 31", 5):
+    with criterion(11, "numeric certificates at planned caps for 15 <= D <= 31", 2):
         for D in q.fundamental_discriminants(15, 31):
             p = q.threshold_prime(D)
             cert = q.certify_numeric(p, q.make_character(D))
             assert cert.verdict == "certified-positive", (D, p, cert.lower_bound)
+
+
+def test_criterion_13_numeric_certificates_at_large_D():
+    # Error bounds at most those of the planner's first pass alone, which
+    # took 2.2 s at (199, 997) and 5.6 s at (403, 1361).
+    with criterion(13, "numeric certificates at planned caps for D = 199, 403", 3):
+        for D, p, error_bound in ((199, 997, 2.999082329967335), (403, 1361, 2.976982671148353)):
+            cert = q.certify_numeric(p, q.make_character(D))
+            assert cert.verdict == "certified-positive", (D, p, cert.lower_bound)
+            assert cert.components["error_bound"] <= error_bound, (D, p)
 
 
 def test_criterion_12_envelope():

@@ -285,7 +285,8 @@ class TestNumericSeries:
         b_numeric = trace.B_numeric
         monkeypatch.setattr(
             trace, "B_numeric",
-            lambda m, chi, N, *, d_max: seen.append(d_max) or b_numeric(m, chi, N, d_max=d_max),
+            lambda m, chi, N, *, d_max, tail_eps=trace._N_TAIL_EPS: seen.append(d_max)
+            or b_numeric(m, chi, N, d_max=d_max, tail_eps=tail_eps),
         )
         q.pairing_numeric(m, N, CHI15)
         q.pairing_numeric(m, N, CHI15, t_max=4, d_max=9)
@@ -449,14 +450,18 @@ class TestNewPlusPairing:
         assert cert.lower_bound == 0.8196119448129785
 
     def test_frozen_default_certificate_31_431(self):
-        # The planned caps leave A(1,p^2) unevaluated and take B(1,p^2) to
-        # d = 34.  The former fixed caps (t_max = 240, B(1,p^2) at d = 1)
-        # gave error 3.339114662497137 and lower bound 0.7317691238413886.
+        # The planned caps sum A(1,p^2) to t = 3 and B(1,p^2) to d = 53, at
+        # the n-cutoffs of the plan's second pass.  Its first pass alone
+        # left A(1,p^2) unevaluated and took B(1,p^2) to d = 34: value
+        # 12.540268134552237, error 3.334994162684036, lower bound
+        # 0.7325324275689945.  The former fixed caps (t_max = 240, B(1,p^2)
+        # at d = 1) gave error 3.339114662497137 and lower bound
+        # 0.7317691238413886.
         cert = q.certify_numeric(431, q.make_character(31))
-        assert cert.components["value"] == 12.540268134552237
-        assert cert.components["error_bound"] == 3.334994162684036
-        assert cert.components["error_bound"] <= 3.339114662497137
-        assert cert.lower_bound == 0.7325324275689945
+        assert cert.components["value"] == 12.53950537749631
+        assert cert.components["error_bound"] == 3.3233061820560654
+        assert cert.components["error_bound"] <= 3.334994162684036
+        assert cert.lower_bound == 0.7334018292369319
         assert cert.verdict == "certified-positive"
 
     def test_numeric_certificate_reports_its_caps(self):
@@ -466,17 +471,20 @@ class TestNewPlusPairing:
             ("A(1,p^2)", "t_max"), ("B(1,p^2)", "d_max"), ("A(1,p)", "t_max"),
             ("B(1,p)", "d_max"), ("A(p,p)", "t_max"), ("B(p,p)", "d_max"),
         )]
-        assert caps == [5, 146, 38, 184, 3, 184]  # 240, 27, 240, 800, 240, 800 before
-        assert comp["B(1,p^2) abel_tail"] == 1.6252178989802963
+        # [5, 146, 38, 184, 3, 184] at the first pass's n-cutoffs alone;
+        # [240, 27, 240, 800, 240, 800] at the former fixed caps
+        assert caps == [14, 206, 27, 131, 1, 131]
+        assert comp["B(1,p^2) abel_tail"] == 1.519256194464934  # 1.6252178989802963
         assert comp["B(1,p^2) weil_tail"] == 1.0546810747957827
         # the parts are B(1,p^2)'s d-tail in units of error_bound
-        tail = q.hybrid_d_tail(15, 1, 271**2, 146)
+        tail = q.hybrid_d_tail(15, 1, 271**2, 206)
         scale = 8 * math.pi**2 / 271
         assert comp["B(1,p^2) abel_tail"] == pytest.approx(scale * tail.abel, rel=1e-15)
         assert comp["B(1,p^2) weil_tail"] == pytest.approx(scale * tail.weil, rel=1e-15)
-        assert comp["error_bound"] == 3.583658468594206
+        assert comp["error_bound"] == 3.55915266403307
+        assert comp["error_bound"] <= 3.583658468594206  # the first pass alone
         assert comp["error_bound"] <= 3.6021287676857296  # the former fixed caps
-        assert comp["value"] == 12.519017497555447
+        assert comp["value"] == 12.518980276352291  # 12.519017497555447
 
     def test_guards(self):
         with pytest.raises(NotPrime):
@@ -488,12 +496,12 @@ class TestNewPlusPairing:
 
 
 class TestNumericEngineBits:
-    def test_digest_of_the_envelope_grid_and_certificates(self):
-        # Every bit of the numeric engine's values, recorded from the engine
-        # that made one bessel_j1 call per modulus: the envelope suite's 72
-        # series at its explicit caps, its (15, 269) soundness certificate and
-        # numeric-certify's six threshold-prime certificates (D = 15..31).  A
-        # change that moves any value, error bound or cap changes the digest.
+    def test_digest_of_the_envelope_grid_at_explicit_caps(self):
+        # Every bit of the numeric engine's values at explicit caps, recorded
+        # from the engine that made one bessel_j1 call per modulus: the
+        # envelope suite's 72 series at its explicit caps and its (15, 269)
+        # soundness certificate.  A change that moves any value or error
+        # bound changes the digest.
         results = []
         for p in (7, 11, 13, 73):
             for D in (3, 4, 15):
@@ -503,10 +511,28 @@ class TestNumericEngineBits:
                     results.append(q.B_numeric(m, chi, N, d_max=200))
         assert len(results) == 72
         results.append(q.certify_numeric(269, CHI15, t_max=96, d_max=300))
-        for D in q.fundamental_discriminants(15, 31):
-            results.append(q.certify_numeric(q.threshold_prime(D), q.make_character(D)))
         digest = hashlib.sha256(repr(results).encode()).hexdigest()
-        assert digest == "42289e3ae4de855df54fb5b1ca52ebe1848c2c0b6fd59d5847298b15989e6ffe"
+        assert digest == "4d50687b1d4de99b09e53970c2937361401d6ff22577a35836b65b3173e38761"
+
+    def test_digest_of_the_planned_threshold_certificates(self):
+        # numeric-certify's six threshold-prime certificates (D = 15..31) at
+        # planned caps and n-cutoffs.  The planner's first pass alone reaches
+        # the error bounds on the right, those of the one-pass planner, bit
+        # for bit, and each certificate's error bound is at most that.
+        first_pass = {
+            15: 3.6267015370612476, 19: 3.904078030135388, 20: 4.039434293047243,
+            23: 3.9046998035514098, 24: 4.1726108614684225, 31: 3.6426455229906134,
+        }
+        results = []
+        for D in q.fundamental_discriminants(15, 31):
+            p, chi = q.threshold_prime(D), q.make_character(D)
+            total = trace._new_plus_total(p)
+            ladders = trace._ladders(chi, trace._new_plus_shapes(p), total)
+            assert trace._pass(ladders, total, [trace._N_TAIL_EPS] * 6).error == first_pass[D]
+            results.append(q.certify_numeric(p, chi))
+            assert results[-1].components["error_bound"] <= first_pass[D]
+        digest = hashlib.sha256(repr(results).encode()).hexdigest()
+        assert digest == "5adacc5216a88bc19d21362b8313ae7028e74beb93a5f6d1f817219b20a48325"
 
 
 def former_default_error(p, chi):
@@ -569,13 +595,15 @@ class TestPlanner:
         assert caps == plan.caps
 
     @pytest.mark.parametrize("D, p", [(3, 73), (15, 271), (31, 431)])
-    def test_model_is_a_scalar_loop_bit_for_bit(self, D, p):
-        # _model's array passes against one pass of scalar math per modulus
+    @pytest.mark.parametrize("eps", [trace._N_TAIL_EPS, 1e-4])
+    def test_model_is_a_scalar_loop_bit_for_bit(self, D, p, eps):
+        # _model's array passes against one pass of scalar math per modulus,
+        # at the default n-tail allowance and at one a planner might give
         chi = q.make_character(D)
         for m, N in ((1, p * p), (1, p), (p, p)):
             x = trace._x(D, N)
             for kind, caps in (("A", [0, 7, 240]), ("B", [1, 7, 1600])):
-                terms, cost, _ = trace._model(kind, m, N, chi, caps)
+                terms, cost, _ = trace._model(kind, m, N, chi, caps, tail_eps=eps)
                 if kind == "A":
                     moduli = list(range(N, 241 * N, N))
                     f = [sa_prefactor(m, c, q.divisor_count(c)) for c in moduli]
@@ -584,7 +612,7 @@ class TestPlanner:
                     moduli = [d for d in range(1, 1601) if math.gcd(d, N) == 1]
                     f = [sb_prefactor(m, d, N, q.divisor_count(d)) for d in moduli]
                     share = 1.0
-                cutoffs = [n_cutoff(v, x) for v in f]
+                cutoffs = [n_cutoff(v, x, eps) for v in f]
                 tails = (n_tail(v, x, k) / c for v, k, c in zip(f, cutoffs, moduli))
                 n_err = list(itertools.accumulate(tails, initial=0.0))
                 assert repr(terms) == repr(trace._Terms(moduli, cutoffs, n_err))
@@ -592,13 +620,65 @@ class TestPlanner:
                 counts = caps if kind == "A" else [bisect.bisect_right(moduli, d) for d in caps]
                 assert repr(cost) == repr([acc[j] for j in counts])
 
+    @given(near_threshold())
+    @settings(max_examples=25, deadline=None)
+    def test_second_pass_never_looser_than_the_first(self, case):
+        # The plan's error is at most E0, the first pass's, and each
+        # series' n-tails, weighted as in the total, stay within 1e-3 E0
+        # unless its allowance is the 1e-15 floor.
+        D, p = case
+        chi = q.make_character(D)
+        shapes, total = trace._new_plus_shapes(p), trace._new_plus_total(p)
+        ladders = trace._ladders(chi, shapes, total)
+        e0 = trace._pass(ladders, total, [trace._N_TAIL_EPS] * 6).error
+        assert e0 <= former_default_error(p, chi)
+        plan = trace._new_plus_plan(p, chi)
+        assert plan.error <= e0
+        weights = iter(ladders.weights)
+        for (m, N), caps, allowances in zip(shapes, plan.caps, plan.tail_eps):
+            for kind, cap, eps in zip("AB", caps, allowances):
+                terms, _, _ = trace._model(kind, m, N, chi, [cap], tail_eps=eps)
+                assert eps >= trace._N_TAIL_EPS
+                assert next(weights) * terms.n_err[-1] <= 1e-3 * e0 or eps == trace._N_TAIL_EPS
+
+    @pytest.mark.parametrize("D, p", [(3, 73), (15, 271), (31, 431)])
+    def test_budgeted_cutoffs_stay_within_their_n_tails(self, D, p):
+        # Every planned series summed to its budgeted n-cutoffs against the
+        # same series at the 1e-15 cutoffs: they differ by the terms between
+        # the two, which the n-tail majorants at the budgeted cutoffs bound,
+        # plus a rounding allowance of 1e-12 (1 + |value|).  Those majorants
+        # reach 1e-2 to 5 here, against 1e-14 at the 1e-15 cutoffs.
+        chi = q.make_character(D)
+        plan = trace._new_plus_plan(p, chi)
+        shifted = 0
+        for (m, N), (t, d), (a_eps, b_eps) in zip(
+            trace._new_plus_shapes(p), plan.caps, plan.tail_eps
+        ):
+            for kind, fn, caps, eps in (
+                ("A", q.A_numeric, {"t_max": t}, a_eps), ("B", q.B_numeric, {"d_max": d}, b_eps),
+            ):
+                budgeted = fn(m, chi, N, **caps, tail_eps=eps)
+                full = fn(m, chi, N, **caps)
+                terms, _, _ = trace._model(kind, m, N, chi, [*caps.values()], tail_eps=eps)
+                gap = abs(budgeted.value - full.value)
+                assert gap <= terms.n_err[-1] + 1e-12 * (1.0 + abs(full.value))
+                shifted += gap > 0
+        assert shifted >= 5
+
     def test_bare_pairing_is_planned(self):
+        # the plan's caps and n-cutoffs; the first pass alone planned
+        # (184, 898), value 8.281437126069491, error 60.643164297943365
         m, N = 1, 271
         plan = trace._plan(CHI15, [(m, N)], lambda e: trace._pairing_error(m, N, *e))
-        [(t, d)] = plan.caps
+        [(t, d)], [(a_eps, b_eps)] = plan.caps, plan.tail_eps
         res = q.pairing_numeric(m, N, CHI15)
         assert res.error_bound == plan.error
-        assert res == q.pairing_numeric(m, N, CHI15, t_max=t, d_max=d)
+        a = q.A_numeric(m, CHI15, N, t_max=t, tail_eps=a_eps)
+        b = q.B_numeric(m, CHI15, N, d_max=d, tail_eps=b_eps)
+        lead = 4 * math.pi * math.exp(-trace._x(15, N))
+        value = lead - 8 * math.pi**2 * (a.value + CHI15(N) / math.sqrt(N) * b.value)
+        assert res == (value, trace._pairing_error(m, N, a.error_bound, b.error_bound))
+        assert res.error_bound <= 60.643164297943365
         assert res.error_bound <= q.pairing_numeric(m, N, CHI15, t_max=240, d_max=800).error_bound
 
     def test_explicit_caps_skip_the_planner(self, monkeypatch):
