@@ -94,8 +94,11 @@ def _emit(args, result, certified=None, mode=None, elapsed_ms: int = 0,
         text = _to_json(record)
         _print(text)
         if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
+            try:
+                with open(args.out, "w") as fh:
+                    fh.write(text + "\n")
+            except OSError as exc:  # main reports it and exits 2, not 1 (certified-false)
+                raise ValueError(f"cannot write --out {args.out}: {exc.strerror or exc}") from exc
     elif not args.quiet:
         _print(f"{args.command}: {result}")
         if certified is not None:

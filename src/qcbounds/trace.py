@@ -18,12 +18,14 @@ supported: (m, N) = (1, p^2), (1, p) and (p, p).  A and B share one
 accumulator over their moduli (_modulus_series), and every S_A and S_B
 takes its weighted J1 factor w_n J1(beta sqrt(n)), w_n = chi(n)/sqrt(n)
 e^(-nx) and beta = 4 pi sqrt(m)/c (or /(d sqrt(N))), from _weighted_j1:
-one segmented bessel_j1 call per block of consecutive moduli whose
-cutoffs sum to at most _BLOCK (a longer cutoff is a block of its own),
-on a shared n-grid, the moduli's arguments and values side by side in
-the grid's own buffers.  So a certificate pays numpy's fixed cost per
-call once a block, not once a modulus, and allocates no k-long array
-per modulus; each value is bit for bit what a call per modulus gives.
+one bessel_j1 call per block of consecutive moduli whose cutoffs sum
+to at most _BLOCK (a longer cutoff is a block of its own), on a shared
+n-grid, the moduli's arguments and values side by side in the grid's
+own buffers.  So a certificate pays numpy's fixed cost per call once a
+block, not once a modulus, and allocates no k-long array per modulus.
+The call runs J1's series at the block's depth, at least each modulus's
+own; that each value is bit for bit what a call per modulus gives is
+measured on every pinned output and reference, not proven.
 A's grid holds only the n coprime to D, where chi(n) != 0; B's holds
 every n (see _n_grid).
 
@@ -103,15 +105,15 @@ _LADDER_RATIO = 1.12
 _T_TOP = 240
 _D_TOP = 1600
 # The planner's cost model, in units of one n-term of a series (about
-# 11 ns on a 2-CPU VM, J1 and its Kloosterman factor included): an A(1,p^2)
-# term, whose Kloosterman factor takes the per-term closed form, costs
-# about 90 ns; one modulus cost about 100-150 us beyond its terms (its
-# numpy calls and cold row builds) when it made a bessel_j1 call of its
-# own.  Fitted to A_numeric/B_numeric timings on six (D, p) pairs from 3
-# to 31.  A modulus costs less now that a block of them shares one J1
-# call, but both constants stay: _plan's first pass fixes the target E0
-# of its second, and with these constants it makes the plan a one-pass
-# planner made, so no planned error bound is above that plan's.
+# 8-11 ns on a 2-CPU VM, J1 and its Kloosterman factor included): an
+# A(1,p^2) term, whose Kloosterman factor takes the per-term closed form,
+# costs about 90 ns.  A modulus costs 41-52 us beyond its terms (its numpy
+# calls and cold row builds, J1 shared by its block), 4,500-5,200 units
+# in a least-squares fit to A_numeric/B_numeric timings at six (D, p)
+# from (3, 73) to (31, 431); _MODULUS_COST charges twice that.  Both
+# constants are kept only because _plan's first pass fixes the target E0
+# of its second: with them it makes the plan a one-pass planner made, so
+# no planned error bound is above that plan's (ROADMAP E17).
 _SALIE_TERM_COST = 8.0
 _MODULUS_COST = 10_000.0
 
@@ -362,7 +364,10 @@ def _weighted_j1(grid: _NGrid, betas: list[float], counts: list[int]) -> list[np
     (beta, k) of a block of moduli, in one bessel_j1 call: the arguments
     and values of the moduli lie side by side in grid.x and grid.j1, and
     each modulus gets a view of its own values, valid until the next
-    block."""
+    block.  The call runs J1's series at the depth of the block's largest
+    argument below 12, at least each modulus's own; that a modulus's
+    values equal those of a block of its own, bit for bit, is measured on
+    every pinned output and reference, not proven (see bessel)."""
     # These helpers run once per modulus or block, so they import modules,
     # not names: `from .bessel import bessel_j1` costs about 2 us a call;
     # `from . import bessel` costs half.
@@ -373,7 +378,7 @@ def _weighted_j1(grid: _NGrid, betas: list[float], counts: list[int]) -> list[np
     ends = list(itertools.accumulate(counts))
     for beta, k, end in zip(betas, counts, ends):
         np.multiply(grid.root[:k], beta, out=grid.x[end - k:end])
-    bessel.bessel_j1(grid.x[: ends[-1]], out=grid.j1[: ends[-1]], ends=ends)
+    bessel.bessel_j1(grid.x[: ends[-1]], out=grid.j1[: ends[-1]])
     views = []
     for k, end in zip(counts, ends):
         v = grid.j1[end - k:end]
@@ -399,18 +404,6 @@ def _sa_sum(m: int, p: int, N: int, c: int, n: np.ndarray, v: np.ndarray) -> flo
 
     v *= kernels.series_kloosterman(m, p, N, c // N, n)
     return float(v.sum())
-
-
-def _sa_partial(m: int, p: int, N: int, c: int, grid: _NGrid, k: int) -> float:
-    """S_A(c) summed over the first k n of the grid: a block of one."""
-    [v] = _weighted_j1(grid, [_sa_beta(m, c)], [k])
-    return _sa_sum(m, p, N, c, grid.n[:k], v)
-
-
-def _sb_partial(m: int, N: int, d: int, grid: _NGrid, k: int) -> float:
-    """S_B(d) summed over n <= k: a block of one."""
-    [v] = _weighted_j1(grid, [_sb_beta(m, N, d)], [k])
-    return _sb_sum(m, N, d, v)
 
 
 def _sb_sum(m: int, N: int, d: int, v: np.ndarray) -> float:

@@ -56,11 +56,22 @@ def test_absolute_error_on_0_1000():
         assert bessel_j1(float(x)) == pytest.approx(float(mpmath.besselj(1, float(x))), abs=1e-12)
 
 
+# J1's first three positive zeros, to double precision
+_ZEROS = (3.8317059702075125, 7.015586669815619, 10.173468135062722)
+
+
 def test_array_and_scalar_agree():
-    xs = np.linspace(0.0, 40.0, 101)
-    arr = bessel_j1(xs)
-    for i, x in enumerate(xs):
-        assert arr[i] == bessel_j1(float(x))
+    # one call runs the series at the depth of its largest argument below
+    # 12; joined with 11.99, each array runs deeper than any of its scalar
+    # calls, as a block of the series engine's moduli does
+    for xs in (
+        np.linspace(0.0, 40.0, 101),
+        np.geomspace(1e-4, 1e-2, 200, endpoint=False),
+        np.concatenate([z + np.linspace(-1e-9, 1e-9, 41) for z in _ZEROS]),
+    ):
+        for arr in (xs, np.append(xs, 11.99)):
+            got = bessel_j1(arr)
+            assert all(got[i] == bessel_j1(float(x)) for i, x in enumerate(arr))
 
 
 def test_all_small_array_path():
@@ -165,7 +176,8 @@ def test_both_sides_of_crossover_against_mpmath():
 
 
 # A segment is a list of floats in [0, 1) scaled to one of these tops: tiny
-# (shallow series), deep series, straddling the crossover, past it.
+# (shallow series), deep series, straddling the crossover, past it.  Joined,
+# the segments make one call, as a block of the series engine's moduli does.
 _TOPS = (0.01, 1.0, 11.99, 40.0, 5e3)
 segments = st.lists(
     st.tuples(st.sampled_from(_TOPS), st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=30)),
@@ -174,9 +186,7 @@ segments = st.lists(
 
 
 def _joined(segs):
-    x = np.array([v for seg in segs for v in seg], dtype=np.float64)
-    ends = [int(e) for e in np.cumsum([len(seg) for seg in segs])]
-    return x, ends
+    return np.array([v for seg in segs for v in seg], dtype=np.float64)
 
 
 # empty segments, an unsorted segment straddling 12, an all-Hankel one, and
@@ -192,9 +202,10 @@ MIXED = [[], [11.5, 0.3, 40.0, 7.0], [3000.0, 12.0, 25.0], [], [0.01, 0.002],
 @example([[], []])
 @example([[5e3, 12.0], [0.0, 0.0], [11.999999]])
 def test_segments_equal_their_own_calls(segs):
-    x, ends = _joined(segs)
+    # the joined call runs each segment at the depth of its largest series
+    # argument, at least the segment's own
     alone = [v for seg in segs for v in bessel_j1(np.array(seg, dtype=np.float64)).tolist()]
-    assert repr(bessel_j1(x, ends=ends).tolist()) == repr(alone)
+    assert repr(bessel_j1(_joined(segs)).tolist()) == repr(alone)
 
 
 def test_mixed_example_covers_each_kind_of_segment():
@@ -208,12 +219,12 @@ def test_mixed_example_covers_each_kind_of_segment():
 
 
 def test_segments_fill_out_which_may_be_x():
-    x, ends = _joined(MIXED)
-    expected = bessel_j1(x, ends=ends)
+    x = _joined(MIXED)
+    expected = bessel_j1(x)
     out = np.full(x.shape, np.nan)
-    assert bessel_j1(x, out=out, ends=ends) is out
+    assert bessel_j1(x, out=out) is out
     assert np.array_equal(out, expected)
-    assert bessel_j1(x, out=x, ends=ends) is x
+    assert bessel_j1(x, out=x) is x
     assert np.array_equal(x, expected)
 
 
@@ -222,19 +233,7 @@ def test_segments_fill_out_which_may_be_x():
 def test_bad_argument_in_any_segment_rejected(segment, bad):
     segs = [list(seg) for seg in MIXED]
     segs[segment] = segs[segment] + [bad]
-    x, ends = _joined(segs)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError):
-            bessel_j1(x, ends=ends)
-
-
-@pytest.mark.parametrize("x, ends", [
-    (np.ones(4), [1, 3]),  # stops short of len(x)
-    (np.ones(4), [3, 1, 4]),  # falls
-    (np.ones(4), [5]),  # runs past len(x)
-    (np.ones((2, 2)), [2, 4]),  # not 1-D
-])
-def test_ends_that_do_not_split_x_rejected(x, ends):
-    with pytest.raises(ValueError):
-        bessel_j1(x, ends=ends)
+            bessel_j1(_joined(segs))

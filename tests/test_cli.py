@@ -107,6 +107,30 @@ class TestExitCodes:
         assert captured.out == ""
         assert not path.exists()
 
+    @pytest.mark.parametrize("where, reason", [
+        ("a directory", "Is a directory"),
+        ("a missing parent", "No such file or directory"),
+        ("a file as parent", "Not a directory"),
+    ])
+    def test_out_unwritable_exits_two(self, where, reason, tmp_path, capsys):
+        # an --out PATH that cannot be written is an input error (2), not a
+        # certified-false verdict (1); the record already on stdout stays
+        (tmp_path / "file").write_text("")
+        path = {"a directory": tmp_path, "a missing parent": tmp_path / "missing" / "o.json",
+                "a file as parent": tmp_path / "file" / "o.json"}[where]
+        assert main(["thresholds", "--disc", "15", "--json", "--out", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write --out {path}: {reason}\n"
+        assert json.loads(captured.out)["command"] == "thresholds"
+
+    def test_input_error_is_not_masked_by_an_unwritable_out(self, tmp_path, capsys):
+        # only the write of the record is caught: a command that fails on
+        # its input reports that, and never reaches --out
+        assert main(["runge-bound", "--prime", "4", "--json", "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: 4 is not prime\n"
+        assert captured.out == ""
+
     def test_threads_option_removed(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "trig", "--threads", "2", "--quiet"])

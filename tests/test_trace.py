@@ -110,14 +110,13 @@ class TestWeightedJ1:
 
     def test_one_bessel_j1_call_per_block(self, monkeypatch):
         # bench/tracer.py counts a series' terms by its direct bessel_j1
-        # calls, which are blocks of moduli; the segments of the calls are
-        # the moduli's cutoffs on the grid, in order, so every term of every
-        # modulus is evaluated exactly once
+        # calls, which are blocks of moduli; their sizes sum to the moduli's
+        # cutoffs on the grid, so every term of every modulus is evaluated
+        # exactly once
         calls = []
         j1 = bessel.bessel_j1
         monkeypatch.setattr(
-            bessel, "bessel_j1",
-            lambda x, out=None, ends=None: calls.append((x.size, ends)) or j1(x, out=out, ends=ends),
+            bessel, "bessel_j1", lambda x, out=None: calls.append(x.size) or j1(x, out=out),
         )
         for kind, cap, moduli in (("A", 5, 5), ("B", 10, 9)):  # B: d = 1..10 without 7
             calls.clear()
@@ -129,9 +128,8 @@ class TestWeightedJ1:
             counts = [k - k // 3 if kind == "A" else k for k in terms.cutoffs]
             assert len(counts) == moduli
             assert len(calls) == len(trace._blocks(counts))
-            assert sum(size for size, _ in calls) == sum(counts)
-            segments = [b - a for _, ends in calls for a, b in zip([0, *ends], ends)]
-            assert segments == counts
+            assert sum(calls) == sum(counts)
+            assert calls == [sum(counts[lo:hi]) for lo, hi in trace._blocks(counts)]
 
     @pytest.mark.parametrize("counts, runs", [
         ([], []),
