@@ -160,6 +160,8 @@ def _cmd_pairing(args) -> int:
 
 def _cmd_threshold(args) -> int:
     from . import isogeny
+    from .arith import make_character
+    make_character(args.disc)  # the same check of D as every other command taking one
     _emit(args, {"nonsplit_threshold": isogeny.nonsplit_threshold(args.disc)})
     return 0
 

@@ -4,9 +4,9 @@ Everything here is elementary arithmetic on the explicit constants: the
 Faltings-height/j-height comparison h_F <= h(j)/12 + 2.38, the effective
 surjectivity bound 10^7 [K:Q]^2 (max(h_F, 985) + 4 log[K:Q])^2 and its
 product form over Borel/Cartan prime sets, the per-case degree-weighted
-corollaries, and the final four thresholds together with the sweep that
-confirms the round numbers dominate the sharp Runge-plus-isogeny
-contradiction.
+corollaries, the final four thresholds, and the sharp Runge-plus-isogeny
+contradiction that the round numbers dominate, in closed form for every
+degree (the lemma in contradiction_search).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import math
 from typing import Iterable, NamedTuple
 
 from .arith import is_fundamental_negative, next_prime
-from .errors import DomainError, NotFundamental
+from .errors import NotFundamental
 
 SERRE_CONSTANT = 1e7
 HEIGHT_FLOOR = 985.0
@@ -129,29 +129,34 @@ class ContradictionSweep(NamedTuple):
     argmax_d: int
 
 
-def contradiction_search(case: str, d_limit: int = 10**6) -> ContradictionSweep:
-    """Largest prime p compatible with the Runge and isogeny bounds.
+def contradiction_search(case: str) -> ContradictionSweep:
+    """Largest prime p compatible with the Runge and isogeny bounds, over
+    every degree surrogate d >= 2.
 
-    For each degree surrogate 2 <= d <= d_limit with smallest prime factor
-    d0, the Runge bound gives h_F <= (2 pi sqrt(d0) + 6 log d0 + 8)/12 + 3
-    (the proof rounds 2.38 up to 3); the isogeny corollary at [K:Q] = 2
-    then caps d*p (Borel) or d*p^2 (Cartan).  Returns the supremum over d
-    of the implied maximal p; all d count, not just squarefree ones, which
-    only strengthens the check.  The height bound increases with
-    d0 <= d_limit; while it stays at or below HEIGHT_FLOOR at d_limit, the
-    floor replaces it for every d, and the allowed p, bound/d or
-    sqrt(bound/d), is largest at d = 2.  Past d_limit = 3458970 that
-    closed form no longer holds: DomainError.
+    Let d0 be the smallest prime factor of d.  The Runge bound gives
+    h_F <= h(d0) = runge_j_bound(d0)/12 + 3 = (2 pi sqrt(d0) + 6 log d0
+    + 8)/12 + 3 (the proof rounds 2.38 up to 3); the isogeny corollary at
+    [K:Q] = 2 then caps d*p by B(h) = 4*10^7 (max(h, 985) + 4 log 2)^2
+    (Borel) or d*p^2 by C(h) = 16*10^7 (max(h, 985) + 4 log 4)^2
+    (Cartan).  All d count, not just squarefree ones, which only
+    strengthens the check.
+
+    Lemma: the allowed p is largest at d = 2, where it is B(985)/2 or
+    sqrt(C(985)/2).  Proof: h rises with d0, and h(3458970) = 984.99995
+    < 985 < h(3458971) = 985.00009.
+    - d0 <= 3458970: max(h, 985) = 985, and the allowed p, B/d or
+      sqrt(C/d), is largest at d = 2.
+    - d0 > 3458970: as d >= d0, p <= B(h(d0))/d0 = 4*10^7 ((h + c)/sqrt(d0))^2
+      with c = 4 log 2, or p <= sqrt(C(h(d0))/d0) = sqrt(16*10^7)
+      (h + c)/sqrt(d0) with c = 4 log 4, where
+      (h + c)/sqrt(d0) = pi/6 + (log(d0)/2 + 11/3 + c)/sqrt(d0).  For
+      x >= 1, (a log x + b)/sqrt(x) decreases when b > 2a, so both bounds
+      fall in d0 from their values at d0 = 3458971, 1.128*10^7 (Borel)
+      and 6.74*10^3 (Cartan), far below the d = 2 values.  As d0 grows
+      the Borel bound tends to 4*10^7 pi^2/36 = 1.097*10^7.
     """
     if case not in ("borel", "cartan"):
         raise ValueError("case must be 'borel' or 'cartan'")
-    if d_limit < 2:
-        raise DomainError(f"d_limit must be >= 2 (got {d_limit})")
-    h_max = (2.0 * math.pi * math.sqrt(d_limit) + 6.0 * math.log(d_limit) + 8.0) / 12.0 + 3.0
-    if h_max > HEIGHT_FLOOR:
-        raise DomainError(
-            f"the Runge height bound exceeds {HEIGHT_FLOOR} at d_limit = {d_limit}"
-        )
     bounds = qcurve_case_bounds(2, HEIGHT_FLOOR)
     if case == "borel":
         return ContradictionSweep(bounds.borel_dp / 2, 2)

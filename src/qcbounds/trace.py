@@ -70,7 +70,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import QuadraticCharacter, divisor_count, divisor_counts, euler_phi, is_prime
-from .errors import DividesDiscriminant, NotPrime, UnsupportedCase
+from .errors import DividesDiscriminant, DomainError, NotPrime, UnsupportedCase
 
 if TYPE_CHECKING:
     import numpy as np
@@ -200,9 +200,12 @@ def _terms(
 def _a_moduli(m: int, N: int, p: int, t_max: int) -> tuple[np.ndarray, np.ndarray]:
     """A's moduli c = t N, t <= t_max, and their n-tail prefactors.
     tau(c) = tau(u) (j + a + 1) for t = p^j u and N = p^a, with tau(u) read
-    from a sieve: trial division of c would run up to p."""
+    from a sieve: trial division of c would run up to p.  Moduli past the
+    int64 limit are a DomainError."""
     import numpy as np
 
+    if t_max * N >= 1 << 63:
+        raise DomainError(f"A's moduli t N with t <= {t_max} pass the int64 limit at N = {N}")
     t = np.arange(1, t_max + 1)
     u, j = t.copy(), np.full(t_max, 1 if N == p else 2)
     while (hit := u % p == 0).any():
@@ -332,18 +335,22 @@ def _n_grid(chi: QuadraticCharacter, x: float, n_max: int, coprime: bool) -> _NG
     B's grid stays full: a reshape folds it by residue at
     0.5 ns an element, where a fold of a compressed grid costs 1.8-2.6 ns
     (scatter back) or 13 ns (np.bincount), and a compressed B made every
-    numeric-certify certificate slower, prime D by 8-60%."""
+    numeric-certify certificate slower, prime D by 8-60%.  A grid that
+    does not fit in memory is a DomainError."""
     import numpy as np
 
-    n = np.arange(1, n_max + 1, dtype=np.int64)
-    chi_n = chi.values(n)
-    if coprime:
-        keep = chi_n != 0
-        n, chi_n = n[keep], chi_n[keep]
-    nf = n.astype(np.float64)
-    root = np.sqrt(nf)
-    room = max(n.size, _BLOCK)
-    return _NGrid(n, root, chi_n / root * np.exp(-nf * x), np.empty(room), np.empty(room))
+    try:
+        n = np.arange(1, n_max + 1, dtype=np.int64)
+        chi_n = chi.values(n)
+        if coprime:
+            keep = chi_n != 0
+            n, chi_n = n[keep], chi_n[keep]
+        nf = n.astype(np.float64)
+        root = np.sqrt(nf)
+        room = max(n.size, _BLOCK)
+        return _NGrid(n, root, chi_n / root * np.exp(-nf * x), np.empty(room), np.empty(room))
+    except MemoryError:
+        raise DomainError(f"an n-grid of {n_max} terms is too large for memory") from None
 
 
 def _blocks(counts: list[int]) -> list[tuple[int, int]]:

@@ -52,6 +52,31 @@ class TestExitCodes:
             assert out == "" and err.count("\n") == 1
             assert err.startswith("error: modulus 2147483647")
 
+    @pytest.mark.parametrize("D", ["5", str(2**53 + 3), str(10**400)])
+    @pytest.mark.parametrize("argv", [
+        ["gauss-sum", "{D}"],
+        ["character", "{D}", "2"],
+        ["certify", "--disc", "{D}", "--prime", "73"],
+        ["pairing", "--m", "1", "--level", "49", "--disc", "{D}"],
+        ["threshold", "--disc", "{D}"],
+        ["thresholds", "--disc", "{D}"],
+    ])
+    def test_every_command_checks_the_discriminant(self, argv, D, capsys):
+        # -D must be fundamental and D < 2^53, which bounds the squarefree test
+        assert main([a.format(D=D) for a in argv] + ["--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: -{D} is ")
+
+    def test_numeric_moduli_past_int64_exit_two(self, capsys):
+        # A's moduli t p^2 would wrap in int64, or not convert at all
+        for p in ("1000000007", "4294967311"):
+            argv = ["certify", "--disc", "15", "--prime", p, "--mode", "numeric", "--json"]
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.count("\n") == 1
+            assert "int64" in captured.err
+
     def test_j_invariant_underflow_exits_two(self, capsys):
         # Delta(tau) underflows to 0 this close to the real line
         assert main(["j-invariant", "--re", "0", "--im", "0.001", "--quiet"]) == 2

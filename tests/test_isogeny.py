@@ -2,11 +2,13 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 import qcbounds as q
-from qcbounds.errors import DomainError, NotFundamental
+from qcbounds import runge
+from qcbounds.errors import NotFundamental
 from qcbounds.isogeny import HEIGHT_FLOOR, SERRE_CONSTANT
 
 
@@ -131,12 +133,27 @@ class TestMainThresholds:
         assert math.floor(q.nonsplit_threshold(25796)) < 6449 < q.threshold_prime(25796) == 6451
 
 
-def sieve_contradiction_search(case, d_limit):
-    """The sweep over every 2 <= d <= d_limit that the closed form replaces."""
-    spf = np.zeros(d_limit + 1, dtype=np.int64)
-    for i in range(2, d_limit + 1):
+# Past the prime 3,458,977, the first d0 whose Runge height passes
+# HEIGHT_FLOOR: the sweep to here covers both cases of the lemma.
+SIEVE_LIMIT = 3_500_000
+
+
+@pytest.fixture(scope="module")
+def spf():
+    """Smallest prime factor of every n <= SIEVE_LIMIT (0 at 0 and 1)."""
+    spf = np.zeros(SIEVE_LIMIT + 1, dtype=np.int64)
+    for i in range(2, math.isqrt(SIEVE_LIMIT) + 1):
         if spf[i] == 0:
-            spf[i::i][spf[i::i] == 0] = i
+            multiples = spf[i * i :: i]
+            multiples[multiples == 0] = i
+    primes = spf == 0
+    primes[:2] = False
+    spf[primes] = np.flatnonzero(primes)
+    return spf
+
+
+def sieve_contradiction_search(case, spf, d_limit):
+    """The sweep over every 2 <= d <= d_limit that the closed form replaces."""
     d = np.arange(2, d_limit + 1, dtype=np.float64)
     d0 = spf[2 : d_limit + 1].astype(np.float64)
     h_f = (2.0 * math.pi * np.sqrt(d0) + 6.0 * np.log(d0) + 8.0) / 12.0 + 3.0
@@ -149,36 +166,71 @@ def sieve_contradiction_search(case, d_limit):
     return float(allowed[i]), int(d[i])
 
 
+def lemma_height(d0):
+    """h(d0) = (2 pi sqrt(d0) + 6 log d0 + 8)/12 + 3 in mpmath."""
+    d0 = mpmath.mpf(d0)
+    return (2 * mpmath.pi * mpmath.sqrt(d0) + 6 * mpmath.log(d0) + 8) / 12 + 3
+
+
+def lemma_bounds(d0):
+    """The allowed p at d = d0 once h(d0) > 985: B(h)/d0 and sqrt(C(h)/d0)."""
+    h, root = lemma_height(d0), mpmath.sqrt(d0)
+    borel = 4 * SERRE_CONSTANT * ((h + 4 * mpmath.log(2)) / root) ** 2
+    cartan = mpmath.sqrt(16 * SERRE_CONSTANT) * (h + 4 * mpmath.log(4)) / root
+    return borel, cartan
+
+
 class TestContradictionSearch:
     @pytest.mark.parametrize("case", ["borel", "cartan"])
-    @pytest.mark.parametrize("d_limit", [10**3, 10**5])
-    def test_matches_sieve(self, case, d_limit):
-        assert tuple(q.contradiction_search(case, d_limit)) == sieve_contradiction_search(
-            case, d_limit
+    @pytest.mark.parametrize("d_limit", [10**3, 10**5, SIEVE_LIMIT])
+    def test_matches_sieve(self, case, d_limit, spf):
+        assert tuple(q.contradiction_search(case)) == sieve_contradiction_search(
+            case, spf, d_limit
         )
 
     def test_default_values(self):
         assert tuple(q.contradiction_search("borel")) == (19513893740620.703, 2)
         assert tuple(q.contradiction_search("cartan")) == (8859705.406201791, 2)
 
-    def test_rejects_limit_past_height_floor(self):
-        q.contradiction_search("borel", 3_458_970)
-        with pytest.raises(DomainError):
-            q.contradiction_search("borel", 3_458_971)
-        with pytest.raises(DomainError):
-            q.contradiction_search("cartan", 1)
-
     def test_borel_dominated(self):
-        sweep = q.contradiction_search("borel", d_limit=10**5)
+        sweep = q.contradiction_search("borel")
         assert 1.9e13 < sweep.max_allowed_p <= 2e13
         assert sweep.argmax_d == 2
 
     def test_cartan_dominated(self):
-        sweep = q.contradiction_search("cartan", d_limit=10**5)
+        sweep = q.contradiction_search("cartan")
         assert sweep.max_allowed_p < 1e7
         assert sweep.argmax_d == 2
 
     def test_threshold_domination(self):
         r = q.main_thresholds(3)
-        assert q.contradiction_search("borel", 10**5).max_allowed_p < r.borel
-        assert q.contradiction_search("cartan", 10**5).max_allowed_p < r.split_cartan
+        assert q.contradiction_search("borel").max_allowed_p < r.borel
+        assert q.contradiction_search("cartan").max_allowed_p < r.split_cartan
+
+
+class TestEveryDegreeLemma:
+    """The lemma in contradiction_search's docstring, at 60 digits."""
+
+    @pytest.fixture(autouse=True)
+    def digits(self):
+        with mpmath.workdps(60):
+            yield
+
+    def test_floor_crossing(self):
+        assert lemma_height(3_458_970) < HEIGHT_FLOOR < lemma_height(3_458_971)
+        assert lemma_height(3_458_970) > 984.9999 and lemma_height(3_458_971) < 985.0001
+
+    def test_bounds_fall_past_the_floor(self):
+        lo, hi = mpmath.mpf(3_458_971), mpmath.mpf(10) ** 30
+        d0s = [lo * (hi / lo) ** (mpmath.mpf(k) / 240) for k in range(241)]
+        borel, cartan = zip(*map(lemma_bounds, d0s))
+        assert all(a >= b for a, b in zip(borel, borel[1:]))
+        assert all(a >= b for a, b in zip(cartan, cartan[1:]))
+        assert borel[0] < 1.13e7 and cartan[0] < 6.74e3
+        assert borel[0] < q.contradiction_search("borel").max_allowed_p
+        assert cartan[0] < q.contradiction_search("cartan").max_allowed_p
+
+    def test_height_is_runges(self):
+        # the lemma's h is the Runge bound that runge owns, bit for bit
+        p = 3_458_977
+        assert runge.runge_j_bound(p) / 12 + 3 == float(lemma_height(p))

@@ -15,6 +15,7 @@ import qcbounds as q
 from qcbounds import bessel, trace
 from qcbounds.errors import (
     DividesDiscriminant,
+    DomainError,
     NotPrime,
     UnsupportedCase,
 )
@@ -193,6 +194,16 @@ class TestCoprimeGrid:
         assert grid.root.size == grid.w.size == grid.n.size
         assert grid.x.size == grid.j1.size == max(grid.n.size, trace._BLOCK)
         assert np.all(grid.w != 0)
+
+    def test_grid_out_of_memory_is_a_domain_error(self, monkeypatch):
+        # the allocation is faked to fail: a real one may be paged in rather
+        # than fail where memory is overcommitted
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(np, "arange", no_memory)
+        with pytest.raises(DomainError, match="too large for memory"):
+            trace._n_grid(CHI15, 1e-9, 10**11, coprime=False)
 
     @pytest.mark.parametrize("D,m,N,t_max", CASES)
     def test_A_matches_full_grid(self, monkeypatch, D, m, N, t_max):
