@@ -11,7 +11,7 @@ Abel/Weil tail of B's d-sum that rests on them.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -216,33 +216,54 @@ class DTail(NamedTuple):
         return self.abel + self.weil
 
 
-def hybrid_d_tail(D: int, m: int, N: int, d_max: int) -> DTail:
+def hybrid_d_tail(D: int, m: int, N: int, d_max: int | Sequence[int]) -> DTail | list[DTail]:
     """B's d-tail past d_max: the per-d Abel bound on d_max < d <= d1,
     summed through the integral of the decreasing (log(Dd) + 1.5)/d, the
     Weil-induced D sqrt(m) (2 log(d1+1) + 7)/sqrt(d1+1) beyond d1, and the
     Weil term sqrt(m) tau(D)/sqrt(D) of d = D if it falls in the Abel range.
 
     d1 minimises the total, so the result is never above the pure Weil
-    tail (d1 = d_max).  No S_B(d) is evaluated."""
-    if d_max < 1:
+    tail (d1 = d_max).  No S_B(d) is evaluated.
+
+    d_max may also be a ladder, a sequence of caps, for the list of their
+    tails, each bit for bit the tail of its cap alone.  A split at d1
+    depends on its cap only through log0 = log(D d_max) + 1.5 and through
+    whether d = D falls in its Abel range, so log(D d1) + 1.5 and the Weil
+    tail past d1 are computed once per d1 for the whole ladder."""
+    caps = d_max if isinstance(d_max, Sequence) else [d_max]
+    lowest = min(caps)
+    if lowest < 1:
         raise ValueError("d_max must be >= 1")
+    d_term = divisor_count(D) * math.sqrt(m) / math.sqrt(D) if lowest < D else 0.0
     k = _abel_scale(D, m, N)
     weil_scale = D * math.sqrt(m)
-    log0 = math.log(D * d_max) + 1.5
+    smooth = _smooth_min(D, m, N)
+    at: dict[int, tuple[float, float]] = {}
 
-    def split(d1: int) -> DTail:
-        log1 = math.log(D * d1) + 1.5
-        weil = weil_scale * tail_bounds(d1 + 1).tau_tail
-        if d_max < D <= d1:
-            weil += divisor_count(D) * math.sqrt(m) / math.sqrt(D)
-        return DTail(k * (log1 * log1 - log0 * log0) / 2.0, weil, d1)
+    def parts(d1: int) -> tuple[float, float]:
+        """log(D d1) + 1.5 and the Weil tail past d1."""
+        if d1 not in at:
+            at[d1] = (math.log(D * d1) + 1.5, weil_scale * tail_bounds(d1 + 1).tau_tail)
+        return at[d1]
 
-    best = max(d_max, _smooth_min(D, m, N))
-    candidates = [d_max, best]
-    if d_max < D:
-        # the d = D term splits the range: the best d1 below D, and above
-        candidates = [d_max, min(best, D - 1), max(best, D)]
-    return min((split(d1) for d1 in candidates), key=lambda t: t.total)
+    tails = []
+    for cap in caps:
+        log0 = parts(cap)[0]
+        best = max(cap, smooth)
+        candidates = (cap, best)
+        if cap < D:
+            # the d = D term splits the range: the best d1 below D, and above
+            candidates = (cap, min(best, D - 1), max(best, D))
+        low = None
+        for d1 in candidates:
+            log1, weil = parts(d1)
+            if cap < D <= d1:
+                weil += d_term
+            split = (k * (log1 * log1 - log0 * log0) / 2.0, weil, d1)
+            if low is None or split[0] + split[1] < low[0] + low[1]:
+                low = split
+        tails.append(DTail(*low))
+    return tails if isinstance(d_max, Sequence) else tails[0]
 
 
 @lru_cache(maxsize=64)

@@ -56,6 +56,13 @@ n-tails grow to 1e-3 E0, far fewer n-terms, and plans the caps again for
 E0, so a planned error bound is never above E0.  A caller may instead
 pass both t_max and d_max, which every shape sums as given, at the 1e-15
 cutoffs, with no plan; exactly one of them is an error.
+The error model's n-cutoffs and n-tails are array passes with every bit
+of a loop over the moduli in libm's math.log and math.exp (_terms): a
+cutoff int(log(z)/x) + 1 takes numpy's log, and libm's again only where
+log(z)/x lies within a relative 1e-9 of an integer, far wider than the
+few ulp between the two logs, so elsewhere no integer falls between
+them; each n-tail takes libm's exp once per distinct cutoff.  So no
+cutoff, cost or error bound depends on numpy's SIMD dispatch.
 Only the numeric path loads numpy (with bessel, kernels and bounds),
 inside the functions that use it, so a closed-form certificate starts
 without it.
@@ -155,7 +162,8 @@ def _libm(f: Callable[[float], float], v: np.ndarray) -> np.ndarray:
     """f, math.exp or math.log, over a float array.  numpy's *, / and sqrt
     round as Python's do, but np.exp and np.log are not libm's (np.exp
     differs from math.exp on about 5% of inputs, np.log from math.log on
-    about 0.01%), so the error model maps math's over the floats."""
+    about 0.01%), so the error model maps math's over the floats where a
+    bit could move (_terms)."""
     import numpy as np
 
     return np.array(list(map(f, v.tolist())), dtype=np.float64)
@@ -180,21 +188,38 @@ class _Terms(NamedTuple):
     n_err: list[float]
 
 
+# A cutoff whose log(z)/x lies within this relative distance of an integer
+# takes libm's log (_terms); numpy's is within a few ulp of it elsewhere.
+_LOG_BAND = 1e-9
+
+
 def _terms(
-    moduli: np.ndarray, prefactors: np.ndarray, x: float, *, tail_eps: float = _N_TAIL_EPS
-) -> _Terms:
+    moduli: np.ndarray, prefactors: np.ndarray, x: float, tail_eps: float
+) -> tuple[np.ndarray, np.ndarray]:
     """Each modulus's cutoff k, the smallest n >= 8 with n-tail
-    prefactor e^(-(n+1)x)/(1-e^(-x)) below tail_eps, and that tail at k, in
-    array passes that round as a loop over the moduli would: astype
-    truncates like int(), and cumsum adds in order like accumulate."""
+    prefactor e^(-(n+1)x)/(1-e^(-x)) below tail_eps, and the running sum
+    n_err of that tail at k over q (_Terms), in array passes whose every
+    bit is a loop's over the moduli in libm's math.log and math.exp:
+    - k = int(log(z)/x) + 1, z = prefactor/(tail_eps (1 - e^(-x))), takes
+      numpy's log, within a few ulp of libm's, and libm's again wherever
+      log(z)/x lies within a relative _LOG_BAND of an integer, six orders
+      of magnitude wider than the two logs' gap: elsewhere an integer
+      cannot fall between them, so int() truncates both alike (astype
+      truncates like int());
+    - e^(-(k+1)x) is libm's, once per distinct k, at the same argument;
+    - cumsum adds the tails in order, like accumulate."""
     import numpy as np
 
     geom = 1.0 - math.exp(-x)
-    n = _libm(math.log, prefactors / (tail_eps * geom)) / x
+    z = prefactors / (tail_eps * geom)
+    n = np.log(z) / x
+    near = np.abs(n - np.rint(n)) <= _LOG_BAND * np.abs(n)
+    if near.any():
+        n[near] = _libm(math.log, z[near]) / x
     cutoffs = np.maximum(n.astype(np.int64) + 1, 8)
-    tails = prefactors * _libm(math.exp, -(cutoffs + 1) * x) / geom / moduli
-    n_err = np.concatenate(([0.0], np.cumsum(tails)))
-    return _Terms(moduli.tolist(), cutoffs.tolist(), n_err.tolist())
+    distinct, where = np.unique(cutoffs, return_inverse=True)
+    tails = prefactors * _libm(math.exp, -(distinct + 1) * x)[where] / geom / moduli
+    return cutoffs, np.concatenate(([0.0], np.cumsum(tails)))
 
 
 def _a_moduli(m: int, N: int, p: int, t_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -236,8 +261,8 @@ class _Series(NamedTuple):
     prefactors: np.ndarray
     x: float
     share: float
-    counts: list[int]
-    tails: list[float]
+    counts: np.ndarray
+    tails: np.ndarray
 
 
 def _series(kind: str, m: int, N: int, chi: QuadraticCharacter, caps: list[int]) -> _Series:
@@ -247,6 +272,8 @@ def _series(kind: str, m: int, N: int, chi: QuadraticCharacter, caps: list[int])
     t_max = 0), and B's d-tail past d_max, bounds.hybrid_d_tail.  An
     n-term costs one unit, A's only for the n coprime to D, a share
     phi(D)/D of each cutoff, and A(1,p^2)'s _SALIE_TERM_COST each."""
+    import numpy as np
+
     from .bounds import hybrid_d_tail, tail_bounds
 
     D = chi.D
@@ -257,27 +284,27 @@ def _series(kind: str, m: int, N: int, chi: QuadraticCharacter, caps: list[int])
         share = euler_phi(D) / D
         if N != p:
             share *= _SALIE_TERM_COST
-        counts, tails = caps, [2.0 * D / N * tail_bounds(t + 1).tau_tail for t in caps]
+        counts, tails = np.array(caps), [2.0 * D / N * tail_bounds(t + 1).tau_tail for t in caps]
     else:
         moduli, prefactors = _b_moduli(m, N, caps[-1])
         share = 1.0
-        counts = moduli.searchsorted(caps, side="right").tolist()
-        tails = [hybrid_d_tail(D, m, N, d).total for d in caps]
-    return _Series(caps, moduli, prefactors, x, share, counts, tails)
+        counts = moduli.searchsorted(caps, side="right")
+        tails = [tail.total for tail in hybrid_d_tail(D, m, N, caps)]
+    return _Series(caps, moduli, prefactors, x, share, counts, np.array(tails))
 
 
-def _at_cutoffs(series: _Series, tail_eps: float) -> tuple[_Terms, list[float], list[float]]:
-    """The terms of `series` with every n-tail below tail_eps, and its cost
-    and error bound at each cap: the error bound is the n-tails of the
-    moduli up to the cap plus the tail past it; the cost counts the n-terms
-    the series sums plus _MODULUS_COST a modulus."""
+def _at_cutoffs(
+    series: _Series, tail_eps: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The cutoffs and n_err of `series` with every n-tail below tail_eps
+    (_terms), and its cost and error bound at each cap: the error bound is
+    the n-tails of the moduli up to the cap plus the tail past it; the cost
+    counts the n-terms the series sums plus _MODULUS_COST a modulus."""
     import numpy as np
 
-    terms = _terms(series.moduli, series.prefactors, series.x, tail_eps=tail_eps)
-    steps = np.multiply(terms.cutoffs, series.share) + _MODULUS_COST
-    cost = np.concatenate(([0.0], np.cumsum(steps)))
-    errors = [terms.n_err[j] + tail for j, tail in zip(series.counts, series.tails)]
-    return terms, cost[series.counts].tolist(), errors
+    cutoffs, n_err = _terms(series.moduli, series.prefactors, series.x, tail_eps)
+    cost = np.concatenate(([0.0], np.cumsum(cutoffs * series.share + _MODULUS_COST)))
+    return cutoffs, n_err, cost[series.counts], n_err[series.counts] + series.tails
 
 
 def _model(
@@ -289,7 +316,10 @@ def _model(
     tail_eps, and its cost and error bound at each cap, with no term
     evaluated: the one error model of _plan, A_numeric and B_numeric (see
     _series and _at_cutoffs)."""
-    return _at_cutoffs(_series(kind, m, N, chi, caps), tail_eps)
+    series = _series(kind, m, N, chi, caps)
+    cutoffs, n_err, cost, errors = _at_cutoffs(series, tail_eps)
+    terms = _Terms(series.moduli.tolist(), cutoffs.tolist(), n_err.tolist())
+    return terms, cost.tolist(), errors.tolist()
 
 
 def _given_caps(t_max: int | None, d_max: int | None) -> bool:
@@ -311,6 +341,8 @@ def _given_caps(t_max: int | None, d_max: int | None) -> bool:
 # itself.  2^13 and 2^14 measured alike; at 2^16 a block no longer fits in
 # the cache, and numeric-certify slowed by 8%.
 _BLOCK = 8192
+# The largest n-grid a series may sum (_modulus_series).
+_N_MAX = 1 << 25
 
 
 class _NGrid(NamedTuple):
@@ -445,12 +477,20 @@ def _modulus_series(
     weighted J1 factor w_n J1(beta(q) sqrt(n)) there.  All S(q) share one
     n-grid, coprime to D for A (see _n_grid); the J1 factors of a block of
     consecutive moduli (_blocks) come from one _weighted_j1 call, and the
-    moduli are added in order."""
+    moduli are added in order.
+
+    A cutoff past _N_MAX = 2^25 terms is a DomainError, raised before the
+    grid is allocated: such a grid takes some 2 GiB with its block buffers,
+    33 times the largest a certificate at D <= 403 and its threshold prime
+    builds (1.0e6 terms, B(1,p^2) at (403, 1361))."""
     import numpy as np
 
     if not terms.moduli:
         return NumericResult(0.0, error)
-    grid = _n_grid(chi, x, max(terms.cutoffs), coprime)
+    n_max = max(terms.cutoffs)
+    if n_max > _N_MAX:
+        raise DomainError(f"an n-grid of {n_max} terms is past the limit of 2^25 = {_N_MAX}")
+    grid = _n_grid(chi, x, n_max, coprime)
     counts = np.searchsorted(grid.n, terms.cutoffs, side="right").tolist()
     acc = 0.0
     for lo, hi in _blocks(counts):
@@ -526,7 +566,7 @@ class _Ladders(NamedTuple):
     `total`."""
 
     series: list[_Series]
-    former: list[int]
+    former: tuple[int, ...]
     weights: list[float]
 
 
@@ -539,16 +579,41 @@ def _ladders(
     from .bounds import hybrid_d_cap
 
     series, former = [], []
+    a_ladder, b_ladder = [0, *_ladder(_T_TOP)], _ladder(_D_TOP)
     for m, N in shapes:
         for kind, former_cap, ladder in (
-            ("A", _FORMER_T_MAX, [0, *_ladder(_T_TOP)]),
-            ("B", hybrid_d_cap(chi.D, m, N, _FORMER_D_REF), _ladder(_D_TOP)),
+            ("A", _FORMER_T_MAX, a_ladder),
+            ("B", hybrid_d_cap(chi.D, m, N, _FORMER_D_REF), b_ladder),
         ):
             caps = sorted({*ladder, former_cap})
             series.append(_series(kind, m, N, chi, caps))
             former.append(caps.index(former_cap))
     weights = [total([float(i == j) for j in range(len(series))]) for i in range(len(series))]
-    return _Ladders(series, former, weights)
+    return _Ladders(series, tuple(former), weights)
+
+
+def _prices(
+    ladders: _Ladders, tail_eps: list[float]
+) -> tuple[np.ndarray, np.ndarray, list[list[float]]]:
+    """Every series' cost and weighted error at each cap of its ladder,
+    every modulus cut off at its allowance in `tail_eps`, one row a series,
+    padded to the longest ladder with cost inf and weight 0, which _pick
+    never takes; and each series' error bounds."""
+    import numpy as np
+
+    models = [_at_cutoffs(s, eps)[2:] for s, eps in zip(ladders.series, tail_eps)]
+    costs = np.full((len(models), max(len(s.caps) for s in ladders.series)), np.inf)
+    weighted = np.zeros(costs.shape)
+    for row, ((cost, err), w) in enumerate(zip(models, ladders.weights)):
+        costs[row, : cost.size] = cost
+        weighted[row, : err.size] = w * err
+    return costs, weighted, [err.tolist() for _, err in models]
+
+
+def _pick(costs: np.ndarray, weighted: np.ndarray, lam: float) -> tuple[int, ...]:
+    """Each series' cap that minimises cost + lam * weighted error, the
+    first on a tie, in one argmin over _prices' rows."""
+    return tuple((costs + lam * weighted).argmin(axis=1).tolist())
 
 
 def _pass(
@@ -559,19 +624,19 @@ def _pass(
     `tail_eps`: the Lagrangian plan, in which each series takes the cap
     that minimises cost + lam * weighted error, for the smallest lam whose
     exact total meets `target`; None if no lam does.  With no target it
-    aims at the former fixed caps' error, and falls back on those caps."""
-    import numpy as np
+    aims at the former fixed caps' error, and falls back on those caps.
+    The search meets the same picks again and again, so each pick's total
+    is computed once."""
+    costs, weighted, errs = _prices(ladders, tail_eps)
+    totals: dict[tuple[int, ...], float] = {}
 
-    models = [_at_cutoffs(s, eps) for s, eps in zip(ladders.series, tail_eps)]
-    costs = [np.array(cost) for _, cost, _ in models]
-    errs = [err for _, _, err in models]
-    weighted = [w * np.array(e) for w, e in zip(ladders.weights, errs)]
+    def pick(lam: float) -> tuple[int, ...]:
+        return _pick(costs, weighted, lam)
 
-    def pick(lam: float) -> list[int]:
-        return [int(np.argmin(c + lam * e)) for c, e in zip(costs, weighted)]
-
-    def error(idx: list[int]) -> float:
-        return total([e[i] for e, i in zip(errs, idx)])
+    def error(idx: tuple[int, ...]) -> float:
+        if idx not in totals:
+            totals[idx] = total([e[i] for e, i in zip(errs, idx)])
+        return totals[idx]
 
     # A larger lam never raises a series' error.  Once lam is large enough
     # for the errors alone to decide, every series takes its least error,

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from qcbounds import trace
@@ -9,7 +10,8 @@ from qcbounds.arith import divisor_count
 
 
 # The engine's error model (trace._terms) computes these per modulus in
-# array passes; the tests take them one modulus at a time in scalar math,
+# array passes, and the planner (trace._pick) picks every series' cap in
+# one argmin; the tests take them one modulus, or one series, at a time,
 # the reference the arrays must match bit for bit.
 
 
@@ -35,6 +37,13 @@ def n_cutoff(prefactor, x, eps=trace._N_TAIL_EPS):
 def n_tail(prefactor, x, n_max):
     """The n-tail bound of a modulus summed over n <= n_max."""
     return prefactor * math.exp(-(n_max + 1) * x) / (1.0 - math.exp(-x))
+
+
+def per_series_pick(costs, weighted, lam):
+    """The cap index each series' cost + lam * weighted error is least at,
+    one argmin per series: the reference for trace._pick's single argmin
+    over the padded rows of trace._prices."""
+    return [int(np.argmin(c + lam * e)) for c, e in zip(costs, weighted)]
 
 
 def partial_series(kind, m, chi, N, q, n_max):

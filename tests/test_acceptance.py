@@ -132,7 +132,7 @@ def test_criterion_10_displayed_constants():
 
 
 def test_criterion_11_numeric_certificates_at_planned_caps():
-    with criterion(11, "numeric certificates at planned caps for 15 <= D <= 31", 2):
+    with criterion(11, "numeric certificates at planned caps for 15 <= D <= 31", 1):
         for D in q.fundamental_discriminants(15, 31):
             p = q.threshold_prime(D)
             cert = q.certify_numeric(p, q.make_character(D))

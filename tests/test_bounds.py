@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qcbounds as q
 from qcbounds import bounds, verify
@@ -465,6 +467,25 @@ class TestHybridDTail:
                 splits += d_max < D <= tail.d1
         assert splits > 0
 
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_a_ladder_is_its_caps_one_at_a_time(self, data):
+        # the ladder form computes each d1's log and Weil part once for all
+        # its caps; every tail must be that cap's own, by repr, and the one
+        # a search from each d_max gave.  Caps fall on both sides of D, so
+        # some put the d = D term in their Abel range and some do not.
+        D = data.draw(st.sampled_from(q.fundamental_discriminants(3, 403)), label="D")
+        p = q.threshold_prime(D)
+        below = data.draw(st.lists(st.integers(1, D - 1), min_size=1, max_size=6))
+        above = data.draw(st.lists(st.integers(D, 1600), min_size=1, max_size=30))
+        caps = data.draw(st.permutations(below + above), label="caps")
+        for m, N in ((1, p * p), (1, p), (p, p)):
+            ladder = q.hybrid_d_tail(D, m, N, caps)
+            assert repr(ladder) == repr([q.hybrid_d_tail(D, m, N, d) for d in caps])
+            assert ladder == [hybrid_d_tail_per_d_max(D, m, N, d) for d in caps]
+
     def test_rejects_d_max_below_one(self):
         with pytest.raises(ValueError, match="d_max"):
             q.hybrid_d_tail(15, 1, 271**2, 0)
+        with pytest.raises(ValueError, match="d_max"):
+            q.hybrid_d_tail(15, 1, 271**2, [5, 0, 7])

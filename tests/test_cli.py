@@ -77,6 +77,15 @@ class TestExitCodes:
             assert captured.out == "" and captured.err.count("\n") == 1
             assert "int64" in captured.err
 
+    def test_numeric_grid_past_its_bound_exits_two(self):
+        # B(1,p^2)'s planned n-grid would hold 2.9e8 terms: the bound stops
+        # it before the grid is built, where the grid took past 120 s
+        argv = ["certify", "--disc", "15", "--prime", "10000019", "--mode", "numeric"]
+        proc = subprocess.run(CLI + argv, capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 2
+        assert proc.stdout == "" and proc.stderr.count("\n") == 1
+        assert "n-grid" in proc.stderr
+
     def test_j_invariant_underflow_exits_two(self, capsys):
         # Delta(tau) underflows to 0 this close to the real line
         assert main(["j-invariant", "--re", "0", "--im", "0.001", "--quiet"]) == 2

@@ -22,7 +22,7 @@ from qcbounds.errors import (
 from qcbounds.bounds import tail_bounds
 from qcbounds.kernels import kloosterman_row, series_kloosterman
 
-from conftest import n_cutoff, n_tail, sa_prefactor, sb_prefactor
+from conftest import n_cutoff, n_tail, per_series_pick, sa_prefactor, sb_prefactor
 
 CHI3 = q.make_character(3)
 CHI4 = q.make_character(4)
@@ -628,6 +628,75 @@ class TestPlanner:
                 acc = [0.0, *itertools.accumulate(k * share + trace._MODULUS_COST for k in cutoffs)]
                 counts = caps if kind == "A" else [bisect.bisect_right(moduli, d) for d in caps]
                 assert repr(cost) == repr([acc[j] for j in counts])
+
+    @pytest.mark.parametrize(
+        "x", [trace._x(15, 269), trace._x(31, 409 * 409), trace._x(403, 1361 * 1361), 0.7]
+    )
+    @pytest.mark.parametrize("eps", [trace._N_TAIL_EPS, 1e-4])
+    def test_cutoffs_are_the_scalar_loop_at_libm_log(self, monkeypatch, x, eps):
+        # _terms takes numpy's log and libm's only inside the band, and libm's
+        # exp once per distinct cutoff: against n_cutoff and n_tail, one
+        # modulus at a time in libm, on random z = f/(eps (1 - e^(-x))) and on
+        # z whose log(z)/x lands within a few ulp of an integer k, where a
+        # one-ulp gap between the two logs can move int().  log(z) runs up
+        # to 60, past every certificate's (z <= 1e26 there).
+        geom = 1.0 - math.exp(-x)
+        rng = np.random.default_rng(35)
+        ks = rng.integers(9, int(60.0 / x), size=300)
+        adversarial = [
+            math.ldexp(math.frexp(f)[0] + j * 2.0**-53, math.frexp(f)[1])
+            for f in (eps * geom * math.exp(k * x) for k in ks.tolist()) for j in range(-3, 4)
+        ]
+        random = (eps * geom * np.exp(rng.uniform(0.0, 60.0, 3000))).tolist()
+        libm = trace._libm
+        for prefactors, adversarial_case in ((random, False), (adversarial, True)):
+            sent = []
+            monkeypatch.setattr(
+                trace, "_libm", lambda f, v: sent.append((f, v.size)) or libm(f, v)
+            )
+            moduli = np.arange(1, len(prefactors) + 1)
+            cutoffs, n_err = trace._terms(moduli, np.array(prefactors), x, eps)
+            want = [n_cutoff(f, x, eps) for f in prefactors]
+            tails = (n_tail(f, x, k) / c for f, k, c in zip(prefactors, want, moduli.tolist()))
+            assert cutoffs.tolist() == want
+            assert repr(n_err.tolist()) == repr(list(itertools.accumulate(tails, initial=0.0)))
+            logs = sum(size for f, size in sent if f is math.log)
+            exps = sum(size for f, size in sent if f is math.exp)
+            assert exps == len(set(want))
+            # numpy's log alone, without the band, would have moved this many
+            z = np.array(prefactors) / (eps * geom)
+            moved = int((np.maximum((np.log(z) / x).astype(np.int64) + 1, 8) != want).sum())
+            print(f"x = {x:.3g}: the band sent {logs} of {len(prefactors)} logs to libm;"
+                  f" numpy's log alone moves {moved} cutoffs")
+            # the band takes every adversarial z and few random ones
+            assert logs == len(prefactors) if adversarial_case else logs <= 0.05 * len(prefactors)
+
+    @pytest.mark.parametrize("D, p", [(3, 73), (15, 269), (31, 409)])
+    def test_pick_is_a_per_series_argmin(self, D, p):
+        # _pick's one argmin over _prices' padded rows against one argmin
+        # per series on its unpadded ladder (conftest.per_series_pick), at
+        # lam = 0, at sampled lam and at 1e60, where the upward search
+        # stops, in both passes' n-tail allowances; padding is never picked
+        chi = q.make_character(D)
+        shapes, total = trace._new_plus_shapes(p), trace._new_plus_total(p)
+        ladders = trace._ladders(chi, shapes, total)
+        kinds = [(kind, m, N) for m, N in shapes for kind in "AB"]
+        rng = np.random.default_rng(D)
+        lams = [0.0, 1e60, *(10.0 ** rng.uniform(-6.0, 12.0, 60)).tolist()]
+        for eps in ([trace._N_TAIL_EPS] * 6, [1e-6, 1e-4, 1e-3, 1e-2, 1e-9, 1e-5]):
+            costs, weighted, errs = trace._prices(ladders, eps)
+            models = [trace._model(kind, m, N, chi, s.caps, tail_eps=e)
+                      for (kind, m, N), s, e in zip(kinds, ladders.series, eps)]
+            assert errs == [err for _, _, err in models]
+            ref_costs = [np.array(cost) for _, cost, _ in models]
+            ref_weighted = [w * np.array(err) for w, (_, _, err) in zip(ladders.weights, models)]
+            picks = set()
+            for lam in lams:
+                idx = trace._pick(costs, weighted, lam)
+                assert list(idx) == per_series_pick(ref_costs, ref_weighted, lam), lam
+                assert all(i < len(s.caps) for i, s in zip(idx, ladders.series))
+                picks.add(idx)
+            assert len(picks) > 5
 
     @given(near_threshold())
     @settings(max_examples=25, deadline=None)
