@@ -251,7 +251,12 @@ def fundamental_discriminants(lo: int, hi: int) -> list[int]:
     return [D for D in range(lo, hi + 1) if is_fundamental_negative(D)]
 
 
-_MAX_TABLE_MODULUS = 1 << 31  # keeps every product below c^2 < 2^62 in int64
+# A unit table's modulus stays below this bound for two reasons.  Memory: the table and
+# the row built from it peak near 80 bytes a residue, 1.3 GiB and 10 s at c = 16777213
+# (2-core Xeon), and at c = 10^8 the process was killed after 53 s on a machine that
+# overcommits.  int64: every product stays below c^2 < 2^48.  The tests' largest row is
+# c = 40,000.
+_MAX_TABLE_MODULUS = 1 << 24
 # Scalar sums below this modulus are pure Python: cold, 0.10-0.15 s at c = 65521 (0.6 of a
 # numpy import), 2.5 s at 999983 against numpy's 0.35 s (2-core Xeon, Python 3.11, numpy 2.4).
 _PURE_MODULUS_MAX = 1 << 16

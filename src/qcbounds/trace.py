@@ -15,7 +15,7 @@ c of N and B sums S_B(d)/d over d coprime to N, with
 
 Only the three level shapes that feed the weighted new-plus pairing are
 supported: (m, N) = (1, p^2), (1, p) and (p, p).  A and B share one
-accumulator over their moduli (_modulus_series), and every S_A and S_B
+accumulator over their moduli (_sum), and every S_A and S_B
 takes its weighted J1 factor w_n J1(beta sqrt(n)), w_n = chi(n)/sqrt(n)
 e^(-nx) and beta = 4 pi sqrt(m)/c (or /(d sqrt(N))), from _weighted_j1:
 one bessel_j1 call per block of consecutive moduli whose cutoffs sum
@@ -43,14 +43,14 @@ evaluation is advisory and carries explicit truncation error bounds:
 Weil-induced majorants for the n-tails and A's c-tail, and for B's
 d-tail the hybrid of bounds.hybrid_d_tail (the paper's Abel transform
 per d up to a d1 chosen to minimise the total, the Weil tau-tail
-beyond).  None of these bounds depends on an evaluated term.  _model
-composes every series error bound, for the evaluators A_numeric and
-B_numeric, which report it, and for a planner (_plan), which picks
-every series' cap and n-cutoffs before anything is evaluated, in two
-passes.  The first sums every modulus until its n-tail falls below
-1e-15 and takes A's t_max and B's d_max for each shape, the cheapest
-caps on a geometric ladder whose error bound E0 is no larger than the
-one the former fixed caps reached (t_max = 240, and B at
+beyond).  None of these bounds depends on an evaluated term.  _series
+and _at_cutoffs compose every series error bound, for A_numeric and
+B_numeric, whose one-cap series _sum sums, and for a planner (_plan),
+which picks every series' cap and n-cutoffs before anything is
+evaluated, in two passes.  The first sums every modulus until its
+n-tail falls below 1e-15 and takes A's t_max and B's d_max for each
+shape, the cheapest caps on a geometric ladder whose error bound E0 is
+no larger than the one the former fixed caps reached (t_max = 240, and B at
 bounds.hybrid_d_cap(..., 800)).  The second lets each series' weighted
 n-tails grow to 1e-3 E0, far fewer n-terms, and plans the caps again for
 E0, so a planned error bound is never above E0.  A caller may instead
@@ -178,16 +178,6 @@ def _prefactors(m: int, q: np.ndarray, s: float, tau: np.ndarray) -> np.ndarray:
     return _TWO_PI * math.sqrt(m) / (q * s) * np.sqrt(np.gcd(m, q)) * tau * np.sqrt(q)
 
 
-class _Terms(NamedTuple):
-    """The moduli q of one series up to its cap, each with its n-cutoff k
-    and the running sum of the n-tails at k divided by q: n_err[j] covers
-    the first j moduli, so n_err[0] = 0.  Nothing here evaluates a term."""
-
-    moduli: list[int]
-    cutoffs: list[int]
-    n_err: list[float]
-
-
 # A cutoff whose log(z)/x lies within this relative distance of an integer
 # takes libm's log (_terms); numpy's is within a few ulp of it elsewhere.
 _LOG_BAND = 1e-9
@@ -198,7 +188,7 @@ def _terms(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each modulus's cutoff k, the smallest n >= 8 with n-tail
     prefactor e^(-(n+1)x)/(1-e^(-x)) below tail_eps, and the running sum
-    n_err of that tail at k over q (_Terms), in array passes whose every
+    n_err of that tail at k over q (n_err[0] = 0), in array passes whose every
     bit is a loop's over the moduli in libm's math.log and math.exp:
     - k = int(log(z)/x) + 1, z = prefactor/(tail_eps (1 - e^(-x))), takes
       numpy's log, within a few ulp of libm's, and libm's again wherever
@@ -254,8 +244,11 @@ class _Series(NamedTuple):
     before its n-cutoffs are set: the ascending caps, the moduli up to the
     last of them with their n-tail prefactors, the decay rate x, the cost of
     one n-term, and at each cap the number of moduli it sums and the
-    c- or d-tail it leaves."""
+    c- or d-tail it leaves.  A one-cap series is what _sum sums."""
 
+    kind: str
+    m: int
+    N: int
     caps: list[int]
     moduli: np.ndarray
     prefactors: np.ndarray
@@ -290,7 +283,7 @@ def _series(kind: str, m: int, N: int, chi: QuadraticCharacter, caps: list[int])
         share = 1.0
         counts = moduli.searchsorted(caps, side="right")
         tails = [tail.total for tail in hybrid_d_tail(D, m, N, caps)]
-    return _Series(caps, moduli, prefactors, x, share, counts, np.array(tails))
+    return _Series(kind, m, N, caps, moduli, prefactors, x, share, counts, np.array(tails))
 
 
 def _at_cutoffs(
@@ -305,21 +298,6 @@ def _at_cutoffs(
     cutoffs, n_err = _terms(series.moduli, series.prefactors, series.x, tail_eps)
     cost = np.concatenate(([0.0], np.cumsum(cutoffs * series.share + _MODULUS_COST)))
     return cutoffs, n_err, cost[series.counts], n_err[series.counts] + series.tails
-
-
-def _model(
-    kind: str, m: int, N: int, chi: QuadraticCharacter, caps: list[int],
-    *, tail_eps: float = _N_TAIL_EPS,
-) -> tuple[_Terms, list[float], list[float]]:
-    """The terms of series `kind` ("A" or "B") of (m, N) up to the last of
-    the ascending `caps`, each modulus cut off where its n-tail drops below
-    tail_eps, and its cost and error bound at each cap, with no term
-    evaluated: the one error model of _plan, A_numeric and B_numeric (see
-    _series and _at_cutoffs)."""
-    series = _series(kind, m, N, chi, caps)
-    cutoffs, n_err, cost, errors = _at_cutoffs(series, tail_eps)
-    terms = _Terms(series.moduli.tolist(), cutoffs.tolist(), n_err.tolist())
-    return terms, cost.tolist(), errors.tolist()
 
 
 def _given_caps(t_max: int | None, d_max: int | None) -> bool:
@@ -341,7 +319,7 @@ def _given_caps(t_max: int | None, d_max: int | None) -> bool:
 # itself.  2^13 and 2^14 measured alike; at 2^16 a block no longer fits in
 # the cache, and numeric-certify slowed by 8%.
 _BLOCK = 8192
-# The largest n-grid a series may sum (_modulus_series).
+# The largest n-grid a series may sum (_sum).
 _N_MAX = 1 << 25
 
 
@@ -426,16 +404,6 @@ def _weighted_j1(grid: _NGrid, betas: list[float], counts: list[int]) -> list[np
     return views
 
 
-def _sa_beta(m: int, c: int) -> float:
-    """The J1 scale of S_A(c): its argument is beta sqrt(n)."""
-    return 4.0 * math.pi * math.sqrt(m) / c
-
-
-def _sb_beta(m: int, N: int, d: int) -> float:
-    """The J1 scale of S_B(d): its argument is beta sqrt(n)."""
-    return 4.0 * math.pi * math.sqrt(m) / (d * math.sqrt(N))
-
-
 def _sa_sum(m: int, p: int, N: int, c: int, n: np.ndarray, v: np.ndarray) -> float:
     """S_A(c) from its weighted J1 factor v over the grid points n, which
     it multiplies in place by the Kloosterman factor."""
@@ -465,38 +433,42 @@ def _sb_sum(m: int, N: int, d: int, v: np.ndarray) -> float:
     return float(np.dot(folded[:-1], row[1:]) + folded[-1] * row[0])
 
 
-def _modulus_series(
-    chi: QuadraticCharacter, x: float, terms: _Terms, beta: Callable[[int], float],
-    finish: Callable[[int, np.ndarray, np.ndarray], float], error: float, coprime: bool,
-) -> NumericResult:
-    """sum_q S(q)/q over every modulus of `terms`: the one accumulator of
-    A and B, returned with `error`, the series' error bound.
+def _sum(chi: QuadraticCharacter, series: _Series, tail_eps: float) -> NumericResult:
+    """sum_q S(q)/q over the moduli of the one-cap `series`, each cut off
+    at the cutoff k where its n-tail drops below tail_eps, with the error
+    bound (_at_cutoffs): the one accumulator of A and B.
 
-    S(q) = finish(q, n, v) is summed over the grid points n <= k, k the
-    cutoff _terms set for modulus q, given v, the
-    weighted J1 factor w_n J1(beta(q) sqrt(n)) there.  All S(q) share one
-    n-grid, coprime to D for A (see _n_grid); the J1 factors of a block of
-    consecutive moduli (_blocks) come from one _weighted_j1 call, and the
-    moduli are added in order.
+    S(q) sums over the grid points n <= k the weighted J1 factor
+    w_n J1(beta sqrt(n)), beta = 4 pi sqrt(m)/(q s) with s = 1 for A and
+    sqrt(N) for B (the s of _prefactors), times the Kloosterman factor
+    (_sa_sum, _sb_sum).  All S(q) share one n-grid, coprime to D for A
+    (see _n_grid); the J1 factors of a block of consecutive moduli
+    (_blocks) come from one _weighted_j1 call; the moduli add in order.
 
     A cutoff past _N_MAX = 2^25 terms is a DomainError, raised before the
     grid is allocated: such a grid takes some 2 GiB with its block buffers,
     33 times the largest a certificate at D <= 403 and its threshold prime
     builds (1.0e6 terms, B(1,p^2) at (403, 1361))."""
-    import numpy as np
-
-    if not terms.moduli:
+    cutoffs, _, _, errors = _at_cutoffs(series, tail_eps)
+    [error], moduli = errors.tolist(), series.moduli.tolist()
+    if not moduli:
         return NumericResult(0.0, error)
-    n_max = max(terms.cutoffs)
+    n_max = int(cutoffs.max())
     if n_max > _N_MAX:
         raise DomainError(f"an n-grid of {n_max} terms is past the limit of 2^25 = {_N_MAX}")
-    grid = _n_grid(chi, x, n_max, coprime)
-    counts = np.searchsorted(grid.n, terms.cutoffs, side="right").tolist()
+    kind, m, N = series.kind, series.m, series.N
+    grid = _n_grid(chi, series.x, n_max, kind == "A")
+    r = math.isqrt(N)
+    p = r if r * r == N else N  # N = p or p^2, and no prime is a square
+    s = 1.0 if kind == "A" else math.sqrt(N)
+    counts = grid.n.searchsorted(cutoffs, side="right").tolist()
     acc = 0.0
     for lo, hi in _blocks(counts):
-        moduli, ks = terms.moduli[lo:hi], counts[lo:hi]
-        for q, k, v in zip(moduli, ks, _weighted_j1(grid, [beta(q) for q in moduli], ks)):
-            acc += finish(q, grid.n[:k], v) / q
+        qs, ks = moduli[lo:hi], counts[lo:hi]
+        betas = [4.0 * math.pi * math.sqrt(m) / (q * s) for q in qs]
+        for q, k, v in zip(qs, ks, _weighted_j1(grid, betas, ks)):
+            s_q = _sa_sum(m, p, N, q, grid.n[:k], v) if kind == "A" else _sb_sum(m, N, q, v)
+            acc += s_q / q
     return NumericResult(acc, error)
 
 
@@ -505,40 +477,32 @@ def A_numeric(
 ) -> NumericResult:
     """A(m,chi,N) = sum_{N|c} S_A(c)/c over the t_max moduli c = N..t_max N,
     each summed over the n coprime to D only (chi(n) = 0 elsewhere) up to
-    the cutoff where its n-tail drops below tail_eps; the error bound
-    (_model) aggregates the n-tails and the Weil-induced c-tail
+    the cutoff where its n-tail drops below tail_eps (_sum); the error bound
+    (_at_cutoffs) aggregates the n-tails and the Weil-induced c-tail
     (2D/N) (2 log(t_max+1) + 7)/sqrt(t_max+1) of the moduli beyond.
     t_max = 0 leaves A unevaluated: the value 0 and the whole c-tail
     14 D/N, which is A_bound's Weil branch.
     """
     if t_max < 0:
         raise ValueError("t_max must be >= 0")
-    p = _shape(m, N, chi)
-    terms, _, [error] = _model("A", m, N, chi, [t_max], tail_eps=tail_eps)
-    return _modulus_series(
-        chi, _x(chi.D, N), terms, lambda c: _sa_beta(m, c),
-        lambda c, n, v: _sa_sum(m, p, N, c, n, v), error, coprime=True,
-    )
+    _shape(m, N, chi)
+    return _sum(chi, _series("A", m, N, chi, [t_max]), tail_eps)
 
 
 def B_numeric(
     m: int, chi: QuadraticCharacter, N: int, *, d_max: int, tail_eps: float = _N_TAIL_EPS
 ) -> NumericResult:
     """B(m,chi,N) = sum_{(d,N)=1} S_B(d)/d over d <= d_max, each S_B(d) up
-    to the cutoff where its n-tail drops below tail_eps, folded by residue
-    mod d and dotted once with its row (_sb_sum).  The
-    moduli beyond d_max are bounded (_model) by bounds.hybrid_d_tail: the
-    Abel (Polya-Vinogradov) bound per d up to the d1 that minimises the
+    to the cutoff where its n-tail drops below tail_eps (_sum), folded by
+    residue mod d and dotted once with its row (_sb_sum).  The
+    moduli beyond d_max are bounded (_at_cutoffs) by bounds.hybrid_d_tail:
+    the Abel (Polya-Vinogradov) bound per d up to the d1 that minimises the
     total, the Weil-induced |S_B(d)| <= D sqrt(m) tau(d)/sqrt(d) beyond d1
     and at d = D."""
     if d_max < 1:
         raise ValueError("d_max must be >= 1")
     _shape(m, N, chi)
-    terms, _, [error] = _model("B", m, N, chi, [d_max], tail_eps=tail_eps)
-    return _modulus_series(
-        chi, _x(chi.D, N), terms, lambda d: _sb_beta(m, N, d),
-        lambda d, n, v: _sb_sum(m, N, d, v), error, coprime=False,
-    )
+    return _sum(chi, _series("B", m, N, chi, [d_max]), tail_eps)
 
 
 class _Plan(NamedTuple):
@@ -676,7 +640,7 @@ def _plan(
     shape, then A, B of the next, to the reported error bound; it is
     linear, so its value at a unit vector is that series' weight.  Every
     series chooses from a geometric ladder of caps (_ladders), and every
-    cap's error and cost come from _model.  Each of two passes (_pass) is
+    cap's error and cost come from _at_cutoffs.  Each of two passes (_pass) is
     the Lagrangian plan for its target.
 
     Pass 1 cuts every modulus off at an n-tail of _N_TAIL_EPS and aims at

@@ -50,16 +50,18 @@ def partial_series(kind, m, chi, N, q, n_max):
     """S_A(q) (kind "A", q = c a multiple of N) or S_B(q) (kind "B", q = d
     coprime to N) summed over n <= n_max, and its n-tail bound past n_max,
     through the per-modulus code the certificates run: the n-grid and a
-    block of one modulus."""
+    block of one modulus, whose J1 scale beta = 4 pi sqrt(m)/(q s) takes
+    s = 1 for A and sqrt(N) for B, as trace._sum does."""
     x = trace._x(chi.D, N)
+    beta = 4.0 * math.pi * math.sqrt(m) / (q * (1.0 if kind == "A" else math.sqrt(N)))
     if kind == "A":
         grid = trace._n_grid(chi, x, n_max, coprime=True)
-        [v] = trace._weighted_j1(grid, [trace._sa_beta(m, q)], [grid.n.size])
+        [v] = trace._weighted_j1(grid, [beta], [grid.n.size])
         value = trace._sa_sum(m, trace._level_prime(N), N, q, grid.n, v)
         prefactor = sa_prefactor(m, q, divisor_count(q))
     else:
         grid = trace._n_grid(chi, x, n_max, coprime=False)
-        [v] = trace._weighted_j1(grid, [trace._sb_beta(m, N, q)], [n_max])
+        [v] = trace._weighted_j1(grid, [beta], [n_max])
         value = trace._sb_sum(m, N, q, v)
         prefactor = sb_prefactor(m, q, N, divisor_count(q))
     return value, n_tail(prefactor, x, n_max)

@@ -40,17 +40,43 @@ class TestExitCodes:
         assert main(["kloosterman", "1", "1", str(1 << 31), "--fast", "--quiet"]) == 2
 
     def test_modulus_out_of_memory_exits_two(self, monkeypatch, capsys):
-        # 2^31 - 1 passes the int64 limit but its unit table wants 16 GiB:
-        # the allocation is faked to fail, as it would, without asking for it
+        # 16777213, the last prime below the table bound 2^24, passes it, but
+        # its unit table peaks near 1.3 GiB, which a machine may not have: the
+        # allocation is faked to fail, as it would, without asking for it
         def no_memory(*args, **kwargs):
             raise MemoryError
 
         monkeypatch.setattr(np, "arange", no_memory)
         for fast in ([], ["--fast"]):
-            assert main(["kloosterman", "1", "1", "2147483647", "--json", *fast]) == 2
+            assert main(["kloosterman", "1", "1", "16777213", "--json", *fast]) == 2
             out, err = capsys.readouterr()
             assert out == "" and err.count("\n") == 1
-            assert err.startswith("error: modulus 2147483647")
+            assert err.startswith("error: modulus 16777213")
+
+    def test_row_past_the_table_bound_exits_two(self, monkeypatch, capsys):
+        # the planned A(1,p) at p = 100000007 reads the Kloosterman row mod p,
+        # a unit table and FFT of 10^8 entries, which ran for 53 s until the
+        # process was killed; the table bound 2^24 stops it before any
+        # allocation, so an arange that long fails the test instead of paging in
+        arange = np.arange
+
+        def no_long_arange(*args, **kwargs):
+            assert max(args, default=0) < 1 << 24, f"np.arange{args} would allocate"
+            return arange(*args, **kwargs)
+
+        monkeypatch.setattr(np, "arange", no_long_arange)
+        assert main(["pairing", "--m", "1", "--level", "100000007", "--disc", "15", "--json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: modulus 100000007 too large for a unit table")
+
+    def test_component_group_past_its_prime_bound_exits_two(self, capsys):
+        # the relation matrix at p = 100003 has 7e7 entries: its MemoryError
+        # escaped as a traceback under a 2 GB address-space limit
+        assert main(["component-group", "--prime", "100003", "--ram", "2", "--json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith("error: p = 100003 is past the relation matrix's bound")
 
     @pytest.mark.parametrize("D", ["5", str(2**53 + 3), str(10**400)])
     @pytest.mark.parametrize("argv", [

@@ -58,6 +58,16 @@ class TestRelationMatrix:
         assert generator_names(11) == ["Zbar", "Ebar", "Gbar"]
         assert generator_names(37) == ["Zbar", "Cbar_s1", "Cbar_s2", "Cbar_s3"]
 
+    def test_prime_past_the_bound_is_unsupported(self, monkeypatch):
+        # 32771 is the first prime past 2^15; no row may be built for it
+        monkeypatch.setattr(compgroup, "generator_names", lambda p: pytest.fail("built a row"))
+        assert compgroup._MAX_PRIME == 1 << 15
+        for p in (32771, 100003, 2**61 - 1):
+            with pytest.raises(UnsupportedPrime, match="2\\^15"):
+                q.relation_matrix(p, 2)
+            with pytest.raises(UnsupportedPrime):
+                q.component_group(p, 2)
+
     def test_digest_of_every_matrix_below_5000(self):
         # the rows as the hand-indexed (Z), (Z'), C_s, E and G blocks wrote
         # them: sha256 over each (p, e), its shape and its rows, packed as

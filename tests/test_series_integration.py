@@ -113,8 +113,9 @@ def test_genus_zero_levels_pair_to_zero(D, m, N):
     # X0(7) and X0(13) have genus 0, so the cusp-form space at those levels
     # is trivial and every pairing against it vanishes identically.  The
     # truncated series must cancel the leading term 4 pi chi(m) e^(-mx)
-    # (between 1.1 and 5.7 on these inputs) down to noise; this pins every
-    # sign and twist in the assembly at once.
+    # (between 1.1 and 5.7 on these inputs) down to noise.  It cannot see
+    # B's sign: B's part here is 0.008-0.034, so flipping it moves no case
+    # past the tolerance (test_forced_zeros_at_genus_one_levels does).
     chi = q.make_character(D)
     res = q.pairing_numeric(m, N, chi, t_max=160, d_max=600)
     assert abs(res.value) < 0.2
@@ -123,3 +124,25 @@ def test_genus_zero_levels_pair_to_zero(D, m, N):
         lead = 4 * math.pi * math.exp(-2 * math.pi / (D * math.sqrt(N)))
         assert abs(res.value) < 0.05 * lead
     assert abs(res.value) <= res.error_bound
+
+
+GENUS_ONE_ZEROS = [
+    (N, D)
+    for N in (11, 17, 19)
+    for D in q.fundamental_discriminants(3, 35)
+    if math.gcd(N, D) == 1 and q.make_character(D)(N) == 1
+]
+
+
+@pytest.mark.parametrize("N,D", GENUS_ONE_ZEROS)
+def test_forced_zeros_at_genus_one_levels(N, D):
+    # S_2(Gamma0(N)) at N = 11, 17, 19 is one curve (11a, 17a, 19a) of root
+    # number +1; for gcd(N, D) = 1 its twist by chi_-D has root number
+    # -chi_-D(N), so L(f x chi, 1) = 0 and the pairing vanishes where
+    # chi_-D(N) = +1.  B's part, 8 pi^2 chi(N)/sqrt(N) B, is 5.0-47.0 here and
+    # the residue at most 0.055, so a flipped B sign (9.9-93.9) fails.
+    chi = q.make_character(D)
+    res = q.pairing_numeric(1, N, chi, t_max=240, d_max=800)
+    b_part = 8 * math.pi**2 * chi(N) / math.sqrt(N) * q.B_numeric(1, chi, N, d_max=800).value
+    # with B's sign flipped the pairing would read res.value + 2 b_part
+    assert abs(res.value) < 0.5 < abs(res.value + 2 * b_part)

@@ -125,8 +125,9 @@ class TestWeightedJ1:
                 q.A_numeric(1, CHI3, 49, t_max=cap)
             else:
                 q.B_numeric(1, CHI3, 49, d_max=cap)
-            terms, _, _ = trace._model(kind, 1, 49, CHI3, [cap])
-            counts = [k - k // 3 if kind == "A" else k for k in terms.cutoffs]
+            series = trace._series(kind, 1, 49, CHI3, [cap])
+            cutoffs = trace._at_cutoffs(series, trace._N_TAIL_EPS)[0].tolist()
+            counts = [k - k // 3 if kind == "A" else k for k in cutoffs]
             assert len(counts) == moduli
             assert len(calls) == len(trace._blocks(counts))
             assert sum(calls) == sum(counts)
@@ -606,13 +607,16 @@ class TestPlanner:
     @pytest.mark.parametrize("D, p", [(3, 73), (15, 271), (31, 431)])
     @pytest.mark.parametrize("eps", [trace._N_TAIL_EPS, 1e-4])
     def test_model_is_a_scalar_loop_bit_for_bit(self, D, p, eps):
-        # _model's array passes against one pass of scalar math per modulus,
-        # at the default n-tail allowance and at one a planner might give
+        # the error model's array passes (_series, _at_cutoffs) against one
+        # pass of scalar math per modulus, at the default n-tail allowance
+        # and at one a planner might give
         chi = q.make_character(D)
         for m, N in ((1, p * p), (1, p), (p, p)):
             x = trace._x(D, N)
             for kind, caps in (("A", [0, 7, 240]), ("B", [1, 7, 1600])):
-                terms, cost, _ = trace._model(kind, m, N, chi, caps, tail_eps=eps)
+                series = trace._series(kind, m, N, chi, caps)
+                got_cutoffs, got_n_err, cost, _ = trace._at_cutoffs(series, eps)
+                terms = (series.moduli.tolist(), got_cutoffs.tolist(), got_n_err.tolist())
                 if kind == "A":
                     moduli = list(range(N, 241 * N, N))
                     f = [sa_prefactor(m, c, q.divisor_count(c)) for c in moduli]
@@ -624,10 +628,10 @@ class TestPlanner:
                 cutoffs = [n_cutoff(v, x, eps) for v in f]
                 tails = (n_tail(v, x, k) / c for v, k, c in zip(f, cutoffs, moduli))
                 n_err = list(itertools.accumulate(tails, initial=0.0))
-                assert repr(terms) == repr(trace._Terms(moduli, cutoffs, n_err))
+                assert repr(terms) == repr((moduli, cutoffs, n_err))
                 acc = [0.0, *itertools.accumulate(k * share + trace._MODULUS_COST for k in cutoffs)]
                 counts = caps if kind == "A" else [bisect.bisect_right(moduli, d) for d in caps]
-                assert repr(cost) == repr([acc[j] for j in counts])
+                assert repr(cost.tolist()) == repr([acc[j] for j in counts])
 
     @pytest.mark.parametrize(
         "x", [trace._x(15, 269), trace._x(31, 409 * 409), trace._x(403, 1361 * 1361), 0.7]
@@ -685,11 +689,11 @@ class TestPlanner:
         lams = [0.0, 1e60, *(10.0 ** rng.uniform(-6.0, 12.0, 60)).tolist()]
         for eps in ([trace._N_TAIL_EPS] * 6, [1e-6, 1e-4, 1e-3, 1e-2, 1e-9, 1e-5]):
             costs, weighted, errs = trace._prices(ladders, eps)
-            models = [trace._model(kind, m, N, chi, s.caps, tail_eps=e)
+            models = [trace._at_cutoffs(trace._series(kind, m, N, chi, s.caps), e)[2:]
                       for (kind, m, N), s, e in zip(kinds, ladders.series, eps)]
-            assert errs == [err for _, _, err in models]
-            ref_costs = [np.array(cost) for _, cost, _ in models]
-            ref_weighted = [w * np.array(err) for w, (_, _, err) in zip(ladders.weights, models)]
+            assert errs == [err.tolist() for _, err in models]
+            ref_costs = [cost for cost, _ in models]
+            ref_weighted = [w * err for w, (_, err) in zip(ladders.weights, models)]
             picks = set()
             for lam in lams:
                 idx = trace._pick(costs, weighted, lam)
@@ -715,9 +719,9 @@ class TestPlanner:
         weights = iter(ladders.weights)
         for (m, N), caps, allowances in zip(shapes, plan.caps, plan.tail_eps):
             for kind, cap, eps in zip("AB", caps, allowances):
-                terms, _, _ = trace._model(kind, m, N, chi, [cap], tail_eps=eps)
+                n_err = trace._at_cutoffs(trace._series(kind, m, N, chi, [cap]), eps)[1].tolist()
                 assert eps >= trace._N_TAIL_EPS
-                assert next(weights) * terms.n_err[-1] <= 1e-3 * e0 or eps == trace._N_TAIL_EPS
+                assert next(weights) * n_err[-1] <= 1e-3 * e0 or eps == trace._N_TAIL_EPS
 
     @pytest.mark.parametrize("D, p", [(3, 73), (15, 271), (31, 431)])
     def test_budgeted_cutoffs_stay_within_their_n_tails(self, D, p):
@@ -737,9 +741,10 @@ class TestPlanner:
             ):
                 budgeted = fn(m, chi, N, **caps, tail_eps=eps)
                 full = fn(m, chi, N, **caps)
-                terms, _, _ = trace._model(kind, m, N, chi, [*caps.values()], tail_eps=eps)
+                series = trace._series(kind, m, N, chi, [*caps.values()])
+                n_err = trace._at_cutoffs(series, eps)[1].tolist()
                 gap = abs(budgeted.value - full.value)
-                assert gap <= terms.n_err[-1] + 1e-12 * (1.0 + abs(full.value))
+                assert gap <= n_err[-1] + 1e-12 * (1.0 + abs(full.value))
                 shifted += gap > 0
         assert shifted >= 5
 
