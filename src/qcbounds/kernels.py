@@ -19,9 +19,10 @@ over many multiples of the level.  Three tools keep that cheap:
   2 p^(a/2) cos(4 pi w / p^a) with w^2 = y (a even), with a
   Legendre-symbol/sine variant for odd a.  It is evaluated per term,
   vectorised: a square root of each term is read from a table mod p and
-  Hensel-lifted to p^a.  The levels p^2 meet a = 2 at every modulus, but
-  a certificate's planned caps evaluate only a handful of them, so no
-  p^2 row is built.
+  lifted to p^a by one Hensel step per p-adic digit.  The levels p^2 meet
+  a = 2 at every modulus, but a certificate's planned caps evaluate only a
+  handful of them, so no p^2 row is built.  series_kloosterman alone
+  chooses, for the p-power factor, between this closed form and the row.
 
 All kernels are verified against direct enumeration in the test suite.
 """
@@ -71,22 +72,20 @@ def kloosterman_row(m: int, c: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _sqrt_table(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _sqrt_table(p: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only int64 tables for an odd prime p, indexed by x = 0..p-1:
     a square root r of x where x is a nonzero square mod p (0 elsewhere),
-    the inverse of 2x mod p (0 at x = 0), and for the first Hensel step
-    (r*r - x)/p and the inverse of 2r mod p (0 where r = 0)."""
+    and the inverse of 2x mod p (0 at x = 0), which each Hensel step of
+    _salie reads at its root."""
     r = np.arange(1, (p + 1) // 2, dtype=np.int64)
     root = np.zeros(p, dtype=np.int64)
     root[(r * r) % p] = r
     units, invs = _units_and_inverses(p)
     inv2 = np.zeros(p, dtype=np.int64)
     inv2[units] = invs * ((p + 1) // 2) % p
-    x = np.arange(p, dtype=np.int64)
-    tables = (root, inv2, (root * root - x) // p, inv2[root])
-    for table in tables:
+    for table in (root, inv2):
         table.flags.writeable = False
-    return tables
+    return root, inv2
 
 
 def _salie(p: int, a: int, y: np.ndarray) -> np.ndarray:
@@ -95,25 +94,19 @@ def _salie(p: int, a: int, y: np.ndarray) -> np.ndarray:
 
     The sum vanishes unless y is a unit square, so only the unit squares
     (about half the terms) are evaluated.  A root w of y is read from the
-    table mod p and lifted one p-adic digit per Hensel step; the first
-    step reads y = y1*p + y0 with one divmod and the tables of
-    (r*r - y0)/p and 1/(2r) at y0, so a = 2 needs no other division.
+    table mod p and lifted one p-adic digit per Hensel step,
+    w += pe ((y - w^2)/pe mod p)/(2w) mod p for pe = p, ..., p^(a-1).
     Then S = 2 p^(a/2) cos(4 pi w/p^a) for even a, with the
     Legendre-symbol/sine variant for odd a.
     """
     q = p**a
-    root, inv2, lift, inv2root = _sqrt_table(p)
+    root, inv2 = _sqrt_table(p)
     out = np.zeros(y.shape)
-    y1, y0 = np.divmod(y, p)
-    w = root[y0]
+    w = root[y % p]
     squares = np.flatnonzero(w)
-    y0 = y0[squares]
-    # (y - w*w)/p = y1 - (r*r - y0)/p: w^2 = y mod p  ->  w^2 = y mod p^2
-    w = w[squares] + p * ((y1[squares] - lift[y0]) * inv2root[y0] % p)
-    if a > 2:
-        y = y[squares]
-    pe = p
-    for _ in range(a - 2):  # w^2 = y mod p*pe  ->  w^2 = y mod p^2*pe
+    w, y = w[squares], y[squares]
+    pe = 1
+    for _ in range(a - 1):  # w^2 = y mod pe*p  ->  w^2 = y mod pe*p^2
         pe *= p
         w += pe * ((y - w * w) // pe % p * inv2[w % p] % p)
     amp = 2.0 * p ** (a / 2.0)
@@ -126,30 +119,17 @@ def _salie(p: int, a: int, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pp_values(m: int, p: int, a: int, k: int, n: np.ndarray) -> np.ndarray:
-    """S(m, k*n; p^a) for a unit k mod p^a and an int64 array n >= 0.
-
-    A unit m at odd p and a >= 2 takes the closed forms; every other case
-    (a = 1, p = 2, p | m) reads the full row S(m, . ; p^a).
-    """
-    q = p**a
-    # p | m at a >= 2 occurs only in the (p, p) shape with p | t, so
-    # q <= t*p and its row is one small FFT.
-    if a == 1 or p == 2 or m % p == 0:
-        return kloosterman_row(m, q)[(k * n) % q]
-    k = m * k % q  # S(m, y; q) = S(1, m*y; q) for a unit m
-    return _salie(p, a, (k * n) % q)
-
-
 def series_kloosterman(m: int, p: int, N: int, t: int, n: np.ndarray) -> np.ndarray:
     """S(m, n; t*N) for the 1-based index array n, where N = p or p^2, so
     that p divides t*N (a >= 1 below).
 
     Splits t*N = p^a * c' and evaluates both factors through the twisted
-    multiplicativity identity.  The p-power factor reads the row mod p at
-    a = 1; a >= 2 takes the vectorised closed form with one lifted square
-    root per term (_salie).  p | m at a >= 2, which needs p | t, reads the
-    row S(m, . ; p^a) like a = 1.
+    multiplicativity identity.  The p-power factor S(m, y; p^a) takes the
+    closed form for a unit m at odd p and a >= 2, through
+    S(m, y; p^a) = S(1, m*y; p^a) with one lifted square root per term
+    (_salie); every other case (a = 1, p = 2, p | m) reads the row
+    S(m, . ; p^a).  p | m at a >= 2 occurs only in the (p, p) shape with
+    p | t, so p^a <= t*p and its row is one small FFT.
     """
     c = t * N
     a = 0
@@ -161,8 +141,11 @@ def series_kloosterman(m: int, p: int, N: int, t: int, n: np.ndarray) -> np.ndar
     n = np.asarray(n, dtype=np.int64)
 
     # p-power factor: S(m, cpbar^2 * n; q).
-    cpbar = pow(cp, -1, q)
-    part_q = _pp_values(m, p, a, cpbar * cpbar % q, n)
+    k = pow(cp, -2, q)
+    if a == 1 or p == 2 or m % p == 0:
+        part_q = kloosterman_row(m, q)[(k * n) % q]
+    else:
+        part_q = _salie(p, a, (m * k % q * n) % q)
 
     # small cofactor: S(m, qbar^2 * n; c').
     if cp == 1:
