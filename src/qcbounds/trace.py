@@ -62,7 +62,10 @@ cutoff int(log(z)/x) + 1 takes numpy's log, and libm's again only where
 log(z)/x lies within a relative 1e-9 of an integer, far wider than the
 few ulp between the two logs, so elsewhere no integer falls between
 them; each n-tail takes libm's exp once per distinct cutoff.  So no
-cutoff, cost or error bound depends on numpy's SIMD dispatch.
+cutoff, cost or error bound depends on numpy's SIMD dispatch.  Nor
+does any value: the grid's weights take libm's exp from two short tables
+(_n_grid), and B's dot with its row is a product and a pairwise sum, not
+a BLAS call (_sb_sum).
 Only the numeric path loads numpy (with bessel, kernels and bounds),
 inside the functions that use it, so a closed-form certificate starts
 without it.
@@ -162,8 +165,9 @@ def _libm(f: Callable[[float], float], v: np.ndarray) -> np.ndarray:
     """f, math.exp or math.log, over a float array.  numpy's *, / and sqrt
     round as Python's do, but np.exp and np.log are not libm's (np.exp
     differs from math.exp on about 5% of inputs, np.log from math.log on
-    about 0.01%), so the error model maps math's over the floats where a
-    bit could move (_terms)."""
+    about 0.01%), and np.exp's bits move with numpy's SIMD dispatch, so
+    the error model maps math's over the floats where a bit could move
+    (_terms), and the grid's weights over two short tables (_n_grid)."""
     import numpy as np
 
     return np.array(list(map(f, v.tolist())), dtype=np.float64)
@@ -345,20 +349,27 @@ def _n_grid(chi: QuadraticCharacter, x: float, n_max: int, coprime: bool) -> _NG
     B's grid stays full: a reshape folds it by residue at
     0.5 ns an element, where a fold of a compressed grid costs 1.8-2.6 ns
     (scatter back) or 13 ns (np.bincount), and a compressed B made every
-    numeric-certify certificate slower, prime D by 8-60%.  A grid that
-    does not fit in memory is a DomainError."""
+    numeric-certify certificate slower, prime D by 8-60%.  The weights'
+    e^(-nx) is e^(-isx) e^(-jx) at n = is + j, 0 <= j < s = isqrt(n_max) + 1:
+    the outer product of two tables of libm's exp (_libm) at arguments
+    rounded once, so no bit depends on numpy's SIMD dispatch, for about
+    2 sqrt(n_max) libm calls.  A grid that does not fit in memory is a
+    DomainError."""
     import numpy as np
 
     try:
         n = np.arange(1, n_max + 1, dtype=np.int64)
         chi_n = chi.values(n)
+        s = math.isqrt(n_max) + 1
+        small = _libm(math.exp, -x * np.arange(s))
+        big = _libm(math.exp, -x * np.arange(0, n_max + 1, s))
+        decay = np.multiply.outer(big, small).ravel()[1 : n_max + 1]
         if coprime:
             keep = chi_n != 0
-            n, chi_n = n[keep], chi_n[keep]
-        nf = n.astype(np.float64)
-        root = np.sqrt(nf)
+            n, chi_n, decay = n[keep], chi_n[keep], decay[keep]
+        root = np.sqrt(n.astype(np.float64))
         room = max(n.size, _BLOCK)
-        return _NGrid(n, root, chi_n / root * np.exp(-nf * x), np.empty(room), np.empty(room))
+        return _NGrid(n, root, chi_n / root * decay, np.empty(room), np.empty(room))
     except MemoryError:
         raise DomainError(f"an n-grid of {n_max} terms is too large for memory") from None
 
@@ -418,8 +429,10 @@ def _sb_sum(m: int, N: int, d: int, v: np.ndarray) -> float:
 
     The Kloosterman factor is periodic in n with period d, so v is summed
     per residue with one reshape (plus the partial last period) and the d
-    sums are dotted once with the row.  folded[j] holds n = j + 1 mod d,
-    which meets row[j + 1], and the last residue wraps round to row[0].
+    sums are dotted once with the row, as a product and numpy's pairwise
+    sum: np.dot's order of summation would depend on the BLAS kernel.
+    folded[j] holds n = j + 1 mod d, which meets row[j + 1], and the last
+    residue wraps round to row[0].
     """
     import numpy as np
 
@@ -430,7 +443,7 @@ def _sb_sum(m: int, N: int, d: int, v: np.ndarray) -> float:
     folded = v[:full].reshape(-1, d).sum(axis=0)
     folded[: k - full] += v[full:]
     row = kernels.kloosterman_row(m * pow(N, -1, d) % d, d)
-    return float(np.dot(folded[:-1], row[1:]) + folded[-1] * row[0])
+    return float((folded[:-1] * row[1:]).sum() + folded[-1] * row[0])
 
 
 def _sum(chi: QuadraticCharacter, series: _Series, tail_eps: float) -> NumericResult:

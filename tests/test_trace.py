@@ -255,10 +255,11 @@ class TestNumericSeries:
 
     def test_B_explicit_cap_keeps_value_with_hybrid_tail(self):
         # explicit caps sum exactly those moduli: the value is the one the
-        # Weil d-tail engine gave (error 29.234176293947236 then); only the
-        # tail past d_max changed
+        # Weil d-tail engine gave (error 29.234176293947236 then), up to
+        # the grid weights' libm exp (-0.013674232353845508 with np.exp's);
+        # only the tail past d_max changed
         b = q.B_numeric(1, CHI15, 271**2, d_max=60)
-        assert b.value == -0.013674232353845508
+        assert b.value == -0.013674232353845526
         weil = 15 * tail_bounds(61).tau_tail
         hybrid = q.hybrid_d_tail(15, 1, 271**2, 60).total
         assert b.error_bound == pytest.approx(29.234176293947236 - weil + hybrid, rel=1e-12)
@@ -507,11 +508,11 @@ class TestNewPlusPairing:
 
 class TestNumericEngineBits:
     def test_digest_of_the_envelope_grid_at_explicit_caps(self):
-        # Every bit of the numeric engine's values at explicit caps, recorded
-        # from the engine that made one bessel_j1 call per modulus: the
+        # Every bit of the numeric engine's values at explicit caps: the
         # envelope suite's 72 series at its explicit caps and its (15, 269)
         # soundness certificate.  A change that moves any value or error
-        # bound changes the digest.
+        # bound changes the digest; no numpy SIMD dispatch or BLAS kernel
+        # does (grid weights from libm's exp, no np.dot).
         results = []
         for p in (7, 11, 13, 73):
             for D in (3, 4, 15):
@@ -522,7 +523,7 @@ class TestNumericEngineBits:
         assert len(results) == 72
         results.append(q.certify_numeric(269, CHI15, t_max=96, d_max=300))
         digest = hashlib.sha256(repr(results).encode()).hexdigest()
-        assert digest == "4d50687b1d4de99b09e53970c2937361401d6ff22577a35836b65b3173e38761"
+        assert digest == "8acb8240d52066486a742b67b872a74e25bdbebb70fc9c1a59705402e2064aea"
 
     def test_digest_of_the_planned_threshold_certificates(self):
         # numeric-certify's six threshold-prime certificates (D = 15..31) at
