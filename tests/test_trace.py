@@ -255,9 +255,8 @@ class TestNumericSeries:
 
     def test_B_explicit_cap_keeps_value_with_hybrid_tail(self):
         # explicit caps sum exactly those moduli: the value is the one the
-        # Weil d-tail engine gave (error 29.234176293947236 then), up to
-        # the grid weights' libm exp (-0.013674232353845508 with np.exp's);
-        # only the tail past d_max changed
+        # Weil d-tail engine gave (error 29.234176293947236 then) to within
+        # 2e-17; only the tail past d_max changed
         b = q.B_numeric(1, CHI15, 271**2, d_max=60)
         assert b.value == -0.013674232353845526
         weil = 15 * tail_bounds(61).tau_tail
