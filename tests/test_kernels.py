@@ -110,6 +110,39 @@ def test_salie_matches_direct(p, a):
     assert np.allclose(kernels._salie(p, a, y), direct, rtol=0.0, atol=1e-9)
 
 
+def _salie_generic_lift(p, a, y):
+    """The reference: _salie with the lift of root[y mod p] to p^a found
+    by squaring every candidate w = r mod p, r in 1..(p-1)/2, rather than
+    by one Hensel step per digit.  The lift is unique, so both give the
+    same integer w in [0, p^a)."""
+    q = p**a
+    root = kernels._sqrt_table(p)[0]
+    cand = np.arange(q, dtype=np.int64)
+    cand = cand[(cand % p >= 1) & (cand % p <= (p - 1) // 2)]
+    lifted = np.zeros(q, dtype=np.int64)
+    lifted[cand * cand % q] = cand
+    out = np.zeros(y.shape)
+    w = lifted[y]
+    squares = np.flatnonzero(w)
+    w = w[squares]
+    amp = 2.0 * p ** (a / 2.0)
+    ang = ((2 * w) % q) * (2.0 * math.pi / q)
+    if a % 2 == 0:
+        out[squares] = amp * np.cos(ang)
+        return out
+    sign = np.where(root[w % p] != 0, amp, -amp)
+    out[squares] = sign * np.cos(ang) if p % 4 == 1 else -sign * np.sin(ang)
+    return out
+
+
+@pytest.mark.parametrize("p,a", [(3, 2), (3, 5), (7, 3), (13, 2), (13, 3), (101, 2), (269, 2), (997, 2)])
+def test_salie_is_bit_identical_to_generic_lift(p, a):
+    # the digit-by-digit lift reaches the same integer w at every unit
+    # square, so every value is the same double
+    y = np.arange(p**a, dtype=np.int64)
+    assert kernels._salie(p, a, y).tobytes() == _salie_generic_lift(p, a, y).tobytes()
+
+
 @pytest.mark.parametrize("p,a", [(101, 2), (269, 2), (73, 3)])
 def test_salie_matches_direct_at_certificate_sized_primes(p, a):
     # 48 random residues at the primes of threshold certificates, where
