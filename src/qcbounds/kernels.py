@@ -90,7 +90,9 @@ def _sqrt_table(p: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _salie(p: int, a: int, y: np.ndarray) -> np.ndarray:
     """S(1, y; p^a) for p odd, a >= 2 and an int64 array y of residues
-    mod p^a (w*w below stays under p^(2a-2), in int64 for p^a < 2^31).
+    mod p^a.  w*w below stays under p^(2a-2), but the int64 limit binds
+    first in the caller, which forms y as (m k mod p^a) n: trace._sum
+    refuses an A grid on which either could reach 2^63.
 
     The sum vanishes unless y is a unit square, so only the unit squares
     (about half the terms) are evaluated.  A root w of y is read from the

@@ -44,10 +44,11 @@ Weil-induced majorants for the n-tails and A's c-tail, and for B's
 d-tail the hybrid of bounds.hybrid_d_tail (the paper's Abel transform
 per d up to a d1 chosen to minimise the total, the Weil tau-tail
 beyond).  None of these bounds depends on an evaluated term.  _series
-and _at_cutoffs compose every series error bound, for A_numeric and
-B_numeric, whose one-cap series _sum sums, and for a planner (_plan),
-which picks every series' cap and n-cutoffs before anything is
-evaluated, in two passes.  The first sums every modulus until its
+and _at_cutoffs alone compose a series error bound, from a ledger of
+parts at each cap: n-tail + c-tail for A, n-tail + (Abel + Weil) for B.
+A_numeric and B_numeric (_sum, at one cap) return the parts with the
+bound, and certify_numeric reads them; a planner (_plan) picks every
+series' cap and n-cutoffs before anything is evaluated, in two passes.  The first sums every modulus until its
 n-tail falls below 1e-15 and takes A's t_max and B's d_max for each
 shape, the cheapest caps on a geometric ladder whose error bound E0 is
 no larger than the one the former fixed caps reached (t_max = 240, and B at
@@ -157,8 +158,13 @@ def _x(D: int, N: int) -> float:
 
 
 class NumericResult(NamedTuple):
+    """A value and its error bound.  A series' result also carries the
+    bound's parts (_at_cutoffs): its n-tail, then A's c-tail or B's Abel
+    and Weil d-tail parts; error_bound = parts[0] + sum(parts[1:])."""
+
     value: float
     error_bound: float
+    parts: tuple[float, ...] = ()
 
 
 def _libm(f: Callable[[float], float], v: np.ndarray) -> np.ndarray:
@@ -247,8 +253,8 @@ class _Series(NamedTuple):
     """What the error model knows of series `kind` ("A" or "B") of (m, N)
     before its n-cutoffs are set: the ascending caps, the moduli up to the
     last of them with their n-tail prefactors, the decay rate x, the cost of
-    one n-term, and at each cap the number of moduli it sums and the
-    c- or d-tail it leaves.  A one-cap series is what _sum sums."""
+    one n-term, and at each cap the number of moduli it sums and the parts
+    of the c- or d-tail it leaves, a row.  A one-cap series is what _sum sums."""
 
     kind: str
     m: int
@@ -266,7 +272,7 @@ def _series(kind: str, m: int, N: int, chi: QuadraticCharacter, caps: list[int])
     """Series `kind` of (m, N) at the ascending `caps`, before its
     n-cutoffs.  The tails past each cap are A's Weil-induced c-tail past
     t_max N, (2D/N) tau_tail(t_max + 1) (14 D/N, A_bound's Weil branch, at
-    t_max = 0), and B's d-tail past d_max, bounds.hybrid_d_tail.  An
+    t_max = 0), and B's d-tail past d_max, hybrid_d_tail's abel and weil.  An
     n-term costs one unit, A's only for the n coprime to D, a share
     phi(D)/D of each cutoff, and A(1,p^2)'s _SALIE_TERM_COST each."""
     import numpy as np
@@ -281,12 +287,12 @@ def _series(kind: str, m: int, N: int, chi: QuadraticCharacter, caps: list[int])
         share = euler_phi(D) / D
         if N != p:
             share *= _SALIE_TERM_COST
-        counts, tails = np.array(caps), [2.0 * D / N * tail_bounds(t + 1).tau_tail for t in caps]
+        counts, tails = np.array(caps), [[2.0 * D / N * tail_bounds(t + 1).tau_tail] for t in caps]
     else:
         moduli, prefactors = _b_moduli(m, N, caps[-1])
         share = 1.0
         counts = moduli.searchsorted(caps, side="right")
-        tails = [tail.total for tail in hybrid_d_tail(D, m, N, caps)]
+        tails = [(tail.abel, tail.weil) for tail in hybrid_d_tail(D, m, N, caps)]
     return _Series(kind, m, N, caps, moduli, prefactors, x, share, counts, np.array(tails))
 
 
@@ -295,13 +301,14 @@ def _at_cutoffs(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The cutoffs and n_err of `series` with every n-tail below tail_eps
     (_terms), and its cost and error bound at each cap: the error bound is
-    the n-tails of the moduli up to the cap plus the tail past it; the cost
-    counts the n-terms the series sums plus _MODULUS_COST a modulus."""
+    the n-tails of the moduli up to the cap plus the tail past it, its parts
+    summed (B's abel + weil); the cost counts the n-terms the series sums
+    plus _MODULUS_COST a modulus."""
     import numpy as np
 
     cutoffs, n_err = _terms(series.moduli, series.prefactors, series.x, tail_eps)
     cost = np.concatenate(([0.0], np.cumsum(cutoffs * series.share + _MODULUS_COST)))
-    return cutoffs, n_err, cost[series.counts], n_err[series.counts] + series.tails
+    return cutoffs, n_err, cost[series.counts], n_err[series.counts] + series.tails.sum(axis=1)
 
 
 def _given_caps(t_max: int | None, d_max: int | None) -> bool:
@@ -449,7 +456,7 @@ def _sb_sum(m: int, N: int, d: int, v: np.ndarray) -> float:
 def _sum(chi: QuadraticCharacter, series: _Series, tail_eps: float) -> NumericResult:
     """sum_q S(q)/q over the moduli of the one-cap `series`, each cut off
     at the cutoff k where its n-tail drops below tail_eps, with the error
-    bound (_at_cutoffs): the one accumulator of A and B.
+    bound and its parts (_at_cutoffs): the one accumulator of A and B.
 
     S(q) sums over the grid points n <= k the weighted J1 factor
     w_n J1(beta sqrt(n)), beta = 4 pi sqrt(m)/(q s) with s = 1 for A and
@@ -461,18 +468,30 @@ def _sum(chi: QuadraticCharacter, series: _Series, tail_eps: float) -> NumericRe
     A cutoff past _N_MAX = 2^25 terms is a DomainError, raised before the
     grid is allocated: such a grid takes some 2 GiB with its block buffers,
     33 times the largest a certificate at D <= 403 and its threshold prime
-    builds (1.0e6 terms, B(1,p^2) at (403, 1361))."""
-    cutoffs, _, _, errors = _at_cutoffs(series, tail_eps)
+    builds (1.0e6 terms, B(1,p^2) at (403, 1361)).  So is an A grid on
+    which an int64 product of kernels.series_kloosterman could pass 2^63:
+    a residue mod p^a times n <= n_max, for p^a the largest power of p
+    that divides a modulus, the cofactor's residue times n, or _salie's
+    w^2 below p^(2a-2).  A(1, chi_-3, 1200007^2) at t_max = 2 wraps at
+    c = 2 p^2, n = 20,000,017, within _N_MAX."""
+    cutoffs, n_err, _, errors = _at_cutoffs(series, tail_eps)
+    parts = (*n_err[series.counts].tolist(), *series.tails[0].tolist())
     [error], moduli = errors.tolist(), series.moduli.tolist()
     if not moduli:
-        return NumericResult(0.0, error)
+        return NumericResult(0.0, error, parts)
     n_max = int(cutoffs.max())
     if n_max > _N_MAX:
         raise DomainError(f"an n-grid of {n_max} terms is past the limit of 2^25 = {_N_MAX}")
     kind, m, N = series.kind, series.m, series.N
-    grid = _n_grid(chi, series.x, n_max, kind == "A")
     r = math.isqrt(N)
     p = r if r * r == N else N  # N = p or p^2, and no prime is a square
+    if kind == "A":
+        pa = N
+        while pa * p <= moduli[-1]:
+            pa *= p
+        if max(pa, moduli[-1] // N) * n_max >= 1 << 63 or (pa // p) ** 2 >= 1 << 63:
+            raise DomainError(f"A's residues mod {pa} times n <= {n_max} pass the int64 limit")
+    grid = _n_grid(chi, series.x, n_max, kind == "A")
     s = 1.0 if kind == "A" else math.sqrt(N)
     counts = grid.n.searchsorted(cutoffs, side="right").tolist()
     acc = 0.0
@@ -482,7 +501,7 @@ def _sum(chi: QuadraticCharacter, series: _Series, tail_eps: float) -> NumericRe
         for q, k, v in zip(qs, ks, _weighted_j1(grid, betas, ks)):
             s_q = _sa_sum(m, p, N, q, grid.n[:k], v) if kind == "A" else _sb_sum(m, N, q, v)
             acc += s_q / q
-    return NumericResult(acc, error)
+    return NumericResult(acc, error, parts)
 
 
 def A_numeric(
@@ -719,23 +738,23 @@ def pairing_numeric(
     ValueError."""
     _shape(m, N, chi)
     if _given_caps(t_max, d_max):
-        return _pairing(m, N, chi, (t_max, d_max), (_N_TAIL_EPS, _N_TAIL_EPS))
+        return _pairing(m, N, chi, (t_max, d_max), (_N_TAIL_EPS, _N_TAIL_EPS))[0]
     plan = _plan(chi, [(m, N)], lambda e: _pairing_error(m, N, *e))
-    return _pairing(m, N, chi, plan.caps[0], plan.tail_eps[0])
+    return _pairing(m, N, chi, plan.caps[0], plan.tail_eps[0])[0]
 
 
 def _pairing(
     m: int, N: int, chi: QuadraticCharacter, caps: tuple[int, int], tail_eps: tuple[float, float]
-) -> NumericResult:
+) -> tuple[NumericResult, NumericResult, NumericResult]:
     """(a_m, L_chi)_N at the caps (t_max, d_max), A's and B's moduli cut
-    off at the n-tail allowances `tail_eps`."""
+    off at the n-tail allowances `tail_eps`, with its A and B results."""
     (t_max, d_max), (a_eps, b_eps) = caps, tail_eps
     a = A_numeric(m, chi, N, t_max=t_max, tail_eps=a_eps)
     b = B_numeric(m, chi, N, d_max=d_max, tail_eps=b_eps)
     lead = 4.0 * math.pi * chi(m) * math.exp(-m * _x(chi.D, N))
     scale = _EIGHT_PI_SQ * math.sqrt(m)
     value = lead - scale * (a.value + chi(N) / math.sqrt(N) * b.value)
-    return NumericResult(value, _pairing_error(m, N, a.error_bound, b.error_bound))
+    return NumericResult(value, _pairing_error(m, N, a.error_bound, b.error_bound)), a, b
 
 
 def _check_certify_args(p: int, chi: QuadraticCharacter) -> None:
@@ -879,31 +898,31 @@ def certify_numeric(
     Explicit t_max and d_max serve all three pairings, every modulus cut
     off at an n-tail of _N_TAIL_EPS; given neither, the caps and n-cutoffs
     of the six series are planned together (_plan).  Exactly one cap
-    is a ValueError.  Besides value and error_bound, the components name
-    the t_max and d_max used for each shape and split B(1,p^2)'s d-tail
-    into its Abel and Weil parts, both in units of error_bound (8 pi^2/p
-    times the tail)."""
-    from .bounds import hybrid_d_tail
-
+    is a ValueError.  The error bound is the planner's total of the six
+    series' bounds (_new_plus_total).  The components also name the t_max
+    and d_max used for each shape, and B(1,p^2)'s Abel and Weil d-tail
+    parts times its weight 8 pi^2/p: both are parts of error_bound (at
+    (31, 421), 1.678 and 0.720 of 3.456)."""
     _check_certify_args(p, chi)
     if _given_caps(t_max, d_max):
         caps, tail_eps = [(t_max, d_max)] * 3, [(_N_TAIL_EPS, _N_TAIL_EPS)] * 3
     else:
         caps, _, tail_eps = _new_plus_plan(p, chi)
     w = p * p - 1
-    p1, p2, p3 = (
+    pairings = [
         _pairing(m, N, chi, shape_caps, eps)
         for (m, N), shape_caps, eps in zip(_new_plus_shapes(p), caps, tail_eps)
-    )
+    ]
+    (p1, _, b1), (p2, _, _), (p3, _, _) = pairings
     value = p1.value - p / w * p2.value + chi(p) / w * p3.value
-    error = _new_plus_error(p, p1.error_bound, p2.error_bound, p3.error_bound)
+    error = _new_plus_total(p)([s.error_bound for _, a, b in pairings for s in (a, b)])
     lower = (value - error) / (4.0 * math.pi)
     verdict = CERTIFIED_POSITIVE if lower > _CERT_MARGIN else INDETERMINATE
     components: dict[str, float] = {"value": value, "error_bound": error}
     for shape, (t, d) in zip(("(1,p^2)", "(1,p)", "(p,p)"), caps):
         components[f"A{shape} t_max"] = t
         components[f"B{shape} d_max"] = d
-    tail = hybrid_d_tail(chi.D, 1, p * p, caps[0][1])
-    components["B(1,p^2) abel_tail"] = _EIGHT_PI_SQ * tail.abel / p
-    components["B(1,p^2) weil_tail"] = _EIGHT_PI_SQ * tail.weil / p
+    _, abel, weil = b1.parts
+    components["B(1,p^2) abel_tail"] = _EIGHT_PI_SQ * abel / p
+    components["B(1,p^2) weil_tail"] = _EIGHT_PI_SQ * weil / p
     return Certificate(verdict, lower, MODE_NUMERIC, components)

@@ -153,3 +153,27 @@ def test_salie_matches_direct_at_certificate_sized_primes(p, a):
     block = max(1, 2**22 // q)
     direct = np.concatenate([kloosterman_direct(1, y[i : i + block], q) for i in range(0, y.size, block)])
     assert np.allclose(kernels._salie(p, a, y), direct, rtol=0.0, atol=1e-9)
+
+
+def test_salie_residue_product_is_exact_below_the_int64_bound():
+    # series_kloosterman forms the p-power residue (m k mod q) n in int64,
+    # q = p^a and k = c'bar^2 mod q.  At c = 2 p^2, p = 1,200,007, it is
+    # exact up to the n with q n < 2^63, the bound trace._sum keeps A's
+    # grids within; at n = 20,000,017 the product passes 2^63 and wraps,
+    # where the residue reduced in Python integers gives -995,621.54.
+    p, t = 1_200_007, 2
+    q = p * p
+    k = pow(t, -2, q)
+    below = (2**63 - 1) // q
+    ns = [1, 2, below - 1, below]
+
+    def exact(ns):
+        residues = np.array([k * n % q for n in ns], dtype=np.int64)
+        return kernels._salie(p, 2, residues) * kloosterman_row(1, t)[np.array(ns) % t]
+
+    got = series_kloosterman(1, p, q, t, np.array(ns))
+    assert got.tobytes() == exact(ns).tobytes()
+    far = 20_000_017
+    assert k * far >= 2**63 > q * below
+    assert exact([far])[0] == pytest.approx(-995_621.54, abs=0.01)
+    assert series_kloosterman(1, p, q, t, np.array([far]))[0] != exact([far])[0]

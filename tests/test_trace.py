@@ -206,6 +206,22 @@ class TestCoprimeGrid:
         with pytest.raises(DomainError, match="too large for memory"):
             trace._n_grid(CHI15, 1e-9, 10**11, coprime=False)
 
+    def test_int64_residue_products_are_a_domain_error(self, monkeypatch):
+        # A(1, chi_-3, p^2) at p = 1,200,007 and t_max = 2 cuts its moduli
+        # off at 21.0 M and 21.2 M terms, under _N_MAX, but at c = 2 p^2 the
+        # Kloosterman factor's int64 residue times n passes 2^63 (see
+        # test_kernels); the guard refuses before the grid is built, so an
+        # arange that long fails the test instead of paging in
+        arange = np.arange
+
+        def no_long_arange(*args, **kwargs):
+            assert max(args, default=0) < 1 << 24, f"np.arange{args} would allocate"
+            return arange(*args, **kwargs)
+
+        monkeypatch.setattr(np, "arange", no_long_arange)
+        with pytest.raises(DomainError, match="pass the int64 limit"):
+            q.A_numeric(1, CHI3, 1_200_007**2, t_max=2)
+
     @pytest.mark.parametrize("D,m,N,t_max", CASES)
     def test_A_matches_full_grid(self, monkeypatch, D, m, N, t_max):
         chi = q.make_character(D)
@@ -486,11 +502,11 @@ class TestNewPlusPairing:
         assert caps == [14, 206, 27, 131, 1, 131]
         assert comp["B(1,p^2) abel_tail"] == 1.519256194464934  # 1.6252178989802963
         assert comp["B(1,p^2) weil_tail"] == 1.0546810747957827
-        # the parts are B(1,p^2)'s d-tail in units of error_bound
+        # the parts are B(1,p^2)'s Abel and Weil d-tail parts at its own cap
+        # times its weight 8 pi^2/p in error_bound
         tail = q.hybrid_d_tail(15, 1, 271**2, 206)
-        scale = 8 * math.pi**2 / 271
-        assert comp["B(1,p^2) abel_tail"] == pytest.approx(scale * tail.abel, rel=1e-15)
-        assert comp["B(1,p^2) weil_tail"] == pytest.approx(scale * tail.weil, rel=1e-15)
+        assert comp["B(1,p^2) abel_tail"] == trace._EIGHT_PI_SQ * tail.abel / 271
+        assert comp["B(1,p^2) weil_tail"] == trace._EIGHT_PI_SQ * tail.weil / 271
         assert comp["error_bound"] == 3.55915266403307
         assert comp["error_bound"] <= 3.583658468594206  # the first pass alone
         assert comp["error_bound"] <= 3.6021287676857296  # the former fixed caps
@@ -509,9 +525,9 @@ class TestNumericEngineBits:
     def test_digest_of_the_envelope_grid_at_explicit_caps(self):
         # Every bit of the numeric engine's values at explicit caps: the
         # envelope suite's 72 series at its explicit caps and its (15, 269)
-        # soundness certificate.  A change that moves any value or error
-        # bound changes the digest; no numpy SIMD dispatch or BLAS kernel
-        # does (grid weights from libm's exp, no np.dot).
+        # soundness certificate.  A change that moves any value, error bound
+        # or part of one changes the digest; no numpy SIMD dispatch or BLAS
+        # kernel does (grid weights from libm's exp, no np.dot).
         results = []
         for p in (7, 11, 13, 73):
             for D in (3, 4, 15):
@@ -522,7 +538,7 @@ class TestNumericEngineBits:
         assert len(results) == 72
         results.append(q.certify_numeric(269, CHI15, t_max=96, d_max=300))
         digest = hashlib.sha256(repr(results).encode()).hexdigest()
-        assert digest == "8acb8240d52066486a742b67b872a74e25bdbebb70fc9c1a59705402e2064aea"
+        assert digest == "2442dc4385b41dfff2b76bcac45d72da5a667df3cd11a81f0788e1447d6e2a85"
 
     def test_digest_of_the_planned_threshold_certificates(self):
         # numeric-certify's six threshold-prime certificates (D = 15..31) at
@@ -543,6 +559,51 @@ class TestNumericEngineBits:
             assert results[-1].components["error_bound"] <= first_pass[D]
         digest = hashlib.sha256(repr(results).encode()).hexdigest()
         assert digest == "5adacc5216a88bc19d21362b8313ae7028e74beb93a5f6d1f817219b20a48325"
+
+
+class TestErrorLedger:
+    @pytest.mark.parametrize("D, p", [(15, 271), (3, 73)])
+    @pytest.mark.parametrize("planned", [False, True])
+    def test_series_parts_sum_to_their_error_bound(self, D, p, planned):
+        # Each series of the three shapes carries its error bound's parts,
+        # each against its own reference: the n-tail as a scalar loop over
+        # the moduli, A's Weil c-tail from tail_bounds, B's Abel and Weil
+        # parts from hybrid_d_tail at the same cap.  They sum to the error
+        # bound by repr in the engine's order, n + c and n + (abel + weil)
+        # (B(1,p^2)'s (n + abel) + weil at (15, 271) and d = 60 is one ulp
+        # off); a pairing carries none.  At planned caps, or at explicit
+        # ones with A(1,p^2) unevaluated.
+        chi = q.make_character(D)
+        shapes = trace._new_plus_shapes(p)
+        if planned:
+            plan = trace._new_plus_plan(p, chi)
+            caps, tail_eps = plan.caps, plan.tail_eps
+        else:
+            caps = [(0, 60), (8, 60), (8, 60)]
+            tail_eps = [(trace._N_TAIL_EPS, trace._N_TAIL_EPS)] * 3
+        for (m, N), (t, d), (a_eps, b_eps) in zip(shapes, caps, tail_eps):
+            pairing, a, b = trace._pairing(m, N, chi, (t, d), (a_eps, b_eps))
+            x = trace._x(D, N)
+
+            def n_tails(moduli, prefactor, eps):
+                fs = [prefactor(c) for c in moduli]
+                return sum((n_tail(f, x, n_cutoff(f, x, eps)) / c for f, c in zip(fs, moduli)), 0.0)
+
+            a_moduli = range(N, (t + 1) * N, N)
+            n_a = n_tails(a_moduli, lambda c: sa_prefactor(m, c, q.divisor_count(c)), a_eps)
+            c_tail = 2.0 * D / N * tail_bounds(t + 1).tau_tail
+            assert a.parts == (n_a, c_tail)
+            assert repr(a.error_bound) == repr(n_a + c_tail)
+            b_moduli = [k for k in range(1, d + 1) if math.gcd(k, N) == 1]
+            n_b = n_tails(b_moduli, lambda k: sb_prefactor(m, k, N, q.divisor_count(k)), b_eps)
+            tail = q.hybrid_d_tail(D, m, N, d)
+            assert b.parts == (n_b, tail.abel, tail.weil)
+            assert repr(b.error_bound) == repr(n_b + (tail.abel + tail.weil))
+            for res in (a, b):
+                assert repr(res.error_bound) == repr(res.parts[0] + sum(res.parts[1:]))
+            assert pairing == q.NumericResult(
+                pairing.value, trace._pairing_error(m, N, a.error_bound, b.error_bound)
+            )
 
 
 def former_default_error(p, chi):
@@ -760,7 +821,7 @@ class TestPlanner:
         b = q.B_numeric(m, CHI15, N, d_max=d, tail_eps=b_eps)
         lead = 4 * math.pi * math.exp(-trace._x(15, N))
         value = lead - 8 * math.pi**2 * (a.value + CHI15(N) / math.sqrt(N) * b.value)
-        assert res == (value, trace._pairing_error(m, N, a.error_bound, b.error_bound))
+        assert res == q.NumericResult(value, trace._pairing_error(m, N, a.error_bound, b.error_bound))
         assert res.error_bound <= 60.643164297943365
         assert res.error_bound <= q.pairing_numeric(m, N, CHI15, t_max=240, d_max=800).error_bound
 
