@@ -92,13 +92,13 @@ def _emit(args, result, certified=None, mode=None, elapsed_ms: int = 0,
             record["mode"] = mode
         record["elapsed_ms"] = 0  # kept deterministic for byte-identical output
         text = _to_json(record)
-        _print(text)
-        if args.out:
+        if args.out:  # written first, so a PATH that cannot be written leaves stdout empty
             try:
                 with open(args.out, "w") as fh:
                     fh.write(text + "\n")
             except OSError as exc:  # main reports it and exits 2, not 1 (certified-false)
                 raise ValueError(f"cannot write --out {args.out}: {exc.strerror or exc}") from exc
+        _print(text)
     elif not args.quiet:
         _print(f"{args.command}: {result}")
         if certified is not None:

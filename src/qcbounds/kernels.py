@@ -90,9 +90,7 @@ def _sqrt_table(p: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _salie(p: int, a: int, y: np.ndarray) -> np.ndarray:
     """S(1, y; p^a) for p odd, a >= 2 and an int64 array y of residues
-    mod p^a.  w*w below stays under p^(2a-2), but the int64 limit binds
-    first in the caller, which forms y as (m k mod p^a) n: trace._sum
-    refuses an A grid on which either could reach 2^63.
+    mod p^a; its w*w stays below p^(2a-2) (see series_n_limit).
 
     The sum vanishes unless y is a unit square, so only the unit squares
     (about half the terms) are evaluated.  A root w of y is read from the
@@ -119,6 +117,17 @@ def _salie(p: int, a: int, y: np.ndarray) -> np.ndarray:
     sign = np.where(root[w % p] != 0, amp, -amp)
     out[squares] = sign * np.cos(ang) if p % 4 == 1 else -sign * np.sin(ang)
     return out
+
+
+def series_n_limit(p: int, N: int, t_max: int) -> int:
+    """The largest n_max at which series_kloosterman(m, p, N, t, n <= n_max)
+    forms every int64 product exactly for all t <= t_max, 0 if none: for
+    p^a the largest power of p dividing some t N, residues mod p^a and the
+    cofactor's (below t_max) times n, and _salie's w^2 below p^(2a-2)."""
+    q = N
+    while q * p <= t_max * N:
+        q *= p
+    return 0 if (q // p) ** 2 >= 1 << 63 else ((1 << 63) - 1) // max(q, t_max)
 
 
 def series_kloosterman(m: int, p: int, N: int, t: int, n: np.ndarray) -> np.ndarray:

@@ -23,6 +23,9 @@ from .arith import is_prime
 from .errors import DomainError, NonConvergence, NotPrime
 
 _TRUNCATION_EPS = 1e-16
+# The longest q-expansion (_product_terms): 2^20 terms, reached at
+# Im tau near 7.1e-6; tier-1's longest runs 6,671.
+_MAX_TERMS = 1 << 20
 _MAX_REDUCTION_STEPS = 10_000
 
 
@@ -74,13 +77,17 @@ class CuspLocation(NamedTuple):
 
 
 def _product_terms(abs_q: float) -> int:
-    """Index N with |q|^(N+1)/(1-|q|) below the truncation epsilon."""
+    """Index N with |q|^(N+1)/(1-|q|) below the truncation epsilon, the
+    length of every q-product and q-series here.  Past _MAX_TERMS it is a
+    DomainError: at Im tau = 1e-9 the product would run 8.9e9 terms."""
     if abs_q >= 1.0:
         raise DomainError("|q| must be < 1")
     if abs_q == 0.0:
         return 1
-    n = math.log(_TRUNCATION_EPS * (1.0 - abs_q)) / math.log(abs_q)
-    return max(1, int(n) + 1)
+    n = max(1, int(math.log(_TRUNCATION_EPS * (1.0 - abs_q)) / math.log(abs_q)) + 1)
+    if n > _MAX_TERMS:
+        raise DomainError(f"a q-expansion at |q| = {abs_q!r} needs {n} terms, past 2^20")
+    return n
 
 
 def delta(tau: UpperHalfPoint) -> complex:

@@ -55,8 +55,8 @@ no larger than the one the former fixed caps reached (t_max = 240, and B at
 bounds.hybrid_d_cap(..., 800)).  The second lets each series' weighted
 n-tails grow to 1e-3 E0, far fewer n-terms, and plans the caps again for
 E0, so a planned error bound is never above E0.  A caller may instead
-pass both t_max and d_max, which every shape sums as given, at the 1e-15
-cutoffs, with no plan; exactly one of them is an error.
+pass both t_max and d_max, which every shape sums at the 1e-15 cutoffs
+(_caps).
 The error model's n-cutoffs and n-tails are array passes with every bit
 of a loop over the moduli in libm's math.log and math.exp (_terms): a
 cutoff int(log(z)/x) + 1 takes numpy's log, and libm's again only where
@@ -311,27 +311,15 @@ def _at_cutoffs(
     return cutoffs, n_err, cost[series.counts], n_err[series.counts] + series.tails.sum(axis=1)
 
 
-def _given_caps(t_max: int | None, d_max: int | None) -> bool:
-    """Whether the caller passed both caps, which every shape then sums as
-    given, rather than neither, which leaves them to _plan."""
-    if (t_max is None) != (d_max is None):
-        raise ValueError("pass both t_max and d_max, or neither")
-    if t_max is None:
-        return False
-    if t_max < 0:
-        raise ValueError("t_max must be >= 0")
-    if d_max < 1:
-        raise ValueError("d_max must be >= 1")
-    return True
-
-
 # The J1 arguments of consecutive moduli share one bessel_j1 call until
 # their cutoffs would pass this many; a longer cutoff is a block by
 # itself.  2^13 and 2^14 measured alike; at 2^16 a block no longer fits in
 # the cache, and numeric-certify slowed by 8%.
 _BLOCK = 8192
-# The largest n-grid a series may sum (_sum).
+# The largest n-grid a series may sum, and the most n-terms (the sum of
+# its cutoffs) it may sum over all its moduli (_sum).
 _N_MAX = 1 << 25
+_N_TOTAL_MAX = 1 << 27
 
 
 class _NGrid(NamedTuple):
@@ -468,11 +456,12 @@ def _sum(chi: QuadraticCharacter, series: _Series, tail_eps: float) -> NumericRe
     A cutoff past _N_MAX = 2^25 terms is a DomainError, raised before the
     grid is allocated: such a grid takes some 2 GiB with its block buffers,
     33 times the largest a certificate at D <= 403 and its threshold prime
-    builds (1.0e6 terms, B(1,p^2) at (403, 1361)).  So is an A grid on
-    which an int64 product of kernels.series_kloosterman could pass 2^63:
-    a residue mod p^a times n <= n_max, for p^a the largest power of p
-    that divides a modulus, the cofactor's residue times n, or _salie's
-    w^2 below p^(2a-2).  A(1, chi_-3, 1200007^2) at t_max = 2 wraps at
+    builds (1.0e6 terms, B(1,p^2) at (403, 1361)).  So are cutoffs that sum
+    past _N_TOTAL_MAX = 2^27 n-terms, twice the 62.6 M of B(1, 431^2) at
+    caps (240, 800), the most tier-1 sums: at (1, 7) and D = 1000003 the
+    planned A sums 631 M in grids of at most 3.7 M.  So is an A grid past
+    kernels.series_n_limit, where an int64 product of series_kloosterman
+    could pass 2^63: A(1, chi_-3, 1200007^2) at t_max = 2 wraps at
     c = 2 p^2, n = 20,000,017, within _N_MAX."""
     cutoffs, n_err, _, errors = _at_cutoffs(series, tail_eps)
     parts = (*n_err[series.counts].tolist(), *series.tails[0].tolist())
@@ -482,15 +471,14 @@ def _sum(chi: QuadraticCharacter, series: _Series, tail_eps: float) -> NumericRe
     n_max = int(cutoffs.max())
     if n_max > _N_MAX:
         raise DomainError(f"an n-grid of {n_max} terms is past the limit of 2^25 = {_N_MAX}")
+    if (terms := int(cutoffs.sum())) > _N_TOTAL_MAX:
+        raise DomainError(f"a series of {terms} n-terms is past the limit 2^27 = {_N_TOTAL_MAX}")
+    from . import kernels
+
     kind, m, N = series.kind, series.m, series.N
-    r = math.isqrt(N)
-    p = r if r * r == N else N  # N = p or p^2, and no prime is a square
-    if kind == "A":
-        pa = N
-        while pa * p <= moduli[-1]:
-            pa *= p
-        if max(pa, moduli[-1] // N) * n_max >= 1 << 63 or (pa // p) ** 2 >= 1 << 63:
-            raise DomainError(f"A's residues mod {pa} times n <= {n_max} pass the int64 limit")
+    p = _level_prime(N)
+    if kind == "A" and n_max > kernels.series_n_limit(p, N, moduli[-1] // N):
+        raise DomainError(f"A's Kloosterman residues times n <= {n_max} pass the int64 limit")
     grid = _n_grid(chi, series.x, n_max, kind == "A")
     s = 1.0 if kind == "A" else math.sqrt(N)
     counts = grid.n.searchsorted(cutoffs, side="right").tolist()
@@ -696,6 +684,25 @@ def _plan(
     return first if second is None else second
 
 
+def _caps(
+    chi: QuadraticCharacter, shapes: Sequence[tuple[int, int]],
+    total: Callable[[list[float]], float], t_max: int | None, d_max: int | None,
+) -> tuple[list[tuple[int, int]], list[tuple[float, float]]]:
+    """Each shape's (t_max, d_max) and A and B n-tail allowances: the
+    caller's caps at _N_TAIL_EPS or, given neither, _plan's.  Exactly one
+    cap is a ValueError before any plan; then t_max < 0, then d_max < 1."""
+    if (t_max is None) != (d_max is None):
+        raise ValueError("pass both t_max and d_max, or neither")
+    if t_max is None:
+        plan = _plan(chi, shapes, total)
+        return plan.caps, plan.tail_eps
+    if t_max < 0:
+        raise ValueError("t_max must be >= 0")
+    if d_max < 1:
+        raise ValueError("d_max must be >= 1")
+    return [(t_max, d_max)] * len(shapes), [(_N_TAIL_EPS, _N_TAIL_EPS)] * len(shapes)
+
+
 def A_bound(m: int, chi: QuadraticCharacter, N: int) -> float:
     """min(14 D/N, sqrt(Dm)/N (9 log^2 D + 6 log D log N))."""
     _shape(m, N, chi)
@@ -732,15 +739,11 @@ def pairing_numeric(
     t_max: int | None = None,
     d_max: int | None = None,
 ) -> NumericResult:
-    """Assemble (a_m, L_chi)_N from the A and B series, at the caller's
-    t_max and d_max or, given neither, at caps and n-cutoffs planned
-    (_plan) before either series is evaluated.  Exactly one cap is a
-    ValueError."""
+    """Assemble (a_m, L_chi)_N from the A and B series at both caps given
+    or, given neither, at caps planned before either is evaluated (_caps)."""
     _shape(m, N, chi)
-    if _given_caps(t_max, d_max):
-        return _pairing(m, N, chi, (t_max, d_max), (_N_TAIL_EPS, _N_TAIL_EPS))[0]
-    plan = _plan(chi, [(m, N)], lambda e: _pairing_error(m, N, *e))
-    return _pairing(m, N, chi, plan.caps[0], plan.tail_eps[0])[0]
+    [caps], [tail_eps] = _caps(chi, [(m, N)], lambda e: _pairing_error(m, N, *e), t_max, d_max)
+    return _pairing(m, N, chi, caps, tail_eps)[0]
 
 
 def _pairing(
@@ -786,11 +789,6 @@ def _new_plus_total(p: int) -> Callable[[list[float]], float]:
         ))
 
     return total
-
-
-def _new_plus_plan(p: int, chi: QuadraticCharacter) -> _Plan:
-    """The caps and n-cutoffs of the six series of the new-plus pairing at p."""
-    return _plan(chi, _new_plus_shapes(p), _new_plus_total(p))
 
 
 @dataclass(frozen=True)
@@ -895,27 +893,24 @@ def certify_numeric(
 
     minus its truncation error bound, divided by 4 pi.
 
-    Explicit t_max and d_max serve all three pairings, every modulus cut
-    off at an n-tail of _N_TAIL_EPS; given neither, the caps and n-cutoffs
-    of the six series are planned together (_plan).  Exactly one cap
-    is a ValueError.  The error bound is the planner's total of the six
-    series' bounds (_new_plus_total).  The components also name the t_max
-    and d_max used for each shape, and B(1,p^2)'s Abel and Weil d-tail
+    The six series' caps and n-cutoffs come from _caps: explicit t_max
+    and d_max serve all three pairings, or the six are planned together.
+    The error bound is the planner's total of the six series' bounds
+    (_new_plus_total).  The components also name the t_max and d_max
+    used for each shape, and B(1,p^2)'s Abel and Weil d-tail
     parts times its weight 8 pi^2/p: both are parts of error_bound (at
     (31, 421), 1.678 and 0.720 of 3.456)."""
     _check_certify_args(p, chi)
-    if _given_caps(t_max, d_max):
-        caps, tail_eps = [(t_max, d_max)] * 3, [(_N_TAIL_EPS, _N_TAIL_EPS)] * 3
-    else:
-        caps, _, tail_eps = _new_plus_plan(p, chi)
+    shapes, total = _new_plus_shapes(p), _new_plus_total(p)
+    caps, tail_eps = _caps(chi, shapes, total, t_max, d_max)
     w = p * p - 1
     pairings = [
         _pairing(m, N, chi, shape_caps, eps)
-        for (m, N), shape_caps, eps in zip(_new_plus_shapes(p), caps, tail_eps)
+        for (m, N), shape_caps, eps in zip(shapes, caps, tail_eps)
     ]
     (p1, _, b1), (p2, _, _), (p3, _, _) = pairings
     value = p1.value - p / w * p2.value + chi(p) / w * p3.value
-    error = _new_plus_total(p)([s.error_bound for _, a, b in pairings for s in (a, b)])
+    error = total([s.error_bound for _, a, b in pairings for s in (a, b)])
     lower = (value - error) / (4.0 * math.pi)
     verdict = CERTIFIED_POSITIVE if lower > _CERT_MARGIN else INDETERMINATE
     components: dict[str, float] = {"value": value, "error_bound": error}

@@ -112,6 +112,17 @@ class TestExitCodes:
         assert proc.stdout == "" and proc.stderr.count("\n") == 1
         assert "n-grid" in proc.stderr
 
+    @pytest.mark.parametrize("argv", [
+        # 8.9e9 q-expansion terms, still running after 20 s
+        "unit-g --re 0 --im 1e-9 --prime 2 --json",
+        # A(1,7) would sum 631 M n-terms in grids of at most 3.7 M: 57 s
+        "pairing --m 1 --level 7 --disc 1000003 --json",
+    ])
+    def test_past_a_length_bound_exits_two_promptly(self, argv):
+        proc = subprocess.run(CLI + argv.split(), capture_output=True, text=True, timeout=10)
+        assert proc.returncode == 2
+        assert proc.stdout == "" and proc.stderr.count("\n") == 1
+
     def test_j_invariant_underflow_exits_two(self, capsys):
         # Delta(tau) underflows to 0 this close to the real line
         assert main(["j-invariant", "--re", "0", "--im", "0.001", "--quiet"]) == 2
@@ -174,14 +185,15 @@ class TestExitCodes:
     ])
     def test_out_unwritable_exits_two(self, where, reason, tmp_path, capsys):
         # an --out PATH that cannot be written is an input error (2), not a
-        # certified-false verdict (1); the record already on stdout stays
+        # certified-false verdict (1); the file is written before stdout, so
+        # stdout stays empty, as at every exit 2
         (tmp_path / "file").write_text("")
         path = {"a directory": tmp_path, "a missing parent": tmp_path / "missing" / "o.json",
                 "a file as parent": tmp_path / "file" / "o.json"}[where]
         assert main(["thresholds", "--disc", "15", "--json", "--out", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: cannot write --out {path}: {reason}\n"
-        assert json.loads(captured.out)["command"] == "thresholds"
+        assert captured.out == ""
 
     def test_input_error_is_not_masked_by_an_unwritable_out(self, tmp_path, capsys):
         # only the write of the record is caught: a command that fails on
@@ -637,3 +649,69 @@ class TestNumericCertifyJson:
         assert (comp["A(1,p^2) t_max"], comp["A(1,p) t_max"], comp["A(p,p) t_max"]) == (14, 27, 1)
         assert comp["error_bound"] == 3.55915266403307
         assert comp["error_bound"] <= 3.583658468594206
+
+
+class TestEdgeInputs:
+    # The exit-code contract on out-of-domain input, every subcommand in
+    # this process: 0, 1 or 2 and never a traceback; 2 with one stderr
+    # line and an empty stdout; 0 or 1 with --json a record that parses.
+    # {out} is a directory, which --out cannot write.
+    COMPOSITE = str(1_000_000_000_039 * 10_000_000_000_037)  # 26 digits, no factor below 10^12
+    ARGVS = [
+        "pairing --m 1 --level 0 --disc 3 --json",
+        "pairing --m 1 --level 1 --disc 3 --json",
+        "pairing --m 1 --level -7 --disc 3 --json",
+        "pairing --m 0 --level 7 --disc 3 --json",
+        "pairing --m -7 --level 7 --disc 3 --json",
+        "pairing --m 1 --level 7 --disc 1000003 --json",
+        "certify --disc 15 --prime 0 --json",
+        "certify --disc 15 --prime -7 --mode numeric --json",
+        f"certify --disc 15 --prime {COMPOSITE} --json",
+        "certify --disc 0 --prime 271 --json",
+        "runge-bound --prime 0 --json",
+        f"runge-bound --prime {COMPOSITE} --json",
+        "rho-table --prime -7 --ram 2 --json",
+        "rho-table --prime 101 --ram 0 --json",
+        f"component-group --prime {COMPOSITE} --ram 2 --json",
+        "component-group --prime 101 --ram 0 --json",
+        "gauss-sum 0 --json",
+        "character -3 2 --json",
+        "threshold --disc -3 --json",
+        "thresholds --disc 2 --json",
+        "thresholds --disc 15 --json --out {out}",
+        "kloosterman 1 1 0 --json",
+        "kloosterman 1 1 -7 --fast",
+        "unit-g --re 0 --im nan --prime 7 --json",
+        "unit-g --re 0 --im inf --prime 7 --json",
+        "unit-g --re 0 --im 5e-324 --prime 7 --json",
+        "unit-g --re 0 --im 1e-9 --prime 2 --json",
+        "unit-g --re 0 --im 1e-9 --prime 0 --json",
+        "j-invariant --re 0 --im nan --json",
+        "j-invariant --re 0 --im 5e-324 --json",
+        "j-invariant --re 0 --im 1e-9 --json",
+        "reduce-tau --re 0 --im inf --json",
+        "reduce-tau --re 0 --im 1e-9 --json",
+        "reduce-tau --re 0.3 --im 1e-9 --prime 11 --json",
+        "reduce-tau --re 0.3 --im 0.2 --prime -7 --json",
+        "reduce-tau --re 0.3 --im 0.2 --prime 0",
+        "verify --suite weil --max-c 0 --json",
+        "verify --suite trig --seed 5 --json",
+    ]
+
+    def test_every_subcommand_is_covered(self):
+        from qcbounds.cli import build_parser
+
+        [sub] = [a for a in build_parser()._actions if a.dest == "command"]
+        assert {argv.split()[0] for argv in self.ARGVS} == set(sub.choices)
+
+    @pytest.mark.parametrize("argv", ARGVS)
+    def test_exit_code_contract(self, argv, tmp_path, capsys):
+        argv = argv.format(out=tmp_path).split()
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code == 2:
+            assert out == "" and err.count("\n") == 1 and err.startswith("error: ")
+        elif "--json" in argv:
+            json.loads(out)

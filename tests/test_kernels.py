@@ -158,13 +158,15 @@ def test_salie_matches_direct_at_certificate_sized_primes(p, a):
 def test_salie_residue_product_is_exact_below_the_int64_bound():
     # series_kloosterman forms the p-power residue (m k mod q) n in int64,
     # q = p^a and k = c'bar^2 mod q.  At c = 2 p^2, p = 1,200,007, it is
-    # exact up to the n with q n < 2^63, the bound trace._sum keeps A's
-    # grids within; at n = 20,000,017 the product passes 2^63 and wraps,
-    # where the residue reduced in Python integers gives -995,621.54.
+    # exact up to the n with q n < 2^63, the bound series_n_limit gives and
+    # trace._sum keeps A's grids within; at n = 20,000,017 the product
+    # passes 2^63 and wraps, where the residue reduced in Python integers
+    # gives -995,621.54.
     p, t = 1_200_007, 2
     q = p * p
     k = pow(t, -2, q)
     below = (2**63 - 1) // q
+    assert kernels.series_n_limit(p, q, t) == below
     ns = [1, 2, below - 1, below]
 
     def exact(ns):

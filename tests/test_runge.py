@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import qcbounds as q
+from qcbounds import runge
 from qcbounds.errors import DomainError, NonConvergence, NotPrime
 from qcbounds.runge import UpperHalfPoint, log_abs_unit_g
 from qcbounds.verify import runge_suite
@@ -319,3 +320,27 @@ class TestPrimeCheck:
     def test_rejects_a_composite_or_unit(self, name, p):
         with pytest.raises(NotPrime, match=f"^{p} is not prime$"):
             self.CALLS[name](p)
+
+
+class TestExpansionLength:
+    # every q-product and q-series takes its length from _product_terms,
+    # which refuses past 2^20 terms: at Im tau = 1e-6 that is 7.77 M terms,
+    # which took 2.4 s, and at 1e-9 8.9e9, still running after 20 s
+    CALLS = {
+        "delta": runge.delta,
+        "unit_g": lambda tau: runge.unit_g(tau, 2),
+        "log_abs_unit_g": lambda tau: runge.log_abs_unit_g(tau, 2),
+        "g_deviation": lambda tau: runge.g_deviation(tau, 2),
+        "eisenstein_e4": runge.eisenstein_e4,
+    }
+
+    @pytest.mark.parametrize("name", list(CALLS))
+    @pytest.mark.parametrize("im, terms", [(1e-6, 7769785), (1e-9, 8869187741)])
+    def test_past_the_bound_is_a_domain_error(self, name, im, terms):
+        with pytest.raises(DomainError, match=f"needs {terms} terms, past 2\\^20$"):
+            self.CALLS[name](pt(0.0, im))
+
+    def test_bound_lies_near_im_tau_seven_millionths(self):
+        assert runge._product_terms(abs(pt(0.0, 7.2e-6).q)) <= runge._MAX_TERMS
+        with pytest.raises(DomainError, match="needs 1065727 terms"):
+            runge._product_terms(abs(pt(0.0, 7.0e-6).q))

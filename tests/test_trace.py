@@ -222,6 +222,22 @@ class TestCoprimeGrid:
         with pytest.raises(DomainError, match="pass the int64 limit"):
             q.A_numeric(1, CHI3, 1_200_007**2, t_max=2)
 
+    def test_series_past_its_total_terms_is_a_domain_error(self, monkeypatch):
+        # the planned A(1,7) at D = 1000003 cuts its moduli off at 631 M
+        # n-terms in all, though no grid passes 3.7 M, within _N_MAX; the
+        # pairing ran 57 s to an error bound of 4.6e7.  The bound on the
+        # sum of the cutoffs refuses before the grid is built, so an arange
+        # of 2^20 fails the test instead
+        arange = np.arange
+
+        def no_long_arange(*args, **kwargs):
+            assert max(args, default=0) < 1 << 20, f"np.arange{args} would allocate"
+            return arange(*args, **kwargs)
+
+        monkeypatch.setattr(np, "arange", no_long_arange)
+        with pytest.raises(DomainError, match="^a series of 631486475 n-terms is past the limit"):
+            q.pairing_numeric(1, 7, q.make_character(1000003))
+
     @pytest.mark.parametrize("D,m,N,t_max", CASES)
     def test_A_matches_full_grid(self, monkeypatch, D, m, N, t_max):
         chi = q.make_character(D)
@@ -576,7 +592,7 @@ class TestErrorLedger:
         chi = q.make_character(D)
         shapes = trace._new_plus_shapes(p)
         if planned:
-            plan = trace._new_plus_plan(p, chi)
+            plan = trace._plan(chi, shapes, trace._new_plus_total(p))
             caps, tail_eps = plan.caps, plan.tail_eps
         else:
             caps = [(0, 60), (8, 60), (8, 60)]
@@ -650,7 +666,7 @@ class TestPlanner:
     def test_never_looser_than_the_former_caps(self, case):
         D, p = case
         chi = q.make_character(D)
-        plan = trace._new_plus_plan(p, chi)
+        plan = trace._plan(chi, trace._new_plus_shapes(p), trace._new_plus_total(p))
         assert plan.error <= former_default_error(p, chi)
         for t, d in plan.caps:
             assert 0 <= t <= 240 and 1 <= d <= 1600
@@ -658,7 +674,7 @@ class TestPlanner:
     @pytest.mark.parametrize("D, p", [(3, 73), (24, 359), (31, 421)])
     def test_predicted_error_is_reported(self, D, p):
         chi = q.make_character(D)
-        plan = trace._new_plus_plan(p, chi)
+        plan = trace._plan(chi, trace._new_plus_shapes(p), trace._new_plus_total(p))
         cert = q.certify_numeric(p, chi)
         assert cert.components["error_bound"] == plan.error
         caps = [(cert.components[f"A{s} t_max"], cert.components[f"B{s} d_max"])
@@ -775,7 +791,7 @@ class TestPlanner:
         ladders = trace._ladders(chi, shapes, total)
         e0 = trace._pass(ladders, total, [trace._N_TAIL_EPS] * 6).error
         assert e0 <= former_default_error(p, chi)
-        plan = trace._new_plus_plan(p, chi)
+        plan = trace._plan(chi, shapes, total)
         assert plan.error <= e0
         weights = iter(ladders.weights)
         for (m, N), caps, allowances in zip(shapes, plan.caps, plan.tail_eps):
@@ -792,7 +808,7 @@ class TestPlanner:
         # plus a rounding allowance of 1e-12 (1 + |value|).  Those majorants
         # reach 1e-2 to 5 here, against 1e-14 at the 1e-15 cutoffs.
         chi = q.make_character(D)
-        plan = trace._new_plus_plan(p, chi)
+        plan = trace._plan(chi, trace._new_plus_shapes(p), trace._new_plus_total(p))
         shifted = 0
         for (m, N), (t, d), (a_eps, b_eps) in zip(
             trace._new_plus_shapes(p), plan.caps, plan.tail_eps
