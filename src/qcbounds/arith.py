@@ -32,7 +32,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin for the integer sizes used here (< 2**64)."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -242,7 +242,7 @@ class QuadraticCharacter(NamedTuple):
 def make_character(D: int) -> QuadraticCharacter:
     """Character n -> kronecker(-D, n) of an imaginary quadratic field."""
     if not is_fundamental_negative(D):
-        raise NotFundamental(f"-{D} is not a fundamental discriminant")
+        raise NotFundamental(f"{-D} is not a negative fundamental discriminant")
     return QuadraticCharacter(D)
 
 

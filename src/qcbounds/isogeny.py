@@ -14,15 +14,13 @@ from __future__ import annotations
 import math
 from typing import Iterable, NamedTuple
 
-from .arith import is_fundamental_negative, next_prime
-from .errors import NotFundamental
+from .arith import make_character, next_prime
 
 SERRE_CONSTANT = 1e7
 HEIGHT_FLOOR = 985.0
 FALTINGS_SHIFT = 2.38
 BOREL_THRESHOLD = 2e13
 CARTAN_THRESHOLD = 1e7
-EXCEPTIONAL_THRESHOLD = 67
 
 
 class ThresholdReport(NamedTuple):
@@ -113,14 +111,13 @@ def threshold_prime(D: int) -> int:
 
 def main_thresholds(D: int) -> ThresholdReport:
     """The four per-case prime thresholds for a given discriminant."""
-    if not is_fundamental_negative(D):
-        raise NotFundamental(f"-{D} is not a fundamental discriminant")
+    make_character(D)  # the one check of D, NotFundamental unless -D is fundamental
     return ThresholdReport(
         discriminant=D,
         borel=BOREL_THRESHOLD,
         split_cartan=CARTAN_THRESHOLD,
         nonsplit_cartan=max(CARTAN_THRESHOLD, nonsplit_threshold(D)),
-        exceptional=EXCEPTIONAL_THRESHOLD,
+        exceptional=next_prime(exceptional_bound(2)),
     )
 
 

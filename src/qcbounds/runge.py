@@ -212,7 +212,8 @@ def reduce_to_fundamental_domain(
     """Translate/invert iteration into |Re| <= 1/2, |tau| >= 1.
 
     Returns (tau', gamma) with gamma * tau = tau'.  Raises NonConvergence
-    after 10^4 steps (input essentially on the real line).
+    after 10^4 steps (input essentially on the real line), and DomainError
+    when an inversion -1/z overflows (|z| below about 5.6e-309).
     """
     z = tau.z
     gamma = _IDENTITY
@@ -226,6 +227,9 @@ def reduce_to_fundamental_domain(
             inv: Matrix = ((0, -1), (1, 0))
             gamma = _mul(inv, gamma)
             z = -1.0 / z
+            if not cmath.isfinite(z):
+                raise DomainError(
+                    "the reduction overflowed: -1/z is not a finite double this close to a cusp")
             continue
         return UpperHalfPoint.from_complex(z), gamma
     raise NonConvergence("fundamental-domain reduction did not converge")

@@ -146,7 +146,7 @@ def _shape(m: int, N: int, chi: QuadraticCharacter) -> int:
     returns p."""
     p = _level_prime(N)
     if not (m == 1 or (m == p and N == p)):
-        raise UnsupportedCase(f"(m, N) = ({m}, {N}) outside cases (1,p^2), (1,p), (p,p)")
+        raise UnsupportedCase(f"(m, N) = ({m}, {N}) outside cases {', '.join(_NEW_PLUS_LABELS)}")
     if math.gcd(N * m, chi.D) != 1:
         raise DividesDiscriminant(f"gcd({m}*{N}, {chi.D}) must be 1")
     return p
@@ -769,6 +769,10 @@ def _check_certify_args(p: int, chi: QuadraticCharacter) -> None:
         raise UnsupportedCase("the weighted pairing needs p >= 7")
 
 
+# The new-plus pairing's three (m, N) shapes, and their labels in the same order.
+_NEW_PLUS_LABELS = ("(1,p^2)", "(1,p)", "(p,p)")
+
+
 def _new_plus_shapes(p: int) -> tuple[tuple[int, int], ...]:
     return ((1, p * p), (1, p), (p, p))
 
@@ -807,6 +811,11 @@ class Certificate:
         return self.verdict == CERTIFIED_POSITIVE
 
 
+def _verdict(lower: float) -> str:
+    """The verdict of either mode: certified-positive needs lower > _CERT_MARGIN."""
+    return CERTIFIED_POSITIVE if lower > _CERT_MARGIN else INDETERMINATE
+
+
 def _first_term_lower(p: int, D: int) -> float:
     """Lower bound for e^(-2 pi/(D p)) - p/(p^2-1) - 1/(p^2-1).
 
@@ -817,18 +826,6 @@ def _first_term_lower(p: int, D: int) -> float:
     return min(19.0 / 20.0, linear)
 
 
-def _component_bounds(p: int, chi: QuadraticCharacter) -> dict[str, float]:
-    psq = p * p
-    return {
-        "A(1,p^2)": A_bound(1, chi, psq),
-        "A(1,p)": A_bound(1, chi, p),
-        "A(p,p)": A_bound(p, chi, p),
-        "B(1,p^2)": B_bound(1, chi, psq),
-        "B(1,p)": B_bound(1, chi, p),
-        "B(p,p)": B_bound(p, chi, p),
-    }
-
-
 def certify_nonvanishing(p: int, chi: QuadraticCharacter) -> Certificate:
     """Closed-form nonvanishing certificate for the weighted L-sum.
 
@@ -836,7 +833,7 @@ def certify_nonvanishing(p: int, chi: QuadraticCharacter) -> Certificate:
     + 227 log^2 p) - 2 pi tau(D)/sqrt(D) (1/p + 1/(p-1)), the assembled
     form of the six Abel-transform bounds; upper-bound parts are
     inflated and the lower-bound part deflated by a relative 1e-12
-    before combining.  Certified-positive needs a margin above 1e-6.
+    before combining.  Certified-positive needs the margin of _verdict.
 
     The assembled form is only claimed for D >= 15; below that the
     verdict is always indeterminate, with a diagnostic that points to
@@ -863,20 +860,17 @@ def certify_nonvanishing(p: int, chi: QuadraticCharacter) -> Certificate:
     )
     tau_term = _TWO_PI * divisor_count(D) / math.sqrt(D) * (1.0 / p + 1.0 / (p - 1.0))
     lower = first * _ROUND_DEFLATE - (main + tau_term) * _ROUND_INFLATE
-    components = _component_bounds(p, chi)
+    components = {f"{kind}{label}": bound(m, chi, N)
+                  for kind, bound in (("A", A_bound), ("B", B_bound))
+                  for label, (m, N) in zip(_NEW_PLUS_LABELS, _new_plus_shapes(p))}
     components.update({"first_term": first, "abel_main": main, "tau_term": tau_term})
-    diagnostic = None
-    if D < 15:
-        verdict = INDETERMINATE
-        diagnostic = (
-            f"the assembled closed form is only claimed for D >= 15 (got D={D}); "
-            "try the numeric mode (certify --mode numeric)"
-        )
-    elif lower > _CERT_MARGIN:
-        verdict = CERTIFIED_POSITIVE
-    else:
-        verdict = INDETERMINATE
-    return Certificate(verdict, lower, MODE_CLOSED_FORM, components, diagnostic)
+    if D >= 15:
+        return Certificate(_verdict(lower), lower, MODE_CLOSED_FORM, components)
+    diagnostic = (
+        f"the assembled closed form is only claimed for D >= 15 (got D={D}); "
+        "try the numeric mode (certify --mode numeric)"
+    )
+    return Certificate(INDETERMINATE, lower, MODE_CLOSED_FORM, components, diagnostic)
 
 
 def certify_numeric(
@@ -912,12 +906,11 @@ def certify_numeric(
     value = p1.value - p / w * p2.value + chi(p) / w * p3.value
     error = total([s.error_bound for _, a, b in pairings for s in (a, b)])
     lower = (value - error) / (4.0 * math.pi)
-    verdict = CERTIFIED_POSITIVE if lower > _CERT_MARGIN else INDETERMINATE
     components: dict[str, float] = {"value": value, "error_bound": error}
-    for shape, (t, d) in zip(("(1,p^2)", "(1,p)", "(p,p)"), caps):
+    for shape, (t, d) in zip(_NEW_PLUS_LABELS, caps):
         components[f"A{shape} t_max"] = t
         components[f"B{shape} d_max"] = d
     _, abel, weil = b1.parts
-    components["B(1,p^2) abel_tail"] = _EIGHT_PI_SQ * abel / p
-    components["B(1,p^2) weil_tail"] = _EIGHT_PI_SQ * weil / p
-    return Certificate(verdict, lower, MODE_NUMERIC, components)
+    components[f"B{_NEW_PLUS_LABELS[0]} abel_tail"] = _EIGHT_PI_SQ * abel / p
+    components[f"B{_NEW_PLUS_LABELS[0]} weil_tail"] = _EIGHT_PI_SQ * weil / p
+    return Certificate(_verdict(lower), lower, MODE_NUMERIC, components)

@@ -416,7 +416,7 @@ def envelope_suite() -> SuiteResult:
             if D % p == 0:
                 continue
             chi = make_character(D)
-            for m, N in ((1, p * p), (1, p), (p, p)):
+            for m, N in trace._new_plus_shapes(p):
                 a = trace.A_numeric(m, chi, N, t_max=64)
                 res.check(
                     abs(a.value) <= trace.A_bound(m, chi, N) + a.error_bound,
@@ -453,9 +453,9 @@ SUITES = {
 
 
 # The pool takes the suites in this order, longest first, so the short ones
-# fill in beside the long one (in-process, median of 3 on a 2-CPU VM:
-# envelope 0.50 s, weil 0.18, compgroup 0.14, twisted 0.18, trig 0.07,
-# runge 0.06, tails 0.05, certify-grid 0.02; compgroup and twisted are
+# fill in beside the long one (in-process, median of 3 warm runs on a 2-CPU
+# Xeon: envelope 0.36 s, weil 0.11, compgroup 0.09, twisted 0.11, trig 0.05,
+# runge 0.05, tails 0.03, certify-grid 0.01; weil, compgroup and twisted are
 # within the machine's noise of each other).  Envelope no longer outlasts
 # the other seven together, so two workers finish about together.
 _LONGEST_FIRST = ("envelope", "weil", "compgroup", "twisted", "trig", "runge", "tails",

@@ -1,5 +1,6 @@
 """CLI dispatch, exit codes, JSON shape and determinism."""
 
+import hashlib
 import importlib
 import json
 import multiprocessing
@@ -586,6 +587,15 @@ class TestVerifyCommand:
         assert [r.name for r in results] == list(verify.SUITES)
         assert all(r.elapsed_s > 0 for r in results)
 
+    @pytest.mark.parametrize("cpus", ["one_cpu", "two_cpus"])
+    def test_release_gate_json_bytes(self, cpus, request, capsys):
+        # the byte-identical --json of `verify --suite all`, forked or in order;
+        # a re-record of the suites updates this pin and lists the diff
+        request.getfixturevalue(cpus)
+        assert main(["verify", "--suite", "all", "--json"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "4fe7e49dc3ad5960be13e365eaf58e625760600bdc859c9e47f7f3f145e3a8a8"
+
     def test_workers_return_what_the_loop_returns(self, monkeypatch):
         def run(cpus):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
@@ -677,6 +687,7 @@ class TestEdgeInputs:
         "gauss-sum 0 --json",
         "character -3 2 --json",
         "threshold --disc -3 --json",
+        "thresholds --disc -3 --json",
         "thresholds --disc 2 --json",
         "thresholds --disc 15 --json --out {out}",
         "kloosterman 1 1 0 --json",
@@ -690,6 +701,7 @@ class TestEdgeInputs:
         "j-invariant --re 0 --im 5e-324 --json",
         "j-invariant --re 0 --im 1e-9 --json",
         "reduce-tau --re 0 --im inf --json",
+        "reduce-tau --re 0 --im 5e-324 --json",
         "reduce-tau --re 0 --im 1e-9 --json",
         "reduce-tau --re 0.3 --im 1e-9 --prime 11 --json",
         "reduce-tau --re 0.3 --im 0.2 --prime -7 --json",
@@ -715,3 +727,28 @@ class TestEdgeInputs:
             assert out == "" and err.count("\n") == 1 and err.startswith("error: ")
         elif "--json" in argv:
             json.loads(out)
+
+    # Every command that takes D checks it in arith.make_character, so each
+    # prints the same line, which writes -D once, with one sign: threshold
+    # and thresholds at D = -3 print one line, not "--3".
+    @pytest.mark.parametrize("argv, minus_d", [
+        ("threshold --disc -3 --json", 3),
+        ("thresholds --disc -3 --json", 3),
+        ("character -3 2 --json", 3),
+        ("gauss-sum 0 --json", 0),
+        ("certify --disc 0 --prime 271 --json", 0),
+        ("thresholds --disc 2 --json", -2),
+    ])
+    def test_not_fundamental_names_minus_d(self, argv, minus_d, capsys):
+        assert main(argv.split()) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {minus_d} is not a negative fundamental discriminant\n"
+        assert "--" not in err and "-0" not in err
+
+    @pytest.mark.parametrize("command", ["reduce-tau", "j-invariant"])
+    def test_reduction_overflow_is_named(self, command, capsys):
+        # -1/z at z = 5e-324 i is infinite: the reduction, not the input, overflowed
+        assert main([command, "--re", "0", "--im", "5e-324", "--json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: the reduction overflowed")

@@ -144,6 +144,13 @@ class TestReduction:
         r, _ = q.reduce_to_fundamental_domain(pt(math.sqrt(2), 1e-300))
         assert r.im >= math.sqrt(3) / 2 - 1e-9
 
+    def test_inversion_overflow_is_a_domain_error(self):
+        # -1/z is infinite at z = 5e-324 i; at 1e-308 i it is still 1e308 i
+        with pytest.raises(DomainError, match="reduction overflowed"):
+            q.reduce_to_fundamental_domain(pt(0.0, 5e-324))
+        r, _ = q.reduce_to_fundamental_domain(pt(0.0, 1e-308))
+        assert r.im == pytest.approx(1e308)
+
     def test_nonconvergence_guard(self, monkeypatch):
         import qcbounds.runge as runge_mod
 

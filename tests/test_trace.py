@@ -888,6 +888,15 @@ class TestCertificates:
             assert "certify --mode numeric" in cert.diagnostic
             assert q.certify_numeric(p, chi).certified
 
+    def test_both_modes_read_the_margin(self, monkeypatch):
+        # lower must exceed the margin, not only 0, in either mode: at (15, 271)
+        # both lower bounds (0.080 and 0.713) lie below a margin of 1
+        closed, numeric = q.certify_nonvanishing(271, CHI15), q.certify_numeric(271, CHI15)
+        assert closed.certified and numeric.certified
+        monkeypatch.setattr(trace, "_CERT_MARGIN", 1.0)
+        assert not q.certify_nonvanishing(271, CHI15).certified
+        assert not q.certify_numeric(271, CHI15).certified
+
     def test_certificate_soundness_against_numeric(self):
         cert = q.certify_nonvanishing(271, CHI15)
         num = q.certify_numeric(271, CHI15, t_max=96, d_max=300).components
