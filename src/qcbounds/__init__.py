@@ -42,8 +42,8 @@ _EXPORTS = {
     ),
     "runge": (
         "CuspLocation", "UpperHalfPoint", "delta", "g_deviation", "j_invariant",
-        "locate_near_cusp", "log_abs_product_bounds", "reduce_to_fundamental_domain",
-        "runge_j_bound", "unit_g", "unit_g0",
+        "locate_near_cusp", "reduce_to_fundamental_domain", "runge_j_bound", "unit_g",
+        "unit_g0",
     ),
     "trace": (
         "A_bound", "A_numeric", "B_bound", "B_numeric", "Certificate", "NumericResult",

@@ -273,12 +273,11 @@ def _smooth_min(D: int, m: int, N: int) -> int:
     It falls, then rises (the Weil tail falls like log(d)/d^(3/2) while
     the Abel integrand is log(Dd)/d), so its minimum over d1 >= d_max is
     max(d_max, this d1), and one search serves every d_max of a shape."""
-    k = _abel_scale(D, m, N)
     weil_scale = D * math.sqrt(m)
 
     def smooth(d1: int) -> float:
         log1 = math.log(D * d1) + 1.5
-        return k * log1 * log1 / 2.0 + weil_scale * tail_bounds(d1 + 1).tau_tail
+        return abel_sb_bound(D, m, N, d1) * log1 / 2.0 + weil_scale * tail_bounds(d1 + 1).tau_tail
 
     return _first_rise(smooth, 1)
 

@@ -79,9 +79,12 @@ class CuspLocation(NamedTuple):
 def _product_terms(abs_q: float) -> int:
     """Index N with |q|^(N+1)/(1-|q|) below the truncation epsilon, the
     length of every q-product and q-series here.  Past _MAX_TERMS it is a
-    DomainError: at Im tau = 1e-9 the product would run 8.9e9 terms."""
+    DomainError: at Im tau = 1e-9 the product would run 8.9e9 terms.  Im tau
+    > 0 makes |q| < 1, so a |q| of 1 or more is a rounding (Im tau below
+    about 9e-18) and lies past the bound too."""
     if abs_q >= 1.0:
-        raise DomainError("|q| must be < 1")
+        raise DomainError(
+            f"a q-expansion at |q| = {abs_q!r} (rounded up) needs more than 2^20 terms")
     if abs_q == 0.0:
         return 1
     n = max(1, int(math.log(_TRUNCATION_EPS * (1.0 - abs_q)) / math.log(abs_q)) + 1)
@@ -257,24 +260,6 @@ def locate_near_cusp(tau: UpperHalfPoint, p: int) -> CuspLocation:
     return CuspLocation(CUSP_ZERO, shifted, gamma)
 
 
-class ProductLogBounds(NamedTuple):
-    small_q: float
-    general: float
-
-
-def log_abs_product_bounds(q: complex, r: float) -> ProductLogBounds:
-    """Bounds for sum |log|1-q^n||: (-log(1-r))/(r(1-r)) |q| on |q| <= r,
-    and pi^2/(6 log|q^-1|) for any |q| < 1."""
-    aq = abs(q)
-    if aq >= 1.0:
-        raise DomainError("need |q| < 1")
-    if not 0.0 < r < 1.0 or aq > r:
-        raise DomainError("small-q bound needs |q| <= r < 1")
-    small = -math.log(1.0 - r) / (r * (1.0 - r)) * aq
-    general = math.pi**2 / (6.0 * math.log(1.0 / aq)) if aq > 0 else 0.0
-    return ProductLogBounds(small, general)
-
-
 class UnitDeviation(NamedTuple):
     near_inf_dev: float
     near_zero_dev: float
@@ -284,7 +269,11 @@ def g_deviation(tau: UpperHalfPoint, p: int) -> UnitDeviation:
     """Deviation of log|g| and log|g0| from their leading q-powers:
     |log|g| + (p-1) log|q|| <= 25|q| and
     |log|g0| - ((p-1)/p) log|q|| <= 4 pi^2 p / log|q^-1| + 12 log p
-    on the translated fundamental domain."""
+    on the translated fundamental domain.
+
+    The first is 24 sum |log|1-q^n|| <= 24 sum -log(1-|q|^n): as
+    -log(1-x)/x rises in x, on |q| <= r that is at most
+    24 (-log(1-r))/(r(1-r)) |q|, which is 24.16|q| at r = e^(-pi sqrt 3)."""
     _check_prime(p)
     log_abs_q = -2.0 * math.pi * tau.im
     # log|g| + (p-1) log|q| is exactly 24 sum log|1-q^n|; taking it directly

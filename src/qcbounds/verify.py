@@ -198,8 +198,7 @@ def runge_suite(seed: int = DEFAULT_SEED) -> SuiteResult:
         tau = UpperHalfPoint(float(rng.uniform(-0.5, 0.5)), float(rng.uniform(0.9, 3.0)))
         for p in (2, 3, 5, 7, 11):
             pw = float(p) ** 12
-            w = UpperHalfPoint.from_complex(-1.0 / tau.z)
-            v1 = runge.unit_g(w, p) * runge.unit_g(UpperHalfPoint.from_complex(tau.z / p), p)
+            v1 = runge.unit_g0(tau, p) * runge.unit_g(UpperHalfPoint.from_complex(tau.z / p), p)
             res.check(abs(v1 - pw) <= 1e-8 * pw, f"g(-1/t)g(t/p) != p^12 at p={p}")
             wp = UpperHalfPoint.from_complex(-1.0 / (p * tau.z))
             v2 = runge.unit_g(wp, p) * runge.unit_g(tau, p)

@@ -313,6 +313,7 @@ class TestExports:
 
         for name in (
             "series_SA", "certify_weil_mix", "new_plus_pairing", "mod_inverse", "PairingParams",
+            "log_abs_product_bounds", "ProductLogBounds",
         ):
             assert name not in qcbounds.__all__
             with pytest.raises(AttributeError, match=name):
@@ -745,6 +746,14 @@ class TestEdgeInputs:
         assert out == ""
         assert err == f"error: {minus_d} is not a negative fundamental discriminant\n"
         assert "--" not in err and "-0" not in err
+
+    @pytest.mark.parametrize("im", ["5e-324", "8e-18"])
+    def test_q_rounded_to_one_is_past_the_term_bound(self, im, capsys):
+        # |q| = e^(-2 pi Im tau) rounds to 1.0 here: the q-expansion's length
+        # bound refuses it, not the input, which is a point of the half-plane
+        assert main(["unit-g", "--re", "0", "--im", im, "--prime", "7"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and "2^20" in err
 
     @pytest.mark.parametrize("command", ["reduce-tau", "j-invariant"])
     def test_reduction_overflow_is_named(self, command, capsys):

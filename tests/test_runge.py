@@ -1,6 +1,5 @@
 """Modular units, fundamental-domain reduction and the Runge bound."""
 
-import cmath
 import math
 
 import mpmath
@@ -196,39 +195,6 @@ class TestCuspLocation:
             assert val == pytest.approx(ref, rel=1e-9)
 
 
-class TestProductLogBounds:
-    def test_values(self):
-        b = q.log_abs_product_bounds(0.005 + 0j, 0.005)
-        assert b.small_q == pytest.approx(0.0050377, abs=1e-6)
-        b2 = q.log_abs_product_bounds(cmath.exp(-math.pi * math.sqrt(3)), 0.5)
-        # pi^2 / (6 log|q^-1|) with log|q^-1| = pi sqrt(3)
-        assert b2.general == pytest.approx(math.pi / (6 * math.sqrt(3)), abs=1e-9)
-
-    def test_rejects_bad_domain(self):
-        with pytest.raises(DomainError):
-            q.log_abs_product_bounds(1.5 + 0j, 0.5)
-        with pytest.raises(DomainError):
-            q.log_abs_product_bounds(0.4 + 0j, 0.2)
-
-    def test_dominates_direct_sum(self):
-        rng = np.random.default_rng(13)
-        for _ in range(100):
-            r = 0.005
-            aq = float(rng.uniform(0.0005, r))
-            phase = float(rng.uniform(0, 2 * math.pi))
-            qq = aq * cmath.exp(1j * phase)
-            direct = 0.0
-            qn = 1.0 + 0j
-            for _n in range(10_000):
-                qn *= qq
-                direct += abs(math.log(abs(1 - qn)))
-                if abs(qn) < 1e-300:
-                    break
-            b = q.log_abs_product_bounds(qq, r)
-            assert direct <= b.small_q + 1e-12
-            assert direct <= b.general + 1e-12
-
-
 class TestDeviations:
     def test_near_infinity(self):
         dev = q.g_deviation(pt(0.0, 2.0), 5)
@@ -345,6 +311,14 @@ class TestExpansionLength:
     @pytest.mark.parametrize("im, terms", [(1e-6, 7769785), (1e-9, 8869187741)])
     def test_past_the_bound_is_a_domain_error(self, name, im, terms):
         with pytest.raises(DomainError, match=f"needs {terms} terms, past 2\\^20$"):
+            self.CALLS[name](pt(0.0, im))
+
+    @pytest.mark.parametrize("name", list(CALLS))
+    @pytest.mark.parametrize("im", [5e-324, 1e-18, 8e-18])
+    def test_q_rounded_to_one_is_past_the_bound(self, name, im):
+        # Im tau > 0, but |q| = e^(-2 pi Im tau) rounds to 1.0
+        assert abs(pt(0.0, im).q) == 1.0
+        with pytest.raises(DomainError, match="needs more than 2\\^20 terms$"):
             self.CALLS[name](pt(0.0, im))
 
     def test_bound_lies_near_im_tau_seven_millionths(self):

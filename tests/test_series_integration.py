@@ -108,19 +108,21 @@ def test_pairing_assembly():
     assert eps == chi(49) == 1
 
 
-@pytest.mark.parametrize("D,m,N", [(3, 1, 7), (3, 7, 7), (4, 1, 13), (15, 13, 13)])
+@pytest.mark.parametrize("D,m,N", [
+    (3, 1, 7), (3, 7, 7), (4, 1, 13), (15, 13, 13), (3, 1, 5), (3, 5, 5), (3, 1, 25), (4, 1, 25),
+])
 def test_genus_zero_levels_pair_to_zero(D, m, N):
-    # X0(7) and X0(13) have genus 0, so the cusp-form space at those levels
-    # is trivial and every pairing against it vanishes identically.  The
-    # truncated series must cancel the leading term 4 pi chi(m) e^(-mx)
-    # (between 1.1 and 5.7 on these inputs) down to noise.  It cannot see
-    # B's sign: B's part here is 0.008-0.034, so flipping it moves no case
-    # past the tolerance (test_forced_zeros_at_genus_one_levels does).
+    # X0(5), X0(7), X0(13) and X0(25) have genus 0, so the cusp-form space
+    # at those levels is trivial and every pairing against it vanishes
+    # identically; N = 25 is the (1, p^2) shape.  The truncated series must
+    # cancel the leading term 4 pi chi(m) e^(-mx) down to noise.  It cannot
+    # see B's sign: B's part here is 0.007-0.049, so flipping it moves no
+    # case past the tolerance (test_forced_zeros_at_genus_one_levels does).
     chi = q.make_character(D)
     res = q.pairing_numeric(m, N, chi, t_max=160, d_max=600)
     assert abs(res.value) < 0.2
     if m == 1:
-        # the leading term alone is 1.1..5.7 here; the series must eat it
+        # the leading term alone is 4.9..9.2 here; the series must eat it
         lead = 4 * math.pi * math.exp(-2 * math.pi / (D * math.sqrt(N)))
         assert abs(res.value) < 0.05 * lead
     assert abs(res.value) <= res.error_bound

@@ -902,6 +902,17 @@ class TestCertificates:
         num = q.certify_numeric(271, CHI15, t_max=96, d_max=300).components
         assert abs(num["value"]) > 4 * math.pi * cert.lower_bound - num["error_bound"]
 
+    @pytest.mark.parametrize("D", q.fundamental_discriminants(15, 403)[::10])
+    def test_numeric_value_above_closed_form_at_threshold_prime(self, D):
+        # the numeric sweep as a cross-check of the closed form, every tenth
+        # D from 15 to 376 at its threshold prime, with planned caps: the
+        # smallest margin is 9.29, at D = 339
+        p = q.threshold_prime(D)
+        chi = q.make_character(D)
+        num = q.certify_numeric(p, chi).components
+        lower = q.certify_nonvanishing(p, chi).lower_bound
+        assert num["value"] > 4 * math.pi * lower - num["error_bound"], (D, p)
+
     def test_numeric_mode(self):
         cert = q.certify_numeric(73, CHI3, t_max=72, d_max=300)
         assert cert.mode == "numeric-advisory"
