@@ -453,10 +453,12 @@ SUITES = {
 
 # The pool takes the suites in this order, longest first, so the short ones
 # fill in beside the long one (in-process, median of 3 warm runs on a 2-CPU
-# Xeon: envelope 0.36 s, weil 0.11, compgroup 0.09, twisted 0.11, trig 0.05,
-# runge 0.05, tails 0.03, certify-grid 0.01; weil, compgroup and twisted are
-# within the machine's noise of each other).  Envelope no longer outlasts
-# the other seven together, so two workers finish about together.
+# Xeon: envelope 0.36 s, weil 0.13, twisted 0.12, compgroup 0.09, trig 0.05,
+# runge 0.05, tails 0.04, certify-grid 0.01).  compgroup now runs a little
+# shorter than twisted but still goes before it: the wall time rests on how
+# the two workers' loads balance, so a reorder needs benchmark runs of its
+# own.  Envelope no longer outlasts the other seven together, so two
+# workers finish about together.
 _LONGEST_FIRST = ("envelope", "weil", "compgroup", "twisted", "trig", "runge", "tails",
                   "certify-grid")
 
@@ -491,6 +493,8 @@ def run_suite(name: str, max_c: int | None = None,
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
     if max_c is not None and max_c < 1:
         raise DomainError(f"max_c must be >= 1 (got {max_c})")
+    if seed is not None and seed < 0:
+        raise DomainError(f"seed must be >= 0 (got {seed})")
     if max_c is not None and name not in ("weil", "all"):
         raise DomainError(f"max_c applies to the weil suite only, not {name!r}")
     if seed is not None and name not in ("runge", "compgroup", "all"):

@@ -153,7 +153,7 @@ class TestExitCodes:
         assert out.out == "" and "finite" in out.err
 
     def test_postcondition_failure_exits_two(self, monkeypatch, capsys):
-        monkeypatch.setattr(compgroup, "_closed_form_factors", lambda p, e: [])
+        monkeypatch.setattr(compgroup, "_closed_form_factors", lambda n, S, e: [])
         assert main(["component-group", "--prime", "11", "--ram", "2", "--quiet"]) == 2
         assert "does not match" in capsys.readouterr().err
 
@@ -635,6 +635,15 @@ class TestVerifyCommand:
             verify.run_suite("all", max_c=0)
         assert stub_suites == []
 
+    @pytest.mark.parametrize("suite, seed", [("all", -1), ("compgroup", -3)])
+    def test_negative_seed_runs_no_suite(self, suite, seed, stub_suites, one_cpu, capsys):
+        # numpy would reject the seed only inside a suite, after the others ran
+        assert main(["verify", "--suite", suite, "--seed", str(seed), "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: seed must be >= 0 (got {seed})\n"
+        assert captured.out == ""
+        assert stub_suites == []
+
 
 class TestPairingCommand:
     @pytest.mark.parametrize("level", ["0", "1", "-49"])
@@ -709,6 +718,8 @@ class TestEdgeInputs:
         "reduce-tau --re 0.3 --im 0.2 --prime 0",
         "verify --suite weil --max-c 0 --json",
         "verify --suite trig --seed 5 --json",
+        "verify --suite all --seed -1 --json",
+        "verify --suite compgroup --seed -3 --json",
     ]
 
     def test_every_subcommand_is_covered(self):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import qcbounds as q
 from qcbounds import compgroup
 from qcbounds.compgroup import _rho_candidates, _rho_value, generator_names, integer_determinant
-from qcbounds.errors import UnsupportedPrime, UnsupportedRamification
+from qcbounds.errors import PostconditionFailed, UnsupportedPrime, UnsupportedRamification
 
 F = Fraction
 
@@ -59,8 +59,9 @@ class TestRelationMatrix:
         assert generator_names(37) == ["Zbar", "Cbar_s1", "Cbar_s2", "Cbar_s3"]
 
     def test_prime_past_the_bound_is_unsupported(self, monkeypatch):
-        # 32771 is the first prime past 2^15; no row may be built for it
-        monkeypatch.setattr(compgroup, "generator_names", lambda p: pytest.fail("built a row"))
+        # 32771 is the first prime past 2^15; no row may be built for it,
+        # nor p's supersingular data worked out
+        monkeypatch.setattr(compgroup, "supersingular_counts", lambda p: pytest.fail("resolved p"))
         assert compgroup._MAX_PRIME == 1 << 15
         for p in (32771, 100003, 2**61 - 1):
             with pytest.raises(UnsupportedPrime, match="2\\^15"):
@@ -251,6 +252,11 @@ class TestComponentGroup:
         assert q.component_group(23, 2).invariant_factors == [2, 22]
 
     def test_closed_form_grid(self):
+        # e*gen in <Zbar> for every generator, by enumerating <Zbar>: the
+        # lemma of component_group's docstring, which it does not check.
+        # The sha256 pins the 24 groups' (invariant factors, generator
+        # images) as the Smith normal form gives them.
+        digest = hashlib.sha256()
         for p in (11, 23, 37, 59, 101, 997):
             n = q.eisenstein_n(p)
             S = q.supersingular_counts(p).S
@@ -259,6 +265,13 @@ class TestComponentGroup:
                 expect = [d for d in [e] * (S - 2) + [n * e] if d > 1]
                 assert group.invariant_factors == expect
                 assert group.order == n * e ** (S - 1)
+                images = group.generator_images
+                zbar = {group.scale(j, images["Zbar"]) for j in range(n)}
+                for name, image in images.items():
+                    assert group.scale(e, image) in zbar, (p, e, name)
+                digest.update(repr((group.invariant_factors, images)).encode())
+        expected = "8e2d12ed5f5f2dcf893198ea5c0d32fc10119f9fc32fff4889b781d136d42c16"
+        assert digest.hexdigest() == expected
 
     def test_zbar_order(self):
         for p, e in [(11, 2), (37, 3), (59, 5)]:
@@ -267,19 +280,35 @@ class TestComponentGroup:
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
-    def test_order_and_log_match_repeated_addition(self, data):
+    def test_order_matches_repeated_addition(self, data):
         # the reference walks the multiples of x one addition at a time
         factors = data.draw(st.lists(st.sampled_from([2, 3, 4, 5, 6, 8, 9, 12, 36]), max_size=4))
         group = compgroup.ComponentGroup(0, 0, factors, {})
         x = tuple(data.draw(st.integers(0, d - 1)) for d in factors)
-        y = tuple(data.draw(st.integers(0, d - 1)) for d in factors)
-        if data.draw(st.booleans()):
-            y = group.scale(data.draw(st.integers(0, 100)), x)
         multiples = [group.zero()]
         while group.add(multiples[-1], x) != group.zero():
             multiples.append(group.add(multiples[-1], x))
         assert group.element_order(x) == len(multiples)
-        assert group.discrete_log(x, y) == (multiples.index(y) if y in multiples else None)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([11, 23, 37, 59, 101]), st.sampled_from([1, 2, 3, 5]), st.data())
+    def test_a_moved_generator_image_fails_a_check(self, p, e, data):
+        # Add a nonzero residue to one kept entry of the Smith form's left,
+        # which moves one generator image by that much.  A moved Zbar breaks
+        # every chain relation; any other moved image breaks the sum check.
+        snf = compgroup.smith_normal_form
+
+        def moved(mat):
+            res = snf(mat)
+            i = data.draw(st.sampled_from([i for i, d in enumerate(res.diagonal) if d > 1]))
+            j = data.draw(st.integers(0, len(res.left) - 1))
+            res.left[i][j] += data.draw(st.integers(1, res.diagonal[i] - 1))
+            return res
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(compgroup, "smith_normal_form", moved)
+            with pytest.raises(PostconditionFailed):
+                q.component_group(p, e)
 
 
 RHO_CELLS = {
